@@ -10,7 +10,7 @@ from csample.experiments import default_config, run_deblur_experiment
 cfg = default_config("deblur")
 cfg["pool_mode"] = "serial"
 
-print("running the image-retrieval experiment (about a minute) ...")
+print("running the image-retrieval experiment (a few seconds) ...")
 summary = run_deblur_experiment(cfg, "demo_out/image_retrieval")
 
 print(f"mixture components selected: {summary.n_c_selected}")

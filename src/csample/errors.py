@@ -44,5 +44,9 @@ class DegenerateCurveWarning(UserWarning):
     """L-curve curvature is flat; the selected parameter is a fallback."""
 
 
+class SolverConvergenceWarning(UserWarning):
+    """An iterative solve stopped before meeting its convergence test."""
+
+
 class OversubscribedWarning(UserWarning):
     """Benchmark requested more workers than available logical processors."""

@@ -547,6 +547,45 @@ def prepare_deblur_problem(config):
     }
 
 
+def _write_input_images(setup, out, summary):
+    """The true, blurred and noisy images of a deblurring problem as PGMs."""
+    truth = setup["truth"]
+    for name, values in (
+        ("true", truth.intensities),
+        ("blurred", setup["blurred"]),
+        ("noisy", setup["observed"]),
+    ):
+        write_pgm(ImageGrid(truth.rows, truth.cols, values), out / f"{name}.pgm")
+        summary.manifest.append(f"{name}.pgm")
+
+
+def _run_tikhonov_baseline(config, setup, out, summary):
+    """The L-curve-tuned Tikhonov reconstruction of the observed image.
+
+    Writes lcurve.csv and tikhonov.pgm, records alpha* and ``tikhonov_s`` in
+    the summary, and returns the reconstruction.
+    """
+    rows, cols = setup["truth"].rows, setup["truth"].cols
+    t0 = time.perf_counter()
+    lo_a, hi_a, n_a = config["alpha_grid"]
+    alphas = np.logspace(np.log10(lo_a), np.log10(hi_a), int(n_a))
+    problem = TikhonovProblem(
+        setup["operator"],
+        setup["observed"],
+        SpdMatrix.spherical(rows * cols, setup["noise_std"] ** 2),
+        _regularization_matrix(config, rows, cols),
+        alphas[0],
+    )
+    lcurve = lcurve_select_alpha(problem, alphas)
+    solution = lcurve.solutions[lcurve.alpha].x
+    summary.timings["tikhonov_s"] = time.perf_counter() - t0
+    summary.alpha_star = lcurve.alpha
+    _write_text(out / "lcurve.csv", lcurve_points_to_csv(lcurve.points))
+    write_pgm(ImageGrid(rows, cols, solution), out / "tikhonov.pgm")
+    summary.manifest.extend(["lcurve.csv", "tikhonov.pgm"])
+    return solution
+
+
 def run_deblur_experiment(config, out_dir):
     """Image retrieval: multi-chain sampling of the deblurring posterior and
     the L-curve-tuned Tikhonov baseline, with relative-error comparison."""
@@ -558,13 +597,7 @@ def run_deblur_experiment(config, out_dir):
     dim = rows * cols
     seed = config["seed"]
 
-    for name, values in (
-        ("true", truth.intensities),
-        ("blurred", setup["blurred"]),
-        ("noisy", setup["observed"]),
-    ):
-        write_pgm(ImageGrid(rows, cols, values), out / f"{name}.pgm")
-        summary.manifest.append(f"{name}.pgm")
+    _write_input_images(setup, out, summary)
 
     t0 = time.perf_counter()
     lo, hi = config["candidate_components"]
@@ -637,25 +670,7 @@ def run_deblur_experiment(config, out_dir):
     write_pgm(ImageGrid(rows, cols, posterior_median), out / "posterior_median.pgm")
     summary.manifest.extend(["posterior_mean.pgm", "posterior_median.pgm"])
 
-    # Variational baseline with L-curve-selected regularization weight.
-    t0 = time.perf_counter()
-    lo_a, hi_a, n_a = config["alpha_grid"]
-    alphas = np.logspace(np.log10(lo_a), np.log10(hi_a), int(n_a))
-    problem = TikhonovProblem(
-        setup["operator"],
-        setup["observed"],
-        SpdMatrix.spherical(dim, setup["noise_std"] ** 2),
-        _regularization_matrix(config, rows, cols),
-        alphas[0],
-    )
-    lcurve = lcurve_select_alpha(problem, alphas)
-    tikhonov_solution = lcurve.solutions[lcurve.alpha].x
-    summary.timings["tikhonov_s"] = time.perf_counter() - t0
-    summary.alpha_star = lcurve.alpha
-    _write_text(out / "lcurve.csv", lcurve_points_to_csv(lcurve.points))
-    summary.manifest.append("lcurve.csv")
-    write_pgm(ImageGrid(rows, cols, tikhonov_solution), out / "tikhonov.pgm")
-    summary.manifest.append("tikhonov.pgm")
+    tikhonov_solution = _run_tikhonov_baseline(config, setup, out, summary)
 
     x_true = truth.intensities
     summary.relative_errors = {
@@ -730,33 +745,8 @@ def run_tikhonov_experiment(config, out_dir):
          "prior_pool": 1, "n_ens": 1}
     )
     truth = setup["truth"]
-    rows, cols = truth.rows, truth.cols
-    dim = rows * cols
-    for name, values in (
-        ("true", truth.intensities),
-        ("blurred", setup["blurred"]),
-        ("noisy", setup["observed"]),
-    ):
-        write_pgm(ImageGrid(rows, cols, values), out / f"{name}.pgm")
-        summary.manifest.append(f"{name}.pgm")
-
-    t0 = time.perf_counter()
-    lo_a, hi_a, n_a = config["alpha_grid"]
-    alphas = np.logspace(np.log10(lo_a), np.log10(hi_a), int(n_a))
-    problem = TikhonovProblem(
-        setup["operator"],
-        setup["observed"],
-        SpdMatrix.spherical(dim, setup["noise_std"] ** 2),
-        _regularization_matrix(config, rows, cols),
-        alphas[0],
-    )
-    lcurve = lcurve_select_alpha(problem, alphas)
-    solution = lcurve.solutions[lcurve.alpha].x
-    summary.timings["tikhonov_s"] = time.perf_counter() - t0
-    summary.alpha_star = lcurve.alpha
-    _write_text(out / "lcurve.csv", lcurve_points_to_csv(lcurve.points))
-    write_pgm(ImageGrid(rows, cols, solution), out / "tikhonov.pgm")
-    summary.manifest.extend(["lcurve.csv", "tikhonov.pgm"])
+    _write_input_images(setup, out, summary)
+    solution = _run_tikhonov_baseline(config, setup, out, summary)
     summary.relative_errors = {
         "noisy_input": relative_error(setup["observed"], truth.intensities),
         "tikhonov": relative_error(solution, truth.intensities),

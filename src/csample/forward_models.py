@@ -1,10 +1,12 @@
 """Observation operators H(x) with adjoint-of-Jacobian actions, plus image I/O.
 
-The Gaussian blur is realized as pad -> separable valid correlation, with the
-adjoint built from the exact transposes of both stages, so the dot-test
-identity <H x, v> = <x, H^T v> holds to round-off. The full Jacobian is never
-materialized outside the structure-check helper: apply and adjoint cost
-O(n_pixels * width) per axis.
+The Gaussian blur is separable: it stores one n-by-n matrix per image axis,
+built once from the kernel with the boundary rule folded in, and applies
+H X = B_r X B_c^T. The adjoint is H^T V = B_r^T V B_c, exact by
+construction, so the dot-test identity <H x, v> = <x, H^T v> holds to
+round-off. Apply and adjoint cost O(rows * cols * (rows + cols)); the full
+n_pixels-square Jacobian is never materialized outside the structure-check
+helper.
 """
 
 from __future__ import annotations
@@ -105,27 +107,25 @@ def gaussian_kernel1d(width, sigma):
     return kernel
 
 
-def _pad_index_map(n, half, boundary):
-    idx = np.arange(-half, n + half)
+def _blur_matrix1d(n, kernel, boundary):
+    """The n-by-n matrix of a 1-D correlation with its boundary rule folded in.
+
+    Row i holds the kernel taps centred on pixel i. A tap that falls outside
+    the grid is added onto the pixel the boundary rule maps it to: modulo n
+    for ``periodic``; for ``reflect`` the half-sample-symmetric extension
+    (... x1 x0 | x0 x1 ... xn-1 | xn-1 xn-2 ...), taken with period 2n so it
+    stays exact when the kernel is wider than the grid.
+    """
+    width = kernel.size
+    pos = np.arange(n)[:, None] + np.arange(width)[None, :] - width // 2
     if boundary == "periodic":
-        return np.mod(idx, n)
-    # Mirror with edge repetition: ... x1 x0 | x0 x1 ... xn-1 | xn-1 xn-2 ...
-    idx = np.where(idx < 0, -idx - 1, idx)
-    idx = np.where(idx >= n, 2 * n - idx - 1, idx)
-    return idx
-
-
-def _valid_correlate(arr, kernel, axis):
-    windows = np.lib.stride_tricks.sliding_window_view(arr, kernel.size, axis=axis)
-    return np.tensordot(windows, kernel, axes=([-1], [0]))
-
-
-def _valid_correlate_adjoint(v, kernel, axis):
-    # Transpose of valid correlation: zero-pad by width-1 and correlate with
-    # the reversed kernel.
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (kernel.size - 1, kernel.size - 1)
-    return _valid_correlate(np.pad(v, pad), kernel[::-1], axis)
+        pixel = np.mod(pos, n)
+    else:
+        p = np.mod(pos, 2 * n)
+        pixel = np.where(p < n, p, 2 * n - 1 - p)
+    matrix = np.zeros((n, n))
+    np.add.at(matrix, (np.repeat(np.arange(n), width), pixel.reshape(-1)), np.tile(kernel, n))
+    return matrix
 
 
 class GaussianBlurOperator(ForwardOperator):
@@ -150,27 +150,16 @@ class GaussianBlurOperator(ForwardOperator):
         self.sigma = float(sigma)
         self.boundary = boundary
         self.kernel = gaussian_kernel1d(width, sigma)
-        half = self.width // 2
-        self._row_map = _pad_index_map(self.rows, half, boundary)
-        self._col_map = _pad_index_map(self.cols, half, boundary)
+        self.row_matrix = _blur_matrix1d(self.rows, self.kernel, boundary)
+        self.col_matrix = _blur_matrix1d(self.cols, self.kernel, boundary)
 
     def apply(self, x):
         img = self._check_state(x).reshape(self.rows, self.cols)
-        padded = img[self._row_map][:, self._col_map]
-        out = _valid_correlate(padded, self.kernel, axis=0)
-        out = _valid_correlate(out, self.kernel, axis=1)
-        return out.reshape(-1)
+        return (self.row_matrix @ img @ self.col_matrix.T).reshape(-1)
 
     def adjoint_jacobian_apply(self, x, v):
         img = self._check_obs(v).reshape(self.rows, self.cols)
-        up = _valid_correlate_adjoint(img, self.kernel, axis=1)
-        up = _valid_correlate_adjoint(up, self.kernel, axis=0)
-        # Fold padded contributions back through the index maps.
-        tmp = np.zeros((self.rows, up.shape[1]))
-        np.add.at(tmp, self._row_map, up)
-        out = np.zeros((self.cols, self.rows))
-        np.add.at(out, self._col_map, tmp.T)
-        return out.T.reshape(-1)
+        return (self.row_matrix.T @ img @ self.col_matrix).reshape(-1)
 
 
 class SaturationWrapper(ForwardOperator):

@@ -2,10 +2,21 @@
 
 The objective is T(x) = ||H(x) - y||^2_{R^-1} + alpha ||x||^2_C with gradient
 2 [dH(x)]^T R^-1 (H(x) - y) + 2 alpha C x; the factor-2 convention keeps the
-pair mutually consistent. Linear operators are minimized by matrix-free
-conjugate gradients on the normal equations; nonlinear ones by Polak-Ribiere
-conjugate gradients with a backtracking line search. The contract in both
-cases is the gradient norm at the returned point.
+pair mutually consistent. The contract of every solver is the gradient norm
+at the returned point.
+
+Three solvers, chosen from the problem's structure:
+
+- Closed form, when H is a reflect-boundary Gaussian blur (not saturated),
+  R = sigma^2 I, and C is c I or the grid Laplacian. The orthonormal 2-D
+  DCT-II diagonalizes the half-sample-symmetric blur and the Neumann grid
+  Laplacian alike (Ng, Chan & Tang, SIAM J. Sci. Comput. 1999), so the
+  minimizer is x_hat = (b_hat / sigma^2) y_hat / (b_hat^2 / sigma^2 +
+  alpha c_hat) in that basis, with no iterations.
+- Matrix-free conjugate gradients on the normal equations for every other
+  linear problem (dense matrices, periodic blur, non-spherical R).
+- Polak-Ribiere conjugate gradients with a backtracking line search for
+  nonlinear operators.
 """
 
 from __future__ import annotations
@@ -15,10 +26,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCurveWarning, DimensionMismatch
+from .errors import DegenerateCurveWarning, DimensionMismatch, SolverConvergenceWarning
+from .forward_models import GaussianBlurOperator
 from .linalg_rng import SpdMatrix
 
 DEFAULT_ALPHA_GRID = np.logspace(-6.0, 2.0, 30)
+
+
+@dataclass(frozen=True)
+class GridLaplacian:
+    """Grid-graph Laplacian plus epsilon * I on a rows-by-cols pixel grid.
+
+    Applied by its 5-point stencil with no neighbor across the grid edge
+    (Neumann boundary), so it costs O(rows * cols) time and no matrix.
+    """
+
+    rows: int
+    cols: int
+    epsilon: float
+
+    @property
+    def order(self):
+        return self.rows * self.cols
+
+    def matvec(self, x):
+        img = np.asarray(x, dtype=float).reshape(self.rows, self.cols)
+        out = self.epsilon * img
+        # Each edge (a, b) adds a - b at a and b - a at b.
+        down = np.diff(img, axis=0)
+        out[:-1] -= down
+        out[1:] += down
+        right = np.diff(img, axis=1)
+        out[:, :-1] -= right
+        out[:, 1:] += right
+        return out.reshape(-1)
+
+    def dct_eigenvalues(self):
+        """Eigenvalues on the 2-D DCT-II basis, as a rows-by-cols array."""
+        def path(n):
+            return 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
+
+        return path(self.rows)[:, None] + path(self.cols)[None, :] + self.epsilon
 
 
 def discrete_laplacian(rows, cols, epsilon=1e-3):
@@ -27,18 +75,7 @@ def discrete_laplacian(rows, cols, epsilon=1e-3):
     ||x||^2_C sums squared differences between 4-neighbors, so the penalty
     targets gradients instead of the image's mean level.
     """
-    n = rows * cols
-    lap = np.zeros((n, n))
-    for i in range(rows):
-        for j in range(cols):
-            k = i * cols + j
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < rows and 0 <= jj < cols:
-                    kk = ii * cols + jj
-                    lap[k, k] += 1.0
-                    lap[k, kk] -= 1.0
-    return SpdMatrix.from_dense(lap + epsilon * np.eye(n))
+    return GridLaplacian(int(rows), int(cols), float(epsilon))
 
 
 @dataclass(frozen=True)
@@ -145,12 +182,55 @@ def _solve_nonlinear_cg(problem, x0, tol, max_iter):
     return TikhonovSolution(x, float(np.linalg.norm(grad)), iterations, np.linalg.norm(grad) <= tol)
 
 
+def _dct_matrix(n):
+    """Orthonormal DCT-II matrix; row k is the k-th cosine basis vector."""
+    k = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    d = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * j + 1) / (2 * n))
+    d[0] /= np.sqrt(2.0)
+    return d
+
+
+def _scalar_multiple_of_identity(matrix):
+    """c when matrix is an SpdMatrix equal to c * I, else None."""
+    if not isinstance(matrix, SpdMatrix) or not matrix.is_diagonal:
+        return None
+    diag = matrix.diagonal()
+    return float(diag[0]) if np.all(diag == diag[0]) else None
+
+
+def _solve_spectral(problem):
+    """The exact minimizer on the 2-D DCT-II basis, or None when the problem
+    is not diagonal there (see the module docstring)."""
+    op = problem.operator
+    if not isinstance(op, GaussianBlurOperator) or op.boundary != "reflect":
+        return None
+    variance = _scalar_multiple_of_identity(problem.obs_cov)
+    if variance is None:
+        return None
+    if isinstance(problem.reg_matrix, GridLaplacian):
+        c_hat = problem.reg_matrix.dct_eigenvalues()
+    else:
+        c_hat = _scalar_multiple_of_identity(problem.reg_matrix)
+        if c_hat is None:
+            return None
+    d_r, d_c = _dct_matrix(op.rows), _dct_matrix(op.cols)
+    b_r = np.einsum("ij,jk,ik->i", d_r, op.row_matrix, d_r)
+    b_c = np.einsum("ij,jk,ik->i", d_c, op.col_matrix, d_c)
+    b_hat = b_r[:, None] * b_c[None, :]
+    y_hat = d_r @ problem.y.reshape(op.rows, op.cols) @ d_c.T
+    x_hat = (b_hat / variance) * y_hat / (b_hat**2 / variance + problem.alpha * c_hat)
+    return (d_r.T @ x_hat @ d_c).reshape(-1)
+
+
 def solve_tikhonov(problem, x0=None, *, grad_tol_rel=1e-8, max_iter=None):
     """Minimize the Tikhonov objective from x0.
 
     Converges when the gradient norm falls to grad_tol_rel times
     max(1, ||grad(x0)||). Exhausting the iteration budget returns the best
-    iterate with ``converged=False``.
+    iterate with ``converged=False``. Problems that are diagonal on the DCT
+    basis are solved in closed form with ``iterations=0``; their gradient
+    norm and ``converged`` flag are still measured at the returned point.
     """
     n = problem.operator.in_dim
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
@@ -160,6 +240,10 @@ def solve_tikhonov(problem, x0=None, *, grad_tol_rel=1e-8, max_iter=None):
         raise ValueError("x0 must be finite")
     _, grad0 = tikhonov_objective(problem, x0)
     tol = grad_tol_rel * max(1.0, float(np.linalg.norm(grad0)))
+    x = _solve_spectral(problem)
+    if x is not None:
+        grad_norm = float(np.linalg.norm(tikhonov_objective(problem, x)[1]))
+        return TikhonovSolution(x, grad_norm, 0, grad_norm <= tol)
     if max_iter is None:
         max_iter = max(200, 10 * n)
     if problem.operator.linear:
@@ -173,6 +257,8 @@ class LCurvePoint:
     residual_norm: float  # ||H(x) - y||_{R^-1}
     solution_norm: float  # ||x||_C
     curvature: float
+    iterations: int
+    converged: bool
 
 
 @dataclass
@@ -190,7 +276,9 @@ def lcurve_select_alpha(problem, alphas=None, *, x0=None, solver_options=None):
     the (log residual-norm, log solution-norm) curve, scores interior points
     by three-point Menger curvature, and returns the curvature maximizer
     (ties toward larger alpha). A curvature range below 1e-12 degenerates to
-    the grid midpoint with a warning.
+    the grid midpoint with a warning. Each point records its solve's
+    iteration count and convergence flag; unconverged solves raise a
+    SolverConvergenceWarning naming their alphas.
     """
     alphas = DEFAULT_ALPHA_GRID if alphas is None else np.asarray(alphas, dtype=float)
     if alphas.size < 1:
@@ -209,8 +297,17 @@ def lcurve_select_alpha(problem, alphas=None, *, x0=None, solver_options=None):
         residual = sub.operator.apply(sol.x) - sub.y
         res_norm = float(np.sqrt(residual @ sub.obs_cov.solve(residual)))
         sol_norm = float(np.sqrt(sol.x @ sub.reg_matrix.matvec(sol.x)))
-        points[idx] = LCurvePoint(float(alphas[idx]), res_norm, sol_norm, 0.0)
+        points[idx] = LCurvePoint(
+            float(alphas[idx]), res_norm, sol_norm, 0.0, sol.iterations, sol.converged
+        )
         solutions[float(alphas[idx])] = sol
+    unconverged = [p.alpha for p in points if not p.converged]
+    if unconverged:
+        warnings.warn(
+            f"{len(unconverged)} of {len(points)} L-curve solves stopped before "
+            f"convergence, at alpha = {', '.join(f'{a:.6g}' for a in unconverged)}",
+            SolverConvergenceWarning,
+        )
 
     unique_alphas = {p.alpha for p in points}
     if len(unique_alphas) == 1:
@@ -244,7 +341,10 @@ def lcurve_select_alpha(problem, alphas=None, *, x0=None, solver_options=None):
 
 
 def lcurve_points_to_csv(points):
-    lines = ["alpha,residual_norm,solution_norm,curvature"]
+    lines = ["alpha,residual_norm,solution_norm,curvature,iterations,converged"]
     for p in points:
-        lines.append(f"{p.alpha!r},{p.residual_norm!r},{p.solution_norm!r},{p.curvature!r}")
+        lines.append(
+            f"{p.alpha!r},{p.residual_norm!r},{p.solution_norm!r},{p.curvature!r},"
+            f"{p.iterations},{int(p.converged)}"
+        )
     return "\n".join(lines) + "\n"

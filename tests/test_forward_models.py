@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csample.errors import DimensionMismatch, ImageIoError
 from csample.forward_models import (
@@ -14,6 +16,53 @@ from csample.forward_models import (
     read_pgm,
     write_pgm,
 )
+
+
+def _pad_index_map(n, half, boundary):
+    # Single mirror: exact only while half < n.
+    idx = np.arange(-half, n + half)
+    if boundary == "periodic":
+        return np.mod(idx, n)
+    idx = np.where(idx < 0, -idx - 1, idx)
+    idx = np.where(idx >= n, 2 * n - idx - 1, idx)
+    return idx
+
+
+def _valid_correlate(arr, kernel, axis):
+    windows = np.lib.stride_tricks.sliding_window_view(arr, kernel.size, axis=axis)
+    return np.tensordot(windows, kernel, axes=([-1], [0]))
+
+
+def _valid_correlate_adjoint(v, kernel, axis):
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (kernel.size - 1, kernel.size - 1)
+    return _valid_correlate(np.pad(v, pad), kernel[::-1], axis)
+
+
+class PadCorrelateBlur:
+    """Reference blur: pad through index maps, then separable valid
+    correlation; the adjoint folds the padded contributions back."""
+
+    def __init__(self, rows, cols, width, sigma, boundary):
+        self.rows, self.cols = rows, cols
+        self.kernel = gaussian_kernel1d(width, sigma)
+        self.row_map = _pad_index_map(rows, width // 2, boundary)
+        self.col_map = _pad_index_map(cols, width // 2, boundary)
+
+    def apply(self, x):
+        img = x.reshape(self.rows, self.cols)
+        padded = img[self.row_map][:, self.col_map]
+        out = _valid_correlate(padded, self.kernel, axis=0)
+        return _valid_correlate(out, self.kernel, axis=1).reshape(-1)
+
+    def adjoint(self, v):
+        up = _valid_correlate_adjoint(v.reshape(self.rows, self.cols), self.kernel, axis=1)
+        up = _valid_correlate_adjoint(up, self.kernel, axis=0)
+        tmp = np.zeros((self.rows, up.shape[1]))
+        np.add.at(tmp, self.row_map, up)
+        out = np.zeros((self.cols, self.rows))
+        np.add.at(out, self.col_map, tmp.T)
+        return out.T.reshape(-1)
 
 
 def dot_test(op, x, v, tol=1e-10):
@@ -59,6 +108,50 @@ class TestApply:
         assert np.mean(op.apply(x)) == pytest.approx(np.mean(x), abs=1e-13)
 
 
+class TestAgainstPadCorrelate:
+    @pytest.mark.parametrize("boundary", ["reflect", "periodic"])
+    @pytest.mark.parametrize(
+        "rows,cols,width", [(16, 16, 5), (6, 7, 3), (7, 9, 5), (3, 3, 3), (5, 4, 7), (1, 6, 5)]
+    )
+    def test_apply_and_adjoint_match(self, rows, cols, width, boundary):
+        rng = np.random.default_rng(8)
+        op = GaussianBlurOperator(rows, cols, width=width, sigma=1.5, boundary=boundary)
+        ref = PadCorrelateBlur(rows, cols, width, 1.5, boundary)
+        for _ in range(3):
+            x = rng.standard_normal(rows * cols)
+            assert np.max(np.abs(op.apply(x) - ref.apply(x))) <= 1e-14
+            assert np.max(np.abs(op.adjoint_jacobian_apply(x, x) - ref.adjoint(x))) <= 1e-14
+
+
+class TestWideKernelReflect:
+    """Kernels at least as wide as the grid reflect more than once."""
+
+    @staticmethod
+    def symmetric_pad_blur(img, width, sigma):
+        kernel = gaussian_kernel1d(width, sigma)
+        padded = np.pad(img, width // 2, mode="symmetric")
+        out = _valid_correlate(padded, kernel, axis=0)
+        return _valid_correlate(out, kernel, axis=1)
+
+    @pytest.mark.parametrize("rows,cols", [(1, 8), (2, 2), (3, 1)])
+    def test_matches_repeated_symmetric_padding(self, rows, cols):
+        rng = np.random.default_rng(9)
+        op = GaussianBlurOperator(rows, cols, width=7, sigma=2.0)
+        img = rng.standard_normal((rows, cols))
+        expected = self.symmetric_pad_blur(img, 7, 2.0)
+        assert np.allclose(op.apply(img.reshape(-1)), expected.reshape(-1), atol=1e-14)
+
+    def test_two_by_two_fold(self):
+        # Positions -3..4 of a 2-pixel axis under half-sample symmetry.
+        op = GaussianBlurOperator(2, 2, width=7, sigma=2.0)
+        k = op.kernel
+        expected = [
+            [k[2] + k[3] + k[6], k[0] + k[1] + k[4] + k[5]],
+            [k[1] + k[2] + k[5] + k[6], k[0] + k[3] + k[4]],
+        ]
+        assert np.allclose(op.row_matrix, expected, atol=1e-15)
+
+
 class TestAdjoint:
     def test_identity_returns_v(self):
         op = IdentityOperator(4)
@@ -76,6 +169,19 @@ class TestAdjoint:
         op = GaussianBlurOperator(7, 9, width=5, sigma=1.5, boundary=boundary)
         for _ in range(5):
             dot_test(op, rng.standard_normal(63), rng.standard_normal(63))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 12),
+        cols=st.integers(1, 12),
+        width=st.sampled_from([1, 3, 5, 7]),
+        boundary=st.sampled_from(["reflect", "periodic"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blur_dot_test_property(self, rows, cols, width, boundary, seed):
+        rng = np.random.default_rng(seed)
+        op = GaussianBlurOperator(rows, cols, width=width, sigma=1.3, boundary=boundary)
+        dot_test(op, rng.standard_normal(rows * cols), rng.standard_normal(rows * cols))
 
     def test_matrix_dot_test(self):
         rng = np.random.default_rng(4)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from csample.errors import DegenerateCurveWarning
+from csample.errors import DegenerateCurveWarning, SolverConvergenceWarning
 from csample.forward_models import (
     GaussianBlurOperator,
     IdentityOperator,
@@ -10,7 +10,9 @@ from csample.forward_models import (
 )
 from csample.linalg_rng import SpdMatrix
 from csample.tikhonov import (
+    DEFAULT_ALPHA_GRID,
     TikhonovProblem,
+    discrete_laplacian,
     lcurve_points_to_csv,
     lcurve_select_alpha,
     solve_tikhonov,
@@ -179,5 +181,168 @@ class TestLCurve:
         sel = lcurve_select_alpha(simple_problem(), np.logspace(-3, 1, 6))
         csv = lcurve_points_to_csv(sel.points)
         header, *rows = csv.strip().split("\n")
-        assert header == "alpha,residual_norm,solution_norm,curvature"
+        assert header == "alpha,residual_norm,solution_norm,curvature,iterations,converged"
         assert len(rows) == 6
+        for row, point in zip(rows, sel.points):
+            assert row.split(",")[4:] == [str(point.iterations), str(int(point.converged))]
+
+    def test_unconverged_solves_warn_and_are_recorded(self):
+        rng = np.random.default_rng(8)
+        prob = TikhonovProblem(
+            MatrixOperator(rng.standard_normal((6, 6))),
+            rng.standard_normal(6),
+            SpdMatrix.identity(6),
+            SpdMatrix.identity(6),
+            1.0,
+        )
+        grid = np.logspace(-4, 1, 5)
+        with pytest.warns(SolverConvergenceWarning, match="5 of 5") as record:
+            sel = lcurve_select_alpha(prob, grid, solver_options={"max_iter": 1})
+        message = str(record[0].message)
+        for alpha in grid:
+            assert f"{alpha:.6g}" in message
+        assert [p.iterations for p in sel.points] == [1] * 5
+        assert not any(p.converged for p in sel.points)
+        csv = lcurve_points_to_csv(sel.points)
+        assert all(row.endswith(",1,0") for row in csv.strip().split("\n")[1:])
+
+
+def dense_laplacian_reference(rows, cols, epsilon):
+    """The grid Laplacian plus epsilon * I, assembled entry by entry."""
+    n = rows * cols
+    lap = np.zeros((n, n))
+    for i in range(rows):
+        for j in range(cols):
+            k = i * cols + j
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                ii, jj = i + di, j + dj
+                if 0 <= ii < rows and 0 <= jj < cols:
+                    kk = ii * cols + jj
+                    lap[k, k] += 1.0
+                    lap[k, kk] -= 1.0
+    return lap + epsilon * np.eye(n)
+
+
+class TestGridLaplacian:
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (4, 1), (6, 7), (5, 5)])
+    def test_stencil_matches_dense_reference(self, rows, cols):
+        rng = np.random.default_rng(9)
+        lap = discrete_laplacian(rows, cols, epsilon=1e-3)
+        dense = dense_laplacian_reference(rows, cols, 1e-3)
+        assert lap.order == rows * cols
+        for _ in range(3):
+            x = rng.standard_normal(rows * cols)
+            assert np.allclose(lap.matvec(x), dense @ x, rtol=0.0, atol=1e-13)
+
+    def test_dct_eigenvalues_diagonalize(self):
+        # Eigenvalue (k, l) belongs to the outer product of the k-th and l-th
+        # DCT-II cosines.
+        rows, cols = 6, 7
+        lap = discrete_laplacian(rows, cols, epsilon=0.2)
+        dense = dense_laplacian_reference(rows, cols, 0.2)
+        eig = lap.dct_eigenvalues()
+        for k, l in ((0, 0), (1, 3), (5, 6)):
+            u = np.cos(np.pi * k * (2 * np.arange(rows) + 1) / (2 * rows))
+            w = np.cos(np.pi * l * (2 * np.arange(cols) + 1) / (2 * cols))
+            v = np.outer(u, w).reshape(-1)
+            assert np.allclose(dense @ v, eig[k, l] * v, atol=1e-12)
+
+
+def dense_matrix(op):
+    return np.column_stack([op.apply(e) for e in np.eye(op.in_dim)])
+
+
+def dense_tikhonov_solution(problem):
+    """argmin of the Tikhonov objective from dense linear algebra.
+
+    Solves the stacked least-squares form min ||[R^-1/2 H; sqrt(alpha) L^T] x
+    - [R^-1/2 y; 0]|| with C = L L^T, which has the normal equations
+    (H^T R^-1 H + alpha C) x = H^T R^-1 y but only the square root of their
+    condition number, so the oracle stays accurate where a blur frequency
+    response is near zero.
+    """
+    h = dense_matrix(problem.operator)
+    n = h.shape[1]
+    c = np.column_stack([problem.reg_matrix.matvec(e) for e in np.eye(n)])
+    r_sqrt = np.sqrt(problem.obs_cov.diagonal())
+    a = np.vstack([h / r_sqrt[:, None], np.sqrt(problem.alpha) * np.linalg.cholesky(c).T])
+    b = np.concatenate([problem.y / r_sqrt, np.zeros(n)])
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def blur_problem(rows=6, cols=7, width=5, reg="laplacian", boundary="reflect",
+                 obs_cov=None, alpha=1.0, seed=10):
+    rng = np.random.default_rng(seed)
+    op = GaussianBlurOperator(rows, cols, width=width, sigma=1.2, boundary=boundary)
+    n = rows * cols
+    reg_matrix = discrete_laplacian(rows, cols) if reg == "laplacian" else reg
+    obs_cov = SpdMatrix.spherical(n, 0.05**2) if obs_cov is None else obs_cov
+    y = op.apply(rng.uniform(0.0, 1.0, n)) + 0.05 * rng.standard_normal(n)
+    return TikhonovProblem(op, y, obs_cov, reg_matrix, alpha)
+
+
+class TestSpectralSolve:
+    @pytest.mark.parametrize("alpha", DEFAULT_ALPHA_GRID[::7])
+    @pytest.mark.parametrize("reg", ["laplacian", "identity", "scaled"])
+    @pytest.mark.parametrize("width", [3, 5])
+    @pytest.mark.parametrize("rows,cols", [(6, 7), (5, 5), (1, 9)])
+    def test_matches_dense_solution(self, rows, cols, width, reg, alpha):
+        reg_matrix = {
+            "laplacian": "laplacian",
+            "identity": SpdMatrix.identity(rows * cols),
+            "scaled": SpdMatrix.spherical(rows * cols, 2.5),
+        }[reg]
+        prob = blur_problem(rows, cols, width, reg_matrix, alpha=alpha)
+        sol = solve_tikhonov(prob)
+        expected = dense_tikhonov_solution(prob)
+        assert sol.iterations == 0
+        assert sol.converged
+        assert np.linalg.norm(sol.x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_gradient_measured_at_returned_point(self):
+        prob = blur_problem(alpha=0.3)
+        sol = solve_tikhonov(prob, np.ones(42))
+        _, grad = tikhonov_objective(prob, sol.x)
+        assert sol.grad_norm == pytest.approx(float(np.linalg.norm(grad)))
+
+    def test_wide_kernel_on_small_grid(self):
+        prob = blur_problem(2, 3, width=7, alpha=0.01)
+        sol = solve_tikhonov(prob)
+        assert sol.iterations == 0
+        expected = dense_tikhonov_solution(prob)
+        assert np.linalg.norm(sol.x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize(
+        "case", ["periodic", "saturated", "matrix", "diagonal_r", "diagonal_c"]
+    )
+    def test_other_problems_take_cg(self, case):
+        prob = blur_problem(alpha=0.5)
+        n = prob.operator.in_dim
+        if case == "periodic":
+            prob = blur_problem(boundary="periodic", alpha=0.5)
+        elif case == "saturated":
+            prob = TikhonovProblem(
+                SaturationWrapper(prob.operator), prob.y, prob.obs_cov, prob.reg_matrix, 0.5
+            )
+        elif case == "matrix":
+            prob = TikhonovProblem(
+                MatrixOperator(dense_matrix(prob.operator)),
+                prob.y, prob.obs_cov, prob.reg_matrix, 0.5,
+            )
+        elif case == "diagonal_r":
+            prob = blur_problem(
+                obs_cov=SpdMatrix.from_diagonal(np.linspace(0.01, 0.02, n)), alpha=0.5
+            )
+        else:
+            prob = blur_problem(
+                reg=SpdMatrix.from_diagonal(np.linspace(1.0, 2.0, n)), alpha=0.5
+            )
+        sol = solve_tikhonov(prob)
+        assert sol.iterations > 0
+        assert sol.converged
+        if case != "saturated":
+            # CG stops on a 1e-8 relative gradient; x inherits that times
+            # the condition number.
+            expected = dense_tikhonov_solution(prob)
+            assert np.linalg.norm(sol.x - expected) <= 1e-4 * np.linalg.norm(expected)
+
