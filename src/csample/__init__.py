@@ -30,14 +30,7 @@ from .forward_models import (
     write_pgm,
 )
 from .gmm import Ensemble, GaussianMixture, em_fit, select_model_aic
-from .linalg_rng import (
-    RngStream,
-    SpdMatrix,
-    cholesky,
-    sample_mvn,
-    sample_standard_normal,
-    weighted_norm_sq,
-)
+from .linalg_rng import RngStream, SpdMatrix, cholesky, sample_mvn
 from .mc_scheduler import (
     ChainPlan,
     SchedulerPlan,
@@ -116,11 +109,9 @@ __all__ = [
     "run_chain",
     "run_mc_mcmc",
     "sample_mvn",
-    "sample_standard_normal",
     "select_model_aic",
     "solve_tikhonov",
     "step_cost",
     "tikhonov_objective",
-    "weighted_norm_sq",
     "write_pgm",
 ]

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from .errors import (
+    ChainFailed,
     ConfigError,
     DegenerateComponent,
     DimensionMismatch,
@@ -29,6 +30,7 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 _NUMERICAL_ERRORS = (
+    ChainFailed,
     NotPositiveDefinite,
     DegenerateComponent,
     DimensionMismatch,

@@ -20,6 +20,10 @@ class DegenerateComponent(RuntimeError):
     """A mixture component collapsed onto fewer than two effective points."""
 
 
+class ChainFailed(RuntimeError):
+    """A Markov chain of the multi-chain sampler raised; its samples are lost."""
+
+
 class InsufficientSamples(ValueError):
     """Too few samples for the requested diagnostic."""
 

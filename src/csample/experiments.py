@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .cost_model import CostModelInput
-from .errors import ConfigError, ZeroReference
+from .errors import ChainFailed, ConfigError, ZeroReference
 from .forward_models import (
     GaussianBlurOperator,
     IdentityOperator,
@@ -30,6 +30,8 @@ from .forward_models import (
 from .gmm import GaussianMixture, select_model_aic
 from .linalg_rng import RngStream, SpdMatrix
 from .mc_scheduler import (
+    POOL_MODES,
+    ChainFailure,
     WorkerPool,
     benchmark_rows_to_csv,
     benchmark_speedup,
@@ -211,6 +213,8 @@ def load_config(kind, path=None, overrides=None):
         if unknown:
             raise ConfigError(f"unknown override keys for {kind!r}: {sorted(unknown)}")
         config.update({k: v for k, v in overrides.items() if v is not None})
+    if "pool_mode" in config and config["pool_mode"] not in POOL_MODES:
+        raise ConfigError(f"pool_mode {config['pool_mode']!r} is not one of {POOL_MODES}")
     return config
 
 
@@ -365,6 +369,16 @@ def acceptance_table_csv(rows):
     return "\n".join(lines) + "\n"
 
 
+def _run_all_chains(model, plan, pool):
+    """run_mc_mcmc, raising ChainFailed when any chain failed: a pool
+    missing a component's samples is a biased posterior."""
+    result = run_mc_mcmc(model, plan, pool=pool)
+    for r in result.chain_results:
+        if isinstance(r, ChainFailure):
+            raise ChainFailed(f"chain of component {r.component} failed: {r.error}")
+    return result
+
+
 def run_oned_benchmark(config, out_dir):
     """The 1-D benchmark end to end: serial and multi-chain sampling with
     both mechanisms, histogram and quadrature-reference artifacts."""
@@ -414,7 +428,7 @@ def run_oned_benchmark(config, out_dir):
             burn_in=config["burn_in"], stride=config["stride"],
             proposal_scale=config["parallel_proposal_scale"], balance=config["balance"],
         )
-        par_g = run_mc_mcmc(model, plan_g, pool=pool)
+        par_g = _run_all_chains(model, plan_g, pool)
         summary.timings["parallel_gaussian_s"] = time.perf_counter() - t0
         record("parallel_gaussian", par_g.chain_results,
                par_g.ensemble.members, par_g.ensemble.weights)
@@ -426,7 +440,7 @@ def run_oned_benchmark(config, out_dir):
             hmc_trajectory=config["hmc_trajectory"], hmc_steps=config["hmc_steps"],
             hmc_jitter=config["hmc_jitter"], balance=config["balance"],
         )
-        par_h = run_mc_mcmc(model, plan_h, pool=pool)
+        par_h = _run_all_chains(model, plan_h, pool)
         summary.timings["parallel_hmc_s"] = time.perf_counter() - t0
         record("parallel_hmc", par_h.chain_results,
                par_h.ensemble.members, par_h.ensemble.weights)
@@ -641,7 +655,7 @@ def run_deblur_experiment(config, out_dir):
                 hmc_jitter=config["hmc_jitter"],
                 balance=config["balance"],
             )
-            results[mechanism] = run_mc_mcmc(model, plan, pool=pool)
+            results[mechanism] = _run_all_chains(model, plan, pool)
             summary.timings[f"sampling_{mechanism}_s"] = time.perf_counter() - t0
             summary.acceptance[f"parallel_{mechanism}"] = results[mechanism].acceptance_rate
     finally:

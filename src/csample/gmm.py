@@ -1,7 +1,10 @@
 """Gaussian mixture models: density evaluation, sampling, EM fitting, AIC selection.
 
 Mixtures are immutable once built and share their per-component Cholesky
-factors, so concurrent readers (chain workers) never re-factorize. Fitting
+factors, so concurrent readers (chain workers) never re-factorize. This is
+the one home of per-component mixture arithmetic: Mahalanobis distances,
+densities and the posterior's prior kernel (log-sum-exp, responsibilities
+and pullback) all come from the factors cached here. Fitting
 canonicalizes the data ordering before seeding, which makes the whole
 EM/AIC pipeline invariant to permutations of the input ensemble.
 """
@@ -103,6 +106,9 @@ class GaussianMixture:
         self.structure = structure
         self._log_weights = np.log(weights)
         self._logdets = np.array([c.logdet() for c in covariances])
+        # Per-component terms of the kernel: log tau_k - 0.5 log|Sigma_k|.
+        self._kernel_consts = self._log_weights - 0.5 * self._logdets
+        self._factors = [c.chol() for c in covariances]
         # Fast vectorized path when every covariance is stored diagonally.
         if all(c.is_diagonal for c in covariances):
             self._inv_diag = np.array([1.0 / c.diagonal() for c in covariances])
@@ -117,6 +123,20 @@ class GaussianMixture:
     def dim(self):
         return self.means.shape[1]
 
+    def mahalanobis_sq(self, x):
+        """(x - mu_k)^T Sigma_k^{-1} (x - mu_k) for every component k.
+
+        ``x`` is one float state (dim,) or a batch (n, dim); the result is
+        (n_c,) or (n, n_c) accordingly.
+        """
+        if self._inv_diag is not None:
+            dev = x[..., None, :] - self.means
+            return np.einsum("...kd,kd,...kd->...k", dev, self._inv_diag, dev)
+        maha = np.empty(x.shape[:-1] + (self.n_components,))
+        for k, (factor, mu) in enumerate(zip(self._factors, self.means)):
+            maha[..., k] = factor.maha_sq((x - mu).T)
+        return maha
+
     def component_log_densities(self, x):
         """log N(x; mu_k, Sigma_k) for each component, vectorized over rows.
 
@@ -124,32 +144,50 @@ class GaussianMixture:
         (n, n_c) accordingly. Includes the full (2 pi)^{-dim/2} normalizers.
         """
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        if pts.shape[1] != self.dim:
-            raise DimensionMismatch(f"state dimension {pts.shape[1]} != {self.dim}")
+        if x.shape[-1] != self.dim:
+            raise DimensionMismatch(f"state dimension {x.shape[-1]} != {self.dim}")
         const = self.dim * np.log(2.0 * np.pi)
-        if self._inv_diag is not None:
-            dev = pts[:, None, :] - self.means[None, :, :]
-            maha = np.einsum("nkd,kd,nkd->nk", dev, self._inv_diag, dev)
-        else:
-            maha = np.empty((pts.shape[0], self.n_components))
-            for k, cov in enumerate(self.covariances):
-                dev = pts - self.means[k]
-                maha[:, k] = cov.chol().maha_sq(dev.T)
-        out = -0.5 * (const + self._logdets[None, :] + maha)
-        return out[0] if single else out
+        return -0.5 * (const + self._logdets + self.mahalanobis_sq(x))
+
+    def joint_log_densities(self, x):
+        """log tau_k + log N(x; mu_k, Sigma_k), shaped like
+        ``component_log_densities``."""
+        return self._log_weights + self.component_log_densities(x)
 
     def logpdf(self, x):
         """Log mixture density, stabilized with log-sum-exp."""
-        comp = self.component_log_densities(x)
-        return float(_logsumexp(self._log_weights + comp, axis=-1))
+        return float(_logsumexp(self.joint_log_densities(x), axis=-1))
 
     def responsibilities(self, x):
         """Posterior component probabilities of x under the mixture."""
-        logr = self._log_weights + self.component_log_densities(x)
-        logr = logr - _logsumexp(logr, axis=-1)
-        return np.exp(logr)
+        logr = self.joint_log_densities(x)
+        return np.exp(logr - _logsumexp(logr, axis=-1)[..., None])
+
+    # -- the kernel of one float state x (dim,) --------------------------
+    # sum_k tau_k |Sigma_k|^{-1/2} exp(-0.5 maha_k(x)): the density without
+    # its (2 pi)^{-dim/2} factor, which is all a posterior potential needs.
+
+    def _kernel_log_terms(self, x):
+        return self._kernel_consts - 0.5 * self.mahalanobis_sq(x)
+
+    def log_kernel(self, x):
+        """Log of the mixture kernel at x, by log-sum-exp."""
+        logs = self._kernel_log_terms(x)
+        m = logs.max()
+        return m + np.log(np.exp(logs - m).sum())
+
+    def kernel_responsibilities(self, x):
+        """Normalized kernel terms w_k(x); they sum to 1."""
+        logs = self._kernel_log_terms(x)
+        shifted = np.exp(logs - logs.max())
+        return shifted / shifted.sum()
+
+    def kernel_pullback(self, x):
+        """sum_k w_k(x) Sigma_k^{-1} (x - mu_k), the gradient of -log_kernel."""
+        resp = self.kernel_responsibilities(x)
+        if self._inv_diag is not None:
+            return resp @ (self._inv_diag * (x[None, :] - self.means))
+        return sum(w * f.solve(x - mu) for w, f, mu in zip(resp, self._factors, self.means))
 
     def sample(self, rng):
         """One draw: a categorical component pick followed by an MVN draw."""
@@ -196,14 +234,6 @@ class GaussianMixture:
         else:
             covs = [SpdMatrix.from_dense(m) for m in raw]
         return cls(weights, means, covs, structure=structure)
-
-
-def gmm_logpdf(mixture, x):
-    return mixture.logpdf(x)
-
-
-def gmm_sample(mixture, rng):
-    return mixture.sample(rng)
 
 
 def free_parameter_count(structure, n_components, dim):
@@ -351,7 +381,7 @@ def _em_single(points, n_components, structure, rng, max_iter, rel_tol, seeding=
     repair_budget = 3
     previous = mixture
     for n_iter in range(1, max_iter + 1):
-        logr = mixture._log_weights + mixture.component_log_densities(points)
+        logr = mixture.joint_log_densities(points)
         point_ll = _logsumexp(logr, axis=1)
         new_loglik = float(np.sum(point_ll))
         if trace and new_loglik < trace[-1]:

@@ -2,9 +2,8 @@
 
 The SPD matrices here carry a covariance-structure tag. Diagonal and
 spherical matrices store only their diagonal and every operation on them is
-O(order); full matrices are Cholesky-backed. A module-level counter records
-dense (O(order^2) or worse) operations so tests can assert that diagonal
-code paths never fall back to dense work.
+O(order), with no call into LAPACK or the triangular solver; full matrices
+are Cholesky-backed.
 """
 
 from __future__ import annotations
@@ -21,23 +20,6 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 RELATIVE_PIVOT_FLOOR = 1e-13
 
 STRUCTURES = ("diagonal", "spherical", "tied-reference", "full")
-
-_dense_ops = {"factor": 0, "matvec": 0, "solve": 0}
-
-
-def dense_op_counts():
-    """Snapshot of the dense-operation counters (factor/matvec/solve)."""
-    return dict(_dense_ops)
-
-
-def reset_dense_op_counts():
-    for key in _dense_ops:
-        _dense_ops[key] = 0
-
-
-def _count(kind):
-    _dense_ops[kind] += 1
-
 
 def _as_vector(x, name="vector"):
     v = np.asarray(x, dtype=float)
@@ -78,7 +60,6 @@ class CholeskyFactor:
             raise DimensionMismatch(f"expected length {self.order}, got {z.size}")
         if self.diagonal_path:
             return self._sqrt_diag * z
-        _count("matvec")
         return self._lower @ z
 
     def solve_lower(self, b):
@@ -86,7 +67,6 @@ class CholeskyFactor:
         if self.diagonal_path:
             d = self._sqrt_diag if b.ndim == 1 else self._sqrt_diag[:, None]
             return b / d
-        _count("solve")
         return solve_triangular(self._lower, b, lower=True)
 
     def solve(self, b):
@@ -94,7 +74,6 @@ class CholeskyFactor:
         if self.diagonal_path:
             d = self._sqrt_diag if b.ndim == 1 else self._sqrt_diag[:, None]
             return b / (d * d)
-        _count("solve")
         y = solve_triangular(self._lower, b, lower=True)
         return solve_triangular(self._lower, y, lower=True, trans="T")
 
@@ -209,7 +188,6 @@ class SpdMatrix:
             raise DimensionMismatch(f"expected length {self.order}, got {v.size}")
         if self.is_diagonal:
             return self._diag * v
-        _count("matvec")
         return self._dense @ v
 
     def solve(self, v):
@@ -225,7 +203,6 @@ class SpdMatrix:
             raise DimensionMismatch(f"expected length {self.order}, got {v.size}")
         if self.is_diagonal:
             return float(np.sum(self._diag * v * v))
-        _count("matvec")
         return float(v @ (self._dense @ v))
 
     def maha_sq(self, v):
@@ -254,7 +231,6 @@ def cholesky(a):
         if bad.size:
             raise NotPositiveDefinite(bad[0])
         return CholeskyFactor(a.order, a.structure, sqrt_diag=np.sqrt(d))
-    _count("factor")
     dense = a._dense
     lower, info = dpotrf(dense, lower=1, clean=1)
     if info > 0:
@@ -267,15 +243,6 @@ def cholesky(a):
     if bad.size:
         raise NotPositiveDefinite(bad[0])
     return CholeskyFactor(a.order, a.structure, lower=lower)
-
-
-def weighted_norm_sq(c, d, m):
-    """Quadratic form (c - d).T M (c - d) for SPD weight matrix M."""
-    c = _as_vector(c, "c")
-    d = _as_vector(d, "d")
-    if c.size != d.size:
-        raise DimensionMismatch(f"length mismatch: {c.size} vs {d.size}")
-    return m.quad(c - d)
 
 
 class RngStream:
@@ -312,11 +279,6 @@ class RngStream:
         if n is None:
             return float(self._gen.random())
         return self._gen.random(int(n))
-
-
-def sample_standard_normal(rng, n):
-    """n independent standard-normal draws from the stream."""
-    return rng.standard_normal(n)
 
 
 def sample_mvn(rng, mean, cov):

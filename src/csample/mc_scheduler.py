@@ -4,8 +4,8 @@ Chains are planned deterministically from (model, seed): budgets by
 component weight times the likelihood of the component mean, initial states
 at the component means, proposal tuning from the local component statistics,
 and one random stream per chain keyed by its component index. Execution
-placement (serial, threads, or a process pool) never changes the gathered
-ensemble: streams are per chain and the gather runs in chain order.
+placement (serial or a process pool) never changes the gathered ensemble:
+streams are per chain and the gather runs in chain order.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +31,8 @@ DEFAULT_PROPOSAL_SCALE_NUMERATOR = 2.38**2
 
 DEFAULT_HMC_STEPS = 20
 DEFAULT_HMC_TRAJECTORY = 1.0  # in local posterior-std units
+
+POOL_MODES = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -75,25 +77,27 @@ class McmcResult:
     wall_time: float
 
 
-def allocate_budgets(model, n_ens):
-    """Per-component sample budgets: n_i proportional to the component weight
-    times the likelihood of the component mean.
+def component_log_scores(model):
+    """log tau_i + log L(y | mu_i) per prior component: the unnormalized log
+    share of component i in the budgets and in the pooled ensemble."""
+    prior = model.prior
+    return np.array(
+        [np.log(w) + model.log_likelihood(mu) for w, mu in zip(prior.weights, prior.means)]
+    )
+
+
+def allocate_budgets(log_scores, n_ens):
+    """Per-component sample budgets: n_i proportional to exp(log_scores[i]),
+    the ``component_log_scores`` of the model.
 
     Largest-remainder rounding makes the budgets sum to n_ens exactly; when
     n_ens >= n_c every chain keeps at least one sample (taken from the
     largest budgets). With n_ens < n_c zero-budget chains are allowed and a
     BudgetInfeasibleWarning is emitted.
     """
-    prior = model.prior
-    n_c = prior.n_components
+    n_c = log_scores.size
     if n_ens < 1:
         raise ValueError("n_ens must be at least 1")
-    log_scores = np.array(
-        [
-            np.log(prior.weights[i]) + model.log_likelihood(prior.means[i])
-            for i in range(n_c)
-        ]
-    )
     shifted = np.exp(log_scores - np.max(log_scores))
     fractions = shifted / np.sum(shifted)
     target = fractions * n_ens
@@ -171,8 +175,9 @@ def build_plan(
     n_c = prior.n_components
     if mechanism not in ("gaussian", "hmc"):
         raise ValueError("mechanism must be 'gaussian' or 'hmc'")
+    log_scores = component_log_scores(model)
     if budgets == "likelihood":
-        counts = allocate_budgets(model, n_ens)
+        counts = allocate_budgets(log_scores, n_ens)
     elif budgets == "uniform":
         counts = np.full(n_c, n_ens // n_c, dtype=int)
         counts[: n_ens % n_c] += 1
@@ -181,12 +186,6 @@ def build_plan(
     if proposal_scale is None:
         proposal_scale = DEFAULT_PROPOSAL_SCALE_NUMERATOR / prior.dim
 
-    log_scores = np.array(
-        [
-            np.log(prior.weights[i]) + model.log_likelihood(prior.means[i])
-            for i in range(n_c)
-        ]
-    )
     chains = []
     for i in range(n_c):
         cov = prior.covariances[i]
@@ -241,20 +240,18 @@ def _execute_worker_batch(model, chains, burn_in, stride, seed):
 class WorkerPool:
     """Fixed pool of workers executing whole per-worker chain batches.
 
-    Modes: "serial" (in the calling thread), "thread", or "process" (forked
-    OS processes where available). The gathered output is identical across
-    modes and worker counts.
+    Modes (``POOL_MODES``): "serial" (in the calling process) or "process"
+    (forked OS processes where available). The gathered output is identical
+    across modes and worker counts.
     """
 
     def __init__(self, size, mode="process"):
-        if mode not in ("serial", "thread", "process"):
-            raise ValueError("mode must be serial, thread, or process")
+        if mode not in POOL_MODES:
+            raise ValueError(f"mode must be one of {POOL_MODES}")
         self.size = max(1, int(size))
         self.mode = mode if self.size > 1 else "serial"
         self._executor = None
-        if self.mode == "thread":
-            self._executor = ThreadPoolExecutor(max_workers=self.size)
-        elif self.mode == "process":
+        if self.mode == "process":
             import multiprocessing
 
             try:
@@ -294,18 +291,15 @@ class WorkerPool:
         self.close()
 
 
-def run_mc_mcmc(model, plan, pool=None, pooling="weighted"):
+def run_mc_mcmc(model, plan, pool=None):
     """Execute all planned chains and gather a weighted posterior ensemble.
 
-    Zero-budget chains are skipped. Samples are pooled in chain order; with
-    ``pooling="weighted"`` each sample carries an importance weight
-    proportional to its component's pooling weight divided by the chain
-    budget, normalized over the pool, while ``pooling="uniform"`` weights
-    every pooled sample equally. The pooled ensemble is bit-identical for
-    any worker count or pool mode.
+    Zero-budget chains are skipped. Samples are pooled in chain order, each
+    carrying an importance weight proportional to its component's pooling
+    weight divided by the chain budget, normalized over the pool. A chain
+    that raises is recorded as a ``ChainFailure`` and left out of the pool.
+    The pooled ensemble is bit-identical for any worker count or pool mode.
     """
-    if pooling not in ("weighted", "uniform"):
-        raise ValueError("pooling must be 'weighted' or 'uniform'")
     own_pool = pool is None
     if own_pool:
         pool = WorkerPool(plan.workers, mode="serial")
@@ -343,13 +337,10 @@ def run_mc_mcmc(model, plan, pool=None, pooling="weighted"):
             divergences += result.divergences
         if samples:
             pooled = np.concatenate(samples, axis=0)
-            if pooling == "uniform":
-                weights = np.full(pooled.shape[0], 1.0 / pooled.shape[0])
-            else:
-                logw = np.concatenate(log_weights)
-                logw -= np.max(logw)
-                weights = np.exp(logw)
-                weights /= np.sum(weights)
+            logw = np.concatenate(log_weights)
+            logw -= np.max(logw)
+            weights = np.exp(logw)
+            weights /= np.sum(weights)
             ensemble = Ensemble(pooled, weights)
         else:
             ensemble = Ensemble(np.empty((0, model.dim)))

@@ -1,11 +1,12 @@
 """The target distribution: Gaussian likelihood times GMM prior.
 
 The sampler-facing surface is the potential J(x) (the posterior negative
-log-kernel), its gradient, and the shape function -J(x). All mixture
-arithmetic runs in log space; per-component Cholesky factors and log
-determinants are computed once at model construction and shared read-only
-by every chain worker. The observation-error inverse is never formed:
-solves go through the cached factor of R.
+log-kernel), its gradient, and the shape function -J(x). The model holds
+only the likelihood half: the factor of R, the misfit and its adjoint. The
+prior half (kernel log-sum-exp, responsibilities, pullback) is the
+mixture's own, computed from the factors and log determinants it caches
+once and shares read-only with every chain worker. The observation-error
+inverse is never formed: solves go through the cached factor of R.
 """
 
 from __future__ import annotations
@@ -14,13 +15,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg_rng import SpdMatrix
-
-
-def _logsumexp_with_weights(logs):
-    m = logs.max()
-    shifted = np.exp(logs - m)
-    total = shifted.sum()
-    return m + np.log(total), shifted / total
 
 
 class PosteriorModel:
@@ -56,15 +50,6 @@ class PosteriorModel:
         self._obs_factor = obs_cov.chol()
         m = y.size
         self._lik_const = -0.5 * (m * np.log(2.0 * np.pi) + self._obs_factor.logdet())
-        # Per-component terms of the mixture kernel: log tau_i - 0.5 log|Sigma_i|.
-        self._kernel_consts = np.log(prior.weights) - 0.5 * np.array(
-            [c.logdet() for c in prior.covariances]
-        )
-        self._prior_factors = [c.chol() for c in prior.covariances]
-        if all(c.is_diagonal for c in prior.covariances):
-            self._inv_diag = np.array([1.0 / c.diagonal() for c in prior.covariances])
-        else:
-            self._inv_diag = None
 
     @property
     def dim(self):
@@ -85,17 +70,6 @@ class PosteriorModel:
         rinv_residual = self._obs_factor.solve(residual)
         return residual, rinv_residual, float(residual @ rinv_residual)
 
-    def _component_mahalanobis(self, x):
-        if self._inv_diag is not None:
-            dev = x[None, :] - self.prior.means
-            return np.einsum("kd,kd,kd->k", dev, self._inv_diag, dev)
-        return np.array(
-            [
-                factor.maha_sq(x - mu)
-                for factor, mu in zip(self._prior_factors, self.prior.means)
-            ]
-        )
-
     def log_likelihood(self, x):
         """Gaussian log-likelihood of y given x, constants included."""
         x = self._check_state(x)
@@ -106,9 +80,7 @@ class PosteriorModel:
         """Potential J(x): misfit quadratic minus the log mixture kernel."""
         x = self._check_state(x)
         _, _, misfit = self._misfit_terms(x)
-        logs = self._kernel_consts - 0.5 * self._component_mahalanobis(x)
-        lse, _ = _logsumexp_with_weights(logs)
-        return 0.5 * misfit - lse
+        return 0.5 * misfit - self.prior.log_kernel(x)
 
     def grad_neg_log_posterior(self, x):
         """Gradient of J: adjoint-weighted misfit plus responsibility-weighted
@@ -116,15 +88,7 @@ class PosteriorModel:
         x = self._check_state(x)
         _, rinv_residual, _ = self._misfit_terms(x)
         grad = self.operator.adjoint_jacobian_apply(x, rinv_residual)
-        logs = self._kernel_consts - 0.5 * self._component_mahalanobis(x)
-        _, resp = _logsumexp_with_weights(logs)
-        if self._inv_diag is not None:
-            dev = x[None, :] - self.prior.means
-            grad = grad + resp @ (self._inv_diag * dev)
-        else:
-            for w, factor, mu in zip(resp, self._prior_factors, self.prior.means):
-                grad = grad + w * factor.solve(x - mu)
-        return grad
+        return grad + self.prior.kernel_pullback(x)
 
     def unnormalized_log_posterior(self, x):
         """The shape function -J(x); samplers depend only on this."""
@@ -132,10 +96,7 @@ class PosteriorModel:
 
     def prior_responsibilities(self, x):
         """Normalized kernel responsibilities w_i(x); they sum to 1."""
-        x = self._check_state(x)
-        logs = self._kernel_consts - 0.5 * self._component_mahalanobis(x)
-        _, resp = _logsumexp_with_weights(logs)
-        return resp
+        return self.prior.kernel_responsibilities(self._check_state(x))
 
 
 def conjugate_posterior(prior_mean, prior_cov, operator_matrix, y, obs_cov):

@@ -316,3 +316,36 @@ class TestCli:
         )
         code = cli_main(["em-fit", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 3
+
+    def test_unknown_pool_mode_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"pool_mode": "thread"}))
+        code = cli_main(["oned", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "pool_mode 'thread'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, config, stream",
+        [
+            ("oned", small_oned_config(n_ens_prior=200, candidate_components=[2, 4]), 1),
+            ("deblur", small_deblur_config(), 0),
+        ],
+    )
+    def test_failed_chain_exit_code(self, tmp_path, capsys, monkeypatch, kind, config, stream):
+        from csample import mc_scheduler
+
+        original = mc_scheduler.run_chain
+
+        def failing_run_chain(model, chain_config, mechanism):
+            if chain_config.rng.stream_id == stream:
+                raise FloatingPointError("injected fault")
+            return original(model, chain_config, mechanism)
+
+        monkeypatch.setattr(mc_scheduler, "run_chain", failing_run_chain)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = cli_main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"chain of component {stream} failed" in err
+        assert "injected fault" in err

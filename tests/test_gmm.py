@@ -9,7 +9,6 @@ from csample.gmm import (
     GaussianMixture,
     em_fit,
     free_parameter_count,
-    gmm_sample,
     select_model_aic,
 )
 from csample.linalg_rng import RngStream, SpdMatrix, sample_mvn
@@ -108,7 +107,7 @@ class TestSample:
 
 
 def gmm_sample_many(mixture, rng, n):
-    return np.array([gmm_sample(mixture, rng) for _ in range(n)]).ravel()
+    return np.array([mixture.sample(rng) for _ in range(n)]).ravel()
 
 
 class TestEmFit:
@@ -227,6 +226,24 @@ class TestResponsibilities:
             r = fit_mixture_1d.responsibilities([x])
             assert np.sum(r) == pytest.approx(1.0, abs=1e-12)
             assert np.all(r >= 0.0)
+
+    def test_batch_matches_single_states(self, fit_mixture_1d):
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((3, 3))
+        full = GaussianMixture(
+            [0.5, 0.5],
+            [[0.0, 1.0, -1.0], [2.0, 0.0, 0.5]],
+            [SpdMatrix.from_dense(g @ g.T + np.eye(3)), SpdMatrix.identity(3).scaled(2.0)],
+        )
+        for mix in (fit_mixture_1d, full):
+            # Three rows against n_c components: a row count that differs
+            # from the component count.
+            batch = rng.uniform(-3.0, 3.0, size=(3, mix.dim))
+            single_maha = np.array([mix.mahalanobis_sq(x) for x in batch])
+            assert np.allclose(mix.mahalanobis_sq(batch), single_maha, rtol=1e-13)
+            single = np.array([mix.responsibilities(x) for x in batch])
+            assert np.allclose(mix.responsibilities(batch), single, atol=1e-13)
+            assert np.allclose(mix.responsibilities(batch).sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestSerialization:

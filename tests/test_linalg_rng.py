@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 
 from csample.errors import DimensionMismatch, NotPositiveDefinite
-from csample.linalg_rng import (
-    RngStream,
-    SpdMatrix,
-    cholesky,
-    dense_op_counts,
-    sample_mvn,
-    sample_standard_normal,
-    weighted_norm_sq,
-)
+from csample import linalg_rng
+from csample.linalg_rng import RngStream, SpdMatrix, cholesky, sample_mvn
 
 
 class TestCholesky:
@@ -84,19 +77,21 @@ class TestSpdMatrix:
 
 
 class TestWeightedNormSq:
+    """(c - d).T M (c - d) as SpdMatrix.quad of the difference."""
+
     def test_zero_when_equal(self):
         m = SpdMatrix.identity(3)
         v = np.array([1.0, -2.0, 0.5])
-        assert weighted_norm_sq(v, v, m) == 0.0
+        assert m.quad(v - v) == 0.0
 
     def test_identity_weight(self):
         m = SpdMatrix.identity(2)
-        assert weighted_norm_sq([1.0, 1.0], [0.0, 0.0], m) == pytest.approx(2.0)
+        assert m.quad(np.array([1.0, 1.0]) - np.zeros(2)) == pytest.approx(2.0)
 
     def test_diagonal_weight(self):
         m = SpdMatrix.from_diagonal([3.0, 4.0])
         # 3*1^2 + 4*2^2 = 19
-        assert weighted_norm_sq([1.0, 2.0], [0.0, 0.0], m) == pytest.approx(19.0)
+        assert m.quad(np.array([1.0, 2.0]) - np.zeros(2)) == pytest.approx(19.0)
 
     def test_symmetry_and_nonnegativity(self):
         rng = np.random.default_rng(11)
@@ -105,13 +100,17 @@ class TestWeightedNormSq:
         for _ in range(25):
             c = rng.standard_normal(4)
             d = rng.standard_normal(4)
-            fwd = weighted_norm_sq(c, d, m)
+            fwd = m.quad(c - d)
             assert fwd >= 0.0
-            assert fwd == pytest.approx(weighted_norm_sq(d, c, m))
+            assert fwd == pytest.approx(m.quad(d - c))
+            assert fwd == pytest.approx((c - d) @ m.dense() @ (c - d))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            weighted_norm_sq([1.0, 2.0], [1.0], SpdMatrix.identity(2))
+        for m in (SpdMatrix.identity(2), SpdMatrix.from_dense([[2.0, 0.5], [0.5, 1.0]])):
+            with pytest.raises(DimensionMismatch):
+                m.quad([1.0, 2.0, 3.0])
+            with pytest.raises(DimensionMismatch):
+                m.quad([1.0])
 
 
 class TestRngStream:
@@ -132,7 +131,7 @@ class TestRngStream:
 
     def test_clt_mean_bound(self):
         n = 10**5
-        draws = sample_standard_normal(RngStream(42, 0), n)
+        draws = RngStream(42, 0).standard_normal(n)
         assert abs(np.mean(draws)) <= 4.0 / np.sqrt(n)
 
     def test_fresh_restarts_sequence(self):
@@ -186,10 +185,17 @@ class TestSampleMvn:
         with pytest.raises(DimensionMismatch):
             sample_mvn(RngStream(0), np.zeros(3), SpdMatrix.identity(2))
 
-    def test_diagonal_sampling_avoids_dense_work(self):
+    def test_diagonal_sampling_avoids_dense_work(self, monkeypatch):
+        def dense_call(*args, **kwargs):
+            raise AssertionError("diagonal path reached a dense LAPACK routine")
+
+        monkeypatch.setattr(linalg_rng, "dpotrf", dense_call)
+        monkeypatch.setattr(linalg_rng, "solve_triangular", dense_call)
         cov = SpdMatrix.from_diagonal(np.linspace(0.5, 2.0, 64))
         stream = RngStream(7, 3)
-        before = dense_op_counts()
         for _ in range(10):
             sample_mvn(stream, np.zeros(64), cov)
-        assert dense_op_counts() == before
+        factor = cov.chol()
+        assert factor.diagonal_path
+        factor.solve(np.ones(64))
+        assert cov.maha_sq(np.ones(64)) > 0.0

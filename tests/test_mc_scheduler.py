@@ -13,6 +13,7 @@ from csample.mc_scheduler import (
     benchmark_rows_to_csv,
     benchmark_speedup,
     build_plan,
+    component_log_scores,
     round_robin_assignment,
     run_mc_mcmc,
     tune_hmc,
@@ -44,12 +45,13 @@ class TestAllocateBudgets:
         mix = mixture_1d([0.25] * 4, [-3.0, -1.0, 1.0, 3.0], [0.5] * 4)
         # Observation variance so large every mean is equally likely.
         model = model_from(mix, y=0.0, r=1e8)
-        assert np.array_equal(allocate_budgets(model, 100), [25, 25, 25, 25])
+        budgets = allocate_budgets(component_log_scores(model), 100)
+        assert np.array_equal(budgets, [25, 25, 25, 25])
 
     def test_weight_proportionality(self):
         mix = mixture_1d([0.9, 0.1], [1.0, -1.0], [0.3, 0.3])
         model = model_from(mix, y=0.0, r=1e8)
-        assert np.array_equal(allocate_budgets(model, 10), [9, 1])
+        assert np.array_equal(allocate_budgets(component_log_scores(model), 10), [9, 1])
 
     def test_conserves_total(self):
         rng = np.random.default_rng(2)
@@ -59,7 +61,7 @@ class TestAllocateBudgets:
             mix = mixture_1d(w / w.sum(), rng.uniform(-5, 5, n_c), rng.uniform(0.1, 1, n_c))
             model = model_from(mix, y=rng.uniform(-2, 2), r=2.0)
             n_ens = int(rng.integers(n_c, 500))
-            budgets = allocate_budgets(model, n_ens)
+            budgets = allocate_budgets(component_log_scores(model), n_ens)
             assert budgets.sum() == n_ens
             assert np.all(budgets >= 1)
 
@@ -72,7 +74,7 @@ class TestAllocateBudgets:
         ) / np.sqrt(2 * np.pi * r)
         fractions = scores / scores.sum()
         n_ens = 5000
-        budgets = allocate_budgets(bench_model, n_ens)
+        budgets = allocate_budgets(component_log_scores(bench_model), n_ens)
         assert budgets.sum() == n_ens
         # Largest-remainder plus the minimum-one repair move each budget by
         # at most one from the exact proportional target, in this regime.
@@ -83,7 +85,7 @@ class TestAllocateBudgets:
         mix = mixture_1d([0.2] * 5, [-2, -1, 0, 1, 2], [0.2] * 5)
         model = model_from(mix, y=0.0, r=1e8)
         with pytest.warns(BudgetInfeasibleWarning):
-            budgets = allocate_budgets(model, 3)
+            budgets = allocate_budgets(component_log_scores(model), 3)
         assert budgets.sum() == 3
 
 
@@ -127,6 +129,24 @@ class TestBuildPlan:
         assert params.step_size == pytest.approx(0.05)
         assert params.mass.diagonal() == pytest.approx([4.0])
 
+    def test_scores_computed_once_per_plan(self, bench_model, monkeypatch):
+        calls = []
+        original = PosteriorModel.log_likelihood
+
+        def counting(model, x):
+            calls.append(x)
+            return original(model, x)
+
+        monkeypatch.setattr(PosteriorModel, "log_likelihood", counting)
+        plan = build_plan(bench_model, 150, "gaussian", seed=9)
+        # One likelihood per component: the budgets and the pooling weights
+        # share one set of scores.
+        assert len(calls) == bench_model.prior.n_components
+        monkeypatch.undo()
+        scores = component_log_scores(bench_model)
+        assert [c.log_weight for c in plan.chains] == scores.tolist()
+        assert [c.budget for c in plan.chains] == allocate_budgets(scores, 150).tolist()
+
     def test_plan_independent_of_workers(self, bench_model):
         a = build_plan(bench_model, 150, "gaussian", seed=9, workers=1)
         b = build_plan(bench_model, 150, "gaussian", seed=9, workers=7)
@@ -138,17 +158,16 @@ class TestBuildPlan:
 class TestRunMcMcmc:
     def test_gather_deterministic_across_pools(self, bench_model):
         results = {}
-        for mode, workers in (("serial", 1), ("thread", 3), ("process", 2)):
+        for mode, workers in (("serial", 1), ("process", 2)):
             plan = build_plan(
                 bench_model, 120, "gaussian", seed=33, workers=workers, burn_in=20, stride=2
             )
             with WorkerPool(workers, mode=mode) as pool:
                 results[mode] = run_mc_mcmc(bench_model, plan, pool=pool)
         base = results["serial"].ensemble
-        for mode in ("thread", "process"):
-            other = results[mode].ensemble
-            assert base.members.tobytes() == other.members.tobytes()
-            assert base.weights.tobytes() == other.weights.tobytes()
+        other = results["process"].ensemble
+        assert base.members.tobytes() == other.members.tobytes()
+        assert base.weights.tobytes() == other.weights.tobytes()
 
     def test_weights_sum_to_one(self, bench_model):
         plan = build_plan(bench_model, 75, "gaussian", seed=3, burn_in=10, stride=1)
@@ -201,14 +220,6 @@ class TestRunMcMcmc:
         assert result.ensemble.size == sum(
             c.budget for c in plan.chains if c.component != 2
         )
-
-    def test_uniform_pooling_mode(self, bench_model):
-        plan = build_plan(bench_model, 50, "gaussian", seed=8, burn_in=5, stride=1)
-        weighted = run_mc_mcmc(bench_model, plan, pooling="weighted")
-        uniform = run_mc_mcmc(bench_model, plan, pooling="uniform")
-        assert np.array_equal(weighted.ensemble.members, uniform.ensemble.members)
-        assert np.all(uniform.ensemble.weights == 1.0 / uniform.ensemble.size)
-        assert not np.array_equal(weighted.ensemble.weights, uniform.ensemble.weights)
 
     def test_zero_budget_chain_skipped(self):
         mix = mixture_1d([0.5, 0.25, 0.25], [0.0, 5.0, -5.0], [0.2, 0.2, 0.2])

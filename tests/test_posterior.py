@@ -144,6 +144,64 @@ class TestGradient:
             assert rel <= 1e-5
 
 
+class TestFullCovariancePosterior:
+    """Three full-covariance components in 4-D under a dense linear H."""
+
+    @pytest.fixture
+    def model(self):
+        rng = np.random.default_rng(41)
+        dim, obs = 4, 3
+        covs = []
+        for _ in range(3):
+            g = rng.standard_normal((dim, dim))
+            covs.append(SpdMatrix.from_dense(g @ g.T + 0.5 * np.eye(dim)))
+        means = 1.5 * rng.standard_normal((3, dim))
+        prior = GaussianMixture([0.5, 0.3, 0.2], means, covs, structure="full")
+        h = rng.standard_normal((obs, dim))
+        g = rng.standard_normal((obs, obs))
+        obs_cov = SpdMatrix.from_dense(g @ g.T + np.eye(obs))
+        y = h @ means[1] + 0.3 * rng.standard_normal(obs)
+        return PosteriorModel(prior, MatrixOperator(h), y, obs_cov)
+
+    @staticmethod
+    def states(model):
+        # Points between the component means, where every component holds
+        # a share of the responsibility.
+        rng = np.random.default_rng(42)
+        mix = rng.dirichlet(np.ones(3), size=6)
+        return mix @ model.prior.means + 0.2 * rng.standard_normal((6, model.dim))
+
+    def test_gradient_matches_finite_differences(self, model):
+        assert not all(c.is_diagonal for c in model.prior.covariances)
+        for x in self.states(model):
+            resp = model.prior_responsibilities(x)
+            assert np.sum(resp > 1e-3) >= 2
+            grad = model.grad_neg_log_posterior(x)
+            fd = finite_difference_gradient(model.neg_log_posterior, x, 1e-6)
+            assert np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(grad))
+
+    def test_potential_is_negative_log_likelihood_times_prior(self, model):
+        # Dense oracle: -log N(y; Hx, R) - log sum_k tau_k N(x; mu_k, Sigma_k).
+        h = model.operator.matrix
+        r = model.obs_cov.dense()
+
+        def neg_log_gaussian(v, cov):
+            _, logdet = np.linalg.slogdet(cov)
+            quad = v @ np.linalg.solve(cov, v)
+            return 0.5 * (quad + logdet + v.size * np.log(2.0 * np.pi))
+
+        def oracle(x):
+            prior = model.prior
+            dens = sum(
+                tau * np.exp(-neg_log_gaussian(x - mu, cov.dense()))
+                for tau, mu, cov in zip(prior.weights, prior.means, prior.covariances)
+            )
+            return neg_log_gaussian(h @ x - model.y, r) - np.log(dens)
+
+        diffs = [model.neg_log_posterior(x) - oracle(x) for x in self.states(model)]
+        assert max(diffs) - min(diffs) <= 1e-10
+
+
 class TestResponsibilities:
     def test_sum_to_one_even_far_out(self, bench_model):
         for x in (-80.0, -1.0, 40.0):
