@@ -8,7 +8,6 @@ Writes all input and output images (plain PGM) plus the L-curve table to
 from csample.experiments import default_config, run_deblur_experiment
 
 cfg = default_config("deblur")
-cfg["pool_mode"] = "serial"
 
 print("running the image-retrieval experiment (a few seconds) ...")
 summary = run_deblur_experiment(cfg, "demo_out/image_retrieval")

@@ -13,8 +13,7 @@ digests = {}
 for workers in (1, 3, 7):
     plan = build_plan(model, 300, "gaussian", seed=11, workers=workers,
                       burn_in=50, stride=2, proposal_scale=0.3)
-    mode = "serial" if workers == 1 else "process"
-    with WorkerPool(workers, mode=mode) as pool:
+    with WorkerPool(workers) as pool:
         result = run_mc_mcmc(model, plan, pool=pool)
     digests[workers] = hash(result.ensemble.members.tobytes())
     print(f"p={workers}: ensemble hash {digests[workers]:x} "

@@ -54,8 +54,6 @@ def build_parser():
         p.add_argument("--out", default=f"out_{kind.replace('-', '_')}",
                        help="output directory")
         p.add_argument("--procs", type=int, default=None, help="worker count")
-        p.add_argument("--balance", action="store_true",
-                       help="assign chains largest-budget-first instead of round-robin")
     return parser
 
 
@@ -70,8 +68,6 @@ def main(argv=None):
             overrides["p_values"] = sorted({1, args.procs})
         else:
             overrides["workers"] = args.procs
-    if args.balance:
-        overrides["balance"] = True
     try:
         config = load_config(args.command, args.config, overrides)
         summary = RUNNERS[args.command](config, args.out)

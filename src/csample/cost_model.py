@@ -7,8 +7,8 @@ and per-word time t_word over a log2(p)-depth broadcast/gather tree. Two
 speedup flavors are reported: the idealized closed form, which divides the
 chains continuously over workers (and therefore gives S = p for p <= n_c
 when burn-in is dropped), and an integral-work variant that charges each
-worker for ceil(n_c / p) whole chains, which is what a real round-robin
-schedule costs when p does not divide n_c.
+worker for ceil(n_c / p) whole chains, which is what placing equal-budget
+chains on workers costs when p does not divide n_c.
 """
 
 from __future__ import annotations

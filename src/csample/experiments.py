@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .cost_model import CostModelInput
-from .errors import ChainFailed, ConfigError, ZeroReference
+from .errors import ConfigError, ZeroReference
 from .forward_models import (
     GaussianBlurOperator,
     IdentityOperator,
@@ -30,8 +30,6 @@ from .forward_models import (
 from .gmm import GaussianMixture, select_model_aic
 from .linalg_rng import RngStream, SpdMatrix
 from .mc_scheduler import (
-    POOL_MODES,
-    ChainFailure,
     WorkerPool,
     benchmark_rows_to_csv,
     benchmark_speedup,
@@ -86,8 +84,6 @@ _ONED_DEFAULTS = {
     "hmc_steps": 20,
     "hmc_jitter": True,
     "workers": 2,
-    "pool_mode": "process",
-    "balance": False,
     "histogram_bins": 50,
     "histogram_range": [-10.0, 10.0],
 }
@@ -101,9 +97,7 @@ _DEBLUR_DEFAULTS = {
     "boundary": "reflect",
     "saturation": False,
     "noise_level": 0.09,
-    "noise_interpretation": "std",
     "prior_spread": 0.08,
-    "prior_interpretation": "std",
     "prior_pool": 50,
     "n_ens": 30,
     "gmm_structure": "diagonal",
@@ -115,8 +109,6 @@ _DEBLUR_DEFAULTS = {
     "hmc_jitter": False,
     "parallel_proposal_scale": 0.002,
     "workers": 2,
-    "pool_mode": "process",
-    "balance": False,
     "alpha_grid": [1e-6, 1e2, 30],
     "reg_matrix": "laplacian",
     "reg_epsilon": 1e-3,
@@ -139,9 +131,6 @@ _BENCH_DEFAULTS = {
     "hmc_steps": 20,
     "p_values": [1, 2, 4, 7, 8, 12],
     "repetitions": 3,
-    "budgets": "uniform",
-    "balance": False,
-    "pool_mode": "process",
     "t_startup": 1e-4,
     "t_word": 1e-8,
 }
@@ -155,7 +144,6 @@ _TIKHONOV_DEFAULTS = {
     "boundary": "reflect",
     "saturation": False,
     "noise_level": 0.09,
-    "noise_interpretation": "std",
     "alpha_grid": [1e-6, 1e2, 30],
     "reg_matrix": "laplacian",
     "reg_epsilon": 1e-3,
@@ -213,8 +201,6 @@ def load_config(kind, path=None, overrides=None):
         if unknown:
             raise ConfigError(f"unknown override keys for {kind!r}: {sorted(unknown)}")
         config.update({k: v for k, v in overrides.items() if v is not None})
-    if "pool_mode" in config and config["pool_mode"] not in POOL_MODES:
-        raise ConfigError(f"pool_mode {config['pool_mode']!r} is not one of {POOL_MODES}")
     return config
 
 
@@ -369,16 +355,6 @@ def acceptance_table_csv(rows):
     return "\n".join(lines) + "\n"
 
 
-def _run_all_chains(model, plan, pool):
-    """run_mc_mcmc, raising ChainFailed when any chain failed: a pool
-    missing a component's samples is a biased posterior."""
-    result = run_mc_mcmc(model, plan, pool=pool)
-    for r in result.chain_results:
-        if isinstance(r, ChainFailure):
-            raise ChainFailed(f"chain of component {r.component} failed: {r.error}")
-    return result
-
-
 def run_oned_benchmark(config, out_dir):
     """The 1-D benchmark end to end: serial and multi-chain sampling with
     both mechanisms, histogram and quadrature-reference artifacts."""
@@ -420,15 +396,15 @@ def run_oned_benchmark(config, out_dir):
     summary.timings["serial_hmc_s"] = time.perf_counter() - t0
     record("serial_hmc", [serial_h], serial_h.samples, np.full(n, 1.0 / n))
 
-    pool = WorkerPool(config["workers"], mode=config["pool_mode"])
+    pool = WorkerPool(config["workers"])
     try:
         t0 = time.perf_counter()
         plan_g = build_plan(
             model, n, "gaussian", seed, workers=config["workers"],
             burn_in=config["burn_in"], stride=config["stride"],
-            proposal_scale=config["parallel_proposal_scale"], balance=config["balance"],
+            proposal_scale=config["parallel_proposal_scale"],
         )
-        par_g = _run_all_chains(model, plan_g, pool)
+        par_g = run_mc_mcmc(model, plan_g, pool=pool)
         summary.timings["parallel_gaussian_s"] = time.perf_counter() - t0
         record("parallel_gaussian", par_g.chain_results,
                par_g.ensemble.members, par_g.ensemble.weights)
@@ -438,9 +414,9 @@ def run_oned_benchmark(config, out_dir):
             model, n, "hmc", seed, workers=config["workers"],
             burn_in=config["burn_in"], stride=config["stride"],
             hmc_trajectory=config["hmc_trajectory"], hmc_steps=config["hmc_steps"],
-            hmc_jitter=config["hmc_jitter"], balance=config["balance"],
+            hmc_jitter=config["hmc_jitter"],
         )
-        par_h = _run_all_chains(model, plan_h, pool)
+        par_h = run_mc_mcmc(model, plan_h, pool=pool)
         summary.timings["parallel_hmc_s"] = time.perf_counter() - t0
         record("parallel_hmc", par_h.chain_results,
                par_h.ensemble.members, par_h.ensemble.weights)
@@ -502,14 +478,6 @@ def _blur_operator(config, rows, cols):
     return op
 
 
-def _scaled_noise(level, interpretation, mean_intensity):
-    if interpretation == "std":
-        return level * mean_intensity
-    if interpretation == "variance":
-        return float(np.sqrt(level * mean_intensity))
-    raise ConfigError(f"unknown noise interpretation {interpretation!r}")
-
-
 def _regularization_matrix(config, rows, cols):
     kind = config.get("reg_matrix", "identity")
     if kind == "identity":
@@ -519,46 +487,43 @@ def _regularization_matrix(config, rows, cols):
     raise ConfigError(f"unknown reg_matrix {kind!r}; expected identity or laplacian")
 
 
-def prepare_deblur_problem(config):
-    """Blur the truth, add observation noise, and build the synthetic prior
-    ensemble around the blurred image."""
+def observe_deblur_problem(config):
+    """Blur the truth and add observation noise with standard deviation
+    ``noise_level`` times the mean intensity."""
     truth = load_experiment_image(config)
     rows, cols = truth.rows, truth.cols
-    dim = rows * cols
     op = _blur_operator(config, rows, cols)
     blurred = op.apply(truth.intensities)
     mean_intensity = truth.mean_intensity()
+    noise_std = config["noise_level"] * mean_intensity
+    noise = RngStream(config["seed"], STREAM_NOISE).standard_normal(rows * cols) * noise_std
+    return {
+        "truth": truth,
+        "operator": op,
+        "blurred": blurred,
+        "observed": blurred + noise,
+        "noise_std": noise_std,
+        "mean_intensity": mean_intensity,
+    }
+
+
+def prepare_deblur_problem(config):
+    """The observed deblurring problem plus the synthetic prior ensemble:
+    the blurred image perturbed with standard deviation ``prior_spread``
+    times the mean intensity."""
+    setup = observe_deblur_problem(config)
+    blurred = setup["blurred"]
+    dim = blurred.size
     seed = config["seed"]
-
-    noise_std = _scaled_noise(
-        config["noise_level"], config["noise_interpretation"], mean_intensity
-    )
-    noise = RngStream(seed, STREAM_NOISE).standard_normal(dim) * noise_std
-    observed = blurred + noise
-
-    spread_std = _scaled_noise(
-        config["prior_spread"],
-        # "variance" means the perturbation variance is the scaled level.
-        "variance" if config["prior_interpretation"] == "variance" else "std",
-        mean_intensity,
-    )
+    spread_std = config["prior_spread"] * setup["mean_intensity"]
     pool_stream = RngStream(seed, STREAM_PRIOR_ENSEMBLE)
     pool = blurred[None, :] + spread_std * pool_stream.standard_normal(
         config["prior_pool"] * dim
     ).reshape(config["prior_pool"], dim)
     pick_stream = RngStream(seed, STREAM_SUBSAMPLE)
     order = np.argsort(pick_stream.uniform(config["prior_pool"]), kind="stable")
-    members = pool[np.sort(order[: config["n_ens"]])]
-
-    return {
-        "truth": truth,
-        "operator": op,
-        "blurred": blurred,
-        "observed": observed,
-        "noise_std": noise_std,
-        "prior_members": members,
-        "mean_intensity": mean_intensity,
-    }
+    setup["prior_members"] = pool[np.sort(order[: config["n_ens"]])]
+    return setup
 
 
 def _write_input_images(setup, out, summary):
@@ -636,7 +601,7 @@ def run_deblur_experiment(config, out_dir):
         SpdMatrix.spherical(dim, setup["noise_std"] ** 2),
     )
 
-    pool = WorkerPool(config["workers"], mode=config["pool_mode"])
+    pool = WorkerPool(config["workers"])
     results = {}
     try:
         for mechanism in ("hmc", "gaussian"):
@@ -653,9 +618,8 @@ def run_deblur_experiment(config, out_dir):
                 hmc_trajectory=config["hmc_trajectory"],
                 hmc_steps=config["hmc_steps"],
                 hmc_jitter=config["hmc_jitter"],
-                balance=config["balance"],
             )
-            results[mechanism] = _run_all_chains(model, plan, pool)
+            results[mechanism] = run_mc_mcmc(model, plan, pool=pool)
             summary.timings[f"sampling_{mechanism}_s"] = time.perf_counter() - t0
             summary.acceptance[f"parallel_{mechanism}"] = results[mechanism].acceptance_rate
     finally:
@@ -732,9 +696,6 @@ def run_speedup_benchmark(config, out_dir):
         repetitions=config["repetitions"],
         burn_in=config["burn_in"],
         stride=config["stride"],
-        budgets=config["budgets"],
-        balance=config["balance"],
-        pool_mode=config["pool_mode"],
         cost_input=cost_input,
         proposal_scale=config["parallel_proposal_scale"],
         hmc_trajectory=config["hmc_trajectory"],
@@ -754,10 +715,7 @@ def run_tikhonov_experiment(config, out_dir):
     """The Tikhonov baseline alone on the deblurring problem."""
     out = Path(out_dir)
     summary = RunSummary(kind="tikhonov", seed=config["seed"])
-    setup = prepare_deblur_problem(
-        {**config, "prior_spread": 0.0, "prior_interpretation": "std",
-         "prior_pool": 1, "n_ens": 1}
-    )
+    setup = observe_deblur_problem(config)
     truth = setup["truth"]
     _write_input_images(setup, out, summary)
     solution = _run_tikhonov_baseline(config, setup, out, summary)

@@ -229,7 +229,7 @@ class GaussianMixture:
         elif structure == "spherical":
             covs = [SpdMatrix.spherical(dim, v) for v in raw]
         elif structure == "tied":
-            shared = SpdMatrix.from_dense(raw, structure="tied-reference")
+            shared = SpdMatrix.from_dense(raw)
             covs = [shared] * weights.size
         else:
             covs = [SpdMatrix.from_dense(m) for m in raw]
@@ -321,7 +321,7 @@ def _m_step(points, resp, structure, floor):
             pooled += (resp[:, k : k + 1] * dev).T @ dev
         pooled /= n
         pooled += floor * np.eye(dim)
-        shared = SpdMatrix.from_dense(pooled, structure="tied-reference")
+        shared = SpdMatrix.from_dense(pooled)
         covs = [shared] * means.shape[0]
         return weights, means, covs
     for k in range(means.shape[0]):
@@ -331,7 +331,7 @@ def _m_step(points, resp, structure, floor):
             if structure == "spherical":
                 var = np.full(dim, float(np.mean(var)))
             var = var + floor
-            covs.append(SpdMatrix.from_diagonal(var, structure=structure))
+            covs.append(SpdMatrix.from_diagonal(var))
         else:
             cov = (resp[:, k : k + 1] * dev).T @ dev / mass[k]
             cov += floor * np.eye(dim)

@@ -1,9 +1,8 @@
 """Dense SPD linear algebra and reproducible per-chain random streams.
 
-The SPD matrices here carry a covariance-structure tag. Diagonal and
-spherical matrices store only their diagonal and every operation on them is
-O(order), with no call into LAPACK or the triangular solver; full matrices
-are Cholesky-backed.
+SPD matrices built from a diagonal store only that diagonal, and every
+operation on them is O(order), with no call into LAPACK or the triangular
+solver; dense matrices are Cholesky-backed.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 # well above it, so a trip here means something upstream needs repair.
 RELATIVE_PIVOT_FLOOR = 1e-13
 
-STRUCTURES = ("diagonal", "spherical", "tied-reference", "full")
-
 def _as_vector(x, name="vector"):
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
@@ -31,11 +28,10 @@ def _as_vector(x, name="vector"):
 class CholeskyFactor:
     """Lower-triangular factor L with L @ L.T equal to the factored matrix."""
 
-    __slots__ = ("order", "structure", "_sqrt_diag", "_lower", "_logdet")
+    __slots__ = ("order", "_sqrt_diag", "_lower", "_logdet")
 
-    def __init__(self, order, structure, sqrt_diag=None, lower=None):
+    def __init__(self, order, sqrt_diag=None, lower=None):
         self.order = order
-        self.structure = structure
         self._sqrt_diag = sqrt_diag
         self._lower = lower
         if sqrt_diag is not None:
@@ -88,21 +84,18 @@ class CholeskyFactor:
 
 
 class SpdMatrix:
-    """Symmetric positive definite matrix with a covariance-structure tag.
+    """Symmetric positive definite matrix.
 
-    Structures ``diagonal`` and ``spherical`` store only the diagonal;
-    ``full`` and ``tied-reference`` store the dense matrix. The Cholesky
-    factor is computed lazily and cached, so repeated solves and samples
-    reuse one factorization.
+    Matrices built from a diagonal (and order-1 matrices) store only the
+    diagonal; others store the dense matrix. The Cholesky factor is computed
+    lazily and cached, so repeated solves and samples reuse one
+    factorization.
     """
 
-    __slots__ = ("order", "structure", "_diag", "_dense", "_factor")
+    __slots__ = ("order", "_diag", "_dense", "_factor")
 
-    def __init__(self, order, structure, diag=None, dense=None):
-        if structure not in STRUCTURES:
-            raise ValueError(f"unknown structure {structure!r}")
+    def __init__(self, order, diag=None, dense=None):
         self.order = int(order)
-        self.structure = structure
         self._diag = diag
         self._dense = dense
         self._factor = None
@@ -110,32 +103,23 @@ class SpdMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_diagonal(cls, diag, structure="diagonal"):
+    def from_diagonal(cls, diag):
         d = _as_vector(diag, "diagonal")
-        if structure not in ("diagonal", "spherical"):
-            raise ValueError("from_diagonal supports diagonal or spherical structure")
-        if structure == "spherical" and d.size > 1 and not np.all(d == d[0]):
-            raise ValueError("spherical structure requires equal diagonal entries")
-        return cls(d.size, structure, diag=d.copy())
+        return cls(d.size, diag=d.copy())
 
     @classmethod
-    def from_dense(cls, a, structure="full"):
+    def from_dense(cls, a):
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         scale = max(np.max(np.abs(a)), 1.0)
         if np.max(np.abs(a - a.T)) > 1e-12 * scale:
             raise ValueError("matrix is not symmetric")
-        if structure in ("diagonal", "spherical"):
-            off = a - np.diag(np.diag(a))
-            if np.any(off != 0.0):
-                raise ValueError(f"{structure} structure requires zero off-diagonal entries")
-            return cls.from_diagonal(np.diag(a), structure=structure)
         if a.shape[0] == 1:
             # Order-1 matrices are stored diagonally: same algebra, O(1) ops.
-            return cls(1, structure, diag=np.diag(a).copy())
+            return cls(1, diag=np.diag(a).copy())
         sym = 0.5 * (a + a.T)
-        return cls(a.shape[0], structure, dense=sym)
+        return cls(a.shape[0], dense=sym)
 
     @classmethod
     def identity(cls, order):
@@ -143,7 +127,7 @@ class SpdMatrix:
 
     @classmethod
     def spherical(cls, order, variance):
-        return cls.from_diagonal(np.full(order, float(variance)), structure="spherical")
+        return cls.from_diagonal(np.full(order, float(variance)))
 
     # -- accessors ----------------------------------------------------
 
@@ -168,8 +152,8 @@ class SpdMatrix:
         if c <= 0.0:
             raise ValueError("scale factor must be positive")
         if self.is_diagonal:
-            return SpdMatrix(self.order, self.structure, diag=c * self._diag)
-        return SpdMatrix(self.order, self.structure, dense=c * self._dense)
+            return SpdMatrix(self.order, diag=c * self._diag)
+        return SpdMatrix(self.order, dense=c * self._dense)
 
     # -- numerics -----------------------------------------------------
 
@@ -230,7 +214,7 @@ def cholesky(a):
         bad = np.nonzero(d <= floor)[0]
         if bad.size:
             raise NotPositiveDefinite(bad[0])
-        return CholeskyFactor(a.order, a.structure, sqrt_diag=np.sqrt(d))
+        return CholeskyFactor(a.order, sqrt_diag=np.sqrt(d))
     dense = a._dense
     lower, info = dpotrf(dense, lower=1, clean=1)
     if info > 0:
@@ -242,7 +226,7 @@ def cholesky(a):
     bad = np.nonzero(pivots <= floor)[0]
     if bad.size:
         raise NotPositiveDefinite(bad[0])
-    return CholeskyFactor(a.order, a.structure, lower=lower)
+    return CholeskyFactor(a.order, lower=lower)
 
 
 class RngStream:

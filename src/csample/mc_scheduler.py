@@ -3,9 +3,10 @@
 Chains are planned deterministically from (model, seed): budgets by
 component weight times the likelihood of the component mean, initial states
 at the component means, proposal tuning from the local component statistics,
-and one random stream per chain keyed by its component index. Execution
-placement (serial or a process pool) never changes the gathered ensemble:
-streams are per chain and the gather runs in chain order.
+and one random stream per chain keyed by its component index. Chains are
+placed on workers largest budget first; the placement never changes the
+gathered ensemble, because streams are per chain and the gather runs in chain
+order.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cost_model import CostModelInput, predict_cost
-from .errors import BudgetInfeasibleWarning, OversubscribedWarning
+from .cost_model import predict_cost
+from .errors import BudgetInfeasibleWarning, ChainFailed, OversubscribedWarning
 from .gmm import Ensemble
 from .linalg_rng import RngStream, SpdMatrix
 from .samplers import ChainConfig, GaussianProposal, HmcParams, run_chain
@@ -31,8 +32,6 @@ DEFAULT_PROPOSAL_SCALE_NUMERATOR = 2.38**2
 
 DEFAULT_HMC_STEPS = 20
 DEFAULT_HMC_TRAJECTORY = 1.0  # in local posterior-std units
-
-POOL_MODES = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,8 @@ class SchedulerPlan:
 
 @dataclass
 class ChainFailure:
+    """What a worker returns for a chain that raised."""
+
     component: int
     stream_id: int
     error: str
@@ -69,7 +70,7 @@ class ChainFailure:
 @dataclass
 class McmcResult:
     ensemble: Ensemble
-    chain_results: list  # ChainResult or ChainFailure, in chain order
+    chain_results: list  # ChainResult per non-empty chain, in chain order
     acceptance_rate: float
     proposals_made: int
     proposals_accepted: int
@@ -162,14 +163,14 @@ def build_plan(
     hmc_steps=DEFAULT_HMC_STEPS,
     hmc_jitter=False,
     budgets="likelihood",
-    balance=False,
 ):
     """Plan one chain per prior mixture component.
 
     ``mechanism`` is "gaussian" or "hmc". ``budgets`` is "likelihood"
     (component weight times likelihood of the mean) or "uniform" (equal
     split, the idealized division the cost model assumes). The plan is
-    independent of ``workers`` except for the chain-to-worker assignment.
+    independent of ``workers`` except for the chain-to-worker assignment,
+    which is ``balanced_assignment`` of the budgets.
     """
     prior = model.prior
     n_c = prior.n_components
@@ -203,14 +204,10 @@ def build_plan(
                 log_weight=float(log_scores[i]),
             )
         )
-    if balance:
-        assignment = balanced_assignment(counts, workers)
-    else:
-        assignment = round_robin_assignment(n_c, workers)
     return SchedulerPlan(
         chains=chains,
         workers=int(workers),
-        assignment=assignment,
+        assignment=balanced_assignment(counts, workers),
         burn_in=int(burn_in),
         stride=int(stride),
         seed=int(seed),
@@ -240,18 +237,15 @@ def _execute_worker_batch(model, chains, burn_in, stride, seed):
 class WorkerPool:
     """Fixed pool of workers executing whole per-worker chain batches.
 
-    Modes (``POOL_MODES``): "serial" (in the calling process) or "process"
-    (forked OS processes where available). The gathered output is identical
-    across modes and worker counts.
+    A pool of size 1 runs its batches in the calling process; a larger pool
+    forks OS processes where available. The gathered output is identical
+    across worker counts.
     """
 
-    def __init__(self, size, mode="process"):
-        if mode not in POOL_MODES:
-            raise ValueError(f"mode must be one of {POOL_MODES}")
+    def __init__(self, size):
         self.size = max(1, int(size))
-        self.mode = mode if self.size > 1 else "serial"
         self._executor = None
-        if self.mode == "process":
+        if self.size > 1:
             import multiprocessing
 
             try:
@@ -296,13 +290,15 @@ def run_mc_mcmc(model, plan, pool=None):
 
     Zero-budget chains are skipped. Samples are pooled in chain order, each
     carrying an importance weight proportional to its component's pooling
-    weight divided by the chain budget, normalized over the pool. A chain
-    that raises is recorded as a ``ChainFailure`` and left out of the pool.
-    The pooled ensemble is bit-identical for any worker count or pool mode.
+    weight divided by the chain budget, normalized over the pool. Every chain
+    runs even when a sibling raises; afterwards any failure raises
+    ``ChainFailed`` naming each failed component and its error, because a
+    pool missing a component's samples is a biased posterior. The pooled
+    ensemble is bit-identical for any worker count.
     """
     own_pool = pool is None
     if own_pool:
-        pool = WorkerPool(plan.workers, mode="serial")
+        pool = WorkerPool(1)
     try:
         active = []
         batches = [[] for _ in range(plan.workers)]
@@ -321,13 +317,16 @@ def run_mc_mcmc(model, plan, pool=None):
             for result in batch:
                 by_component[result.component] = result
         ordered = [by_component[c.component] for c in active]
+        failures = [r for r in ordered if isinstance(r, ChainFailure)]
+        if failures:
+            raise ChainFailed(
+                "; ".join(f"chain of component {f.component} failed: {f.error}" for f in failures)
+            )
 
         samples = []
         log_weights = []
         made = accepted = divergences = 0
         for chain, result in zip(active, ordered):
-            if isinstance(result, ChainFailure):
-                continue
             samples.append(result.samples)
             log_weights.append(
                 np.full(result.n_samples, chain.log_weight - math.log(chain.budget))
@@ -335,17 +334,12 @@ def run_mc_mcmc(model, plan, pool=None):
             made += result.proposals_made
             accepted += result.proposals_accepted
             divergences += result.divergences
-        if samples:
-            pooled = np.concatenate(samples, axis=0)
-            logw = np.concatenate(log_weights)
-            logw -= np.max(logw)
-            weights = np.exp(logw)
-            weights /= np.sum(weights)
-            ensemble = Ensemble(pooled, weights)
-        else:
-            ensemble = Ensemble(np.empty((0, model.dim)))
+        logw = np.concatenate(log_weights)
+        logw -= np.max(logw)
+        weights = np.exp(logw)
+        weights /= np.sum(weights)
         return McmcResult(
-            ensemble=ensemble,
+            ensemble=Ensemble(np.concatenate(samples, axis=0), weights),
             chain_results=ordered,
             acceptance_rate=(accepted / made) if made else 0.0,
             proposals_made=made,
@@ -376,24 +370,23 @@ def benchmark_speedup(
     p_values,
     *,
     seed,
+    cost_input,
     repetitions=3,
     burn_in=100,
     stride=5,
-    budgets="uniform",
-    balance=False,
-    pool_mode="process",
-    cost_input=None,
     **plan_kwargs,
 ):
     """Measure wall time of run_mc_mcmc over worker counts with fixed seeds.
 
-    Pools are created and warmed before timing; the wall time is the best of
-    ``repetitions``. Measured speedup is wall(1) / wall(p). Predicted
-    columns come from the cost model's integral-work variant, normalized by
-    its own p = 1 value so prediction and measurement share the multi-chain
-    baseline (the serial-chain baseline differs by the per-chain burn-in,
-    which the cost model reports as overhead). Requesting more workers than
-    logical processors flags the rows and warns.
+    Budgets are uniform, the split the cost model assumes. Pools are created
+    and warmed before timing; the wall time is the best of ``repetitions``.
+    Measured speedup is wall(1) / wall(p). Predicted columns come from the
+    cost model's integral-work variant on ``cost_input`` with each p's worker
+    count and the model's component count, normalized by its own p = 1 value
+    so prediction and measurement share the multi-chain baseline (the
+    serial-chain baseline differs by the per-chain burn-in, which the cost
+    model reports as overhead). Requesting more workers than logical
+    processors flags the rows and warns.
     """
     p_values = list(p_values)
     if not p_values:
@@ -420,11 +413,10 @@ def benchmark_speedup(
             workers=p,
             burn_in=burn_in,
             stride=stride,
-            budgets=budgets,
-            balance=balance,
+            budgets="uniform",
             **plan_kwargs,
         )
-        with WorkerPool(p, mode=pool_mode) as pool:
+        with WorkerPool(p) as pool:
             pool.warm_up()
             best = math.inf
             for _ in range(max(1, repetitions)):
@@ -432,25 +424,7 @@ def benchmark_speedup(
                 best = min(best, result.wall_time)
         if p == 1:
             baseline = best
-        if cost_input is None:
-            base_input = CostModelInput(
-                workers=p,
-                n_components=n_c,
-                n_ens=n_ens,
-                n_var=model.dim,
-                burn_in=burn_in,
-                stride=stride,
-                proposal="diagonal" if mechanism == "gaussian" else "hmc",
-            )
-        else:
-            base_input = CostModelInput(
-                **{
-                    **cost_input.__dict__,
-                    "workers": p,
-                    "n_components": n_c,
-                }
-            )
-        report = predict_cost(base_input)
+        report = predict_cost(replace(cost_input, workers=p, n_components=n_c))
         if p == 1:
             pred_baseline = report.parallel_cost_integral
         pred_speedup = pred_baseline / report.parallel_cost_integral

@@ -47,7 +47,6 @@ def oned_pipeline():
     """EM-fitted 1-D benchmark model plus the four sampling runs and the
     quadrature reference, with stage timings."""
     cfg = default_config("oned")
-    cfg["pool_mode"] = "serial"
     timings = {}
     t0 = time.perf_counter()
     model, selection, _ = prepare_oned_model(cfg)
@@ -309,8 +308,15 @@ class TestCriterion6MeasuredScaling:
                 repetitions=3,
                 burn_in=0,
                 stride=5,
-                budgets="uniform",
-                pool_mode="process",
+                cost_input=CostModelInput(
+                    workers=1,
+                    n_components=1,
+                    n_ens=3500,
+                    n_var=1,
+                    burn_in=0,
+                    stride=5,
+                    proposal="diagonal",
+                ),
                 proposal_scale=0.3,
             )
         by_p = {r.workers: r for r in rows}
@@ -353,8 +359,7 @@ class TestCriterion7Determinism:
                 hmc_trajectory=cfg["hmc_trajectory"], hmc_steps=cfg["hmc_steps"],
                 hmc_jitter=cfg["hmc_jitter"],
             )
-            mode = "serial" if p == 1 else "process"
-            with WorkerPool(p, mode=mode) as pool:
+            with WorkerPool(p) as pool:
                 result = run_mc_mcmc(model, plan, pool=pool)
             payload = (
                 result.ensemble.members.tobytes(),
@@ -373,7 +378,6 @@ class TestCriterion8DeblurComparison:
     def test_posterior_mean_beats_tuned_tikhonov(self, tmp_path_factory):
         t0 = time.perf_counter()
         cfg = default_config("deblur")
-        cfg["pool_mode"] = "serial"
         out = tmp_path_factory.mktemp("deblur_acceptance")
         summary = run_deblur_experiment(cfg, out)
         elapsed = time.perf_counter() - t0

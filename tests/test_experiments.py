@@ -32,7 +32,6 @@ def small_oned_config(**overrides):
         stride=2,
         candidate_components=[1, 6],
         workers=2,
-        pool_mode="serial",
     )
     cfg.update(overrides)
     return cfg
@@ -47,7 +46,6 @@ def small_deblur_config(**overrides):
         prior_pool=20,
         alpha_grid=[1e-4, 1e2, 8],
         workers=2,
-        pool_mode="serial",
     )
     cfg.update(overrides)
     return cfg
@@ -232,7 +230,6 @@ class TestBenchRun:
             candidate_components=[1, 4],
             p_values=[1, 2],
             repetitions=1,
-            pool_mode="serial",
         )
         summary = run_speedup_benchmark(cfg, tmp_path)
         with open(tmp_path / "bench.csv") as fh:
@@ -317,12 +314,27 @@ class TestCli:
         code = cli_main(["em-fit", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 3
 
-    def test_unknown_pool_mode_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("oned", "balance", True),
+            ("oned", "pool_mode", "process"),
+            ("deblur", "noise_interpretation", "std"),
+            ("bench", "budgets", "uniform"),
+        ],
+        ids=["balance", "pool_mode", "noise_interpretation", "budgets"],
+    )
+    def test_removed_key_exit_code(self, tmp_path, capsys, kind, key, value):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"pool_mode": "thread"}))
-        code = cli_main(["oned", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        cfg_path.write_text(json.dumps({key: value}))
+        code = cli_main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "pool_mode 'thread'" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
+
+    def test_balance_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["oned", "--balance", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "kind, config, stream",

@@ -53,12 +53,6 @@ class TestCholesky:
 
 
 class TestSpdMatrix:
-    def test_structure_consistency_rejected(self):
-        with pytest.raises(ValueError):
-            SpdMatrix.from_dense([[1.0, 0.5], [0.5, 1.0]], structure="diagonal")
-        with pytest.raises(ValueError):
-            SpdMatrix.from_diagonal([1.0, 2.0], structure="spherical")
-
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             SpdMatrix.from_dense([[1.0, 0.2], [0.1, 1.0]])

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from csample.errors import BudgetInfeasibleWarning, OversubscribedWarning
+from csample.cost_model import CostModelInput, predict_cost
+from csample.errors import BudgetInfeasibleWarning, ChainFailed, OversubscribedWarning
 from csample.forward_models import IdentityOperator
 from csample.gmm import GaussianMixture
 from csample.linalg_rng import SpdMatrix
 from csample.mc_scheduler import (
-    ChainFailure,
     WorkerPool,
     allocate_budgets,
     balanced_assignment,
@@ -38,6 +38,30 @@ def bench_model(fit_mixture_1d):
     return PosteriorModel(
         fit_mixture_1d, IdentityOperator(1), [-1.0], SpdMatrix.from_diagonal([2.2])
     )
+
+
+def gaussian_cost_input(n_ens, burn_in, stride):
+    """The cost-model input of a 1-D Gaussian-proposal benchmark;
+    benchmark_speedup sets its worker and component counts."""
+    return CostModelInput(
+        workers=1,
+        n_components=1,
+        n_ens=n_ens,
+        n_var=1,
+        burn_in=burn_in,
+        stride=stride,
+        proposal="diagonal",
+    )
+
+
+def worker_steps(budgets, assignment, workers, burn_in, stride):
+    """Sampler steps per worker: burn-in plus stride steps per sample of each
+    non-empty chain."""
+    steps = np.zeros(workers, dtype=int)
+    for budget, worker in zip(budgets, assignment):
+        if budget > 0:
+            steps[worker] += burn_in + stride * budget
+    return steps
 
 
 class TestAllocateBudgets:
@@ -104,6 +128,23 @@ class TestAssignment:
         loads = np.bincount(assignment, weights=budgets, minlength=2)
         assert abs(loads[0] - loads[1]) <= 90
 
+    def test_balanced_equals_round_robin_on_equal_budgets(self):
+        for n_chains in (1, 3, 7, 12):
+            for workers in (1, 2, 4, 7):
+                budgets = np.full(n_chains, 25)
+                assert np.array_equal(
+                    balanced_assignment(budgets, workers),
+                    round_robin_assignment(n_chains, workers),
+                )
+
+    def test_balanced_cuts_oned_max_load(self):
+        # The shipped oned plan at seed 2024 with 1000 samples on 2 workers.
+        budgets = [1, 2, 547, 84, 365, 1]
+        round_robin = worker_steps(budgets, round_robin_assignment(6, 2), 2, 100, 15)
+        balanced = worker_steps(budgets, balanced_assignment(budgets, 2), 2, 100, 15)
+        assert round_robin.tolist() == [13995, 1605]
+        assert balanced.tolist() == [8305, 7295]
+
 
 class TestBuildPlan:
     def test_plan_shape(self, bench_model):
@@ -114,6 +155,8 @@ class TestBuildPlan:
             assert chain.stream_id == i
             assert np.array_equal(chain.initial_state, bench_model.prior.means[i])
             assert isinstance(chain.mechanism, GaussianProposal)
+        budgets = [c.budget for c in plan.chains]
+        assert np.array_equal(plan.assignment, balanced_assignment(budgets, 3))
 
     def test_uniform_budgets(self, bench_model):
         plan = build_plan(bench_model, 100, "hmc", seed=5, budgets="uniform")
@@ -158,14 +201,14 @@ class TestBuildPlan:
 class TestRunMcMcmc:
     def test_gather_deterministic_across_pools(self, bench_model):
         results = {}
-        for mode, workers in (("serial", 1), ("process", 2)):
+        for workers in (1, 2):
             plan = build_plan(
                 bench_model, 120, "gaussian", seed=33, workers=workers, burn_in=20, stride=2
             )
-            with WorkerPool(workers, mode=mode) as pool:
-                results[mode] = run_mc_mcmc(bench_model, plan, pool=pool)
-        base = results["serial"].ensemble
-        other = results["process"].ensemble
+            with WorkerPool(workers) as pool:
+                results[workers] = run_mc_mcmc(bench_model, plan, pool=pool)
+        base = results[1].ensemble
+        other = results[2].ensemble
         assert base.members.tobytes() == other.members.tobytes()
         assert base.weights.tobytes() == other.weights.tobytes()
 
@@ -204,22 +247,32 @@ class TestRunMcMcmc:
         assert result.proposals_made == made
         assert result.acceptance_rate == accepted / made
 
-    def test_failed_chain_isolated(self, bench_model):
+    def test_failed_chain_isolated(self, bench_model, monkeypatch):
+        from csample import mc_scheduler
+
         plan = build_plan(bench_model, 40, "gaussian", seed=7, burn_in=5, stride=1)
-        # Swap one chain's mechanism for something that blows up in the worker.
+        # Swap two chains' mechanisms for something that blows up in the worker.
         class Exploding:
             cov = None
 
-        bad = plan.chains[2]
-        object.__setattr__(bad, "mechanism", Exploding())
-        result = run_mc_mcmc(bench_model, plan)
-        failures = [r for r in result.chain_results if isinstance(r, ChainFailure)]
-        assert len(failures) == 1
-        assert failures[0].component == 2
-        # Successful chains still contribute samples.
-        assert result.ensemble.size == sum(
-            c.budget for c in plan.chains if c.component != 2
-        )
+        for i in (2, 4):
+            object.__setattr__(plan.chains[i], "mechanism", Exploding())
+        ran = []
+        original = mc_scheduler.run_chain
+
+        def recording_run_chain(model, chain_config, mechanism):
+            ran.append(chain_config.rng.stream_id)
+            return original(model, chain_config, mechanism)
+
+        monkeypatch.setattr(mc_scheduler, "run_chain", recording_run_chain)
+        with pytest.raises(ChainFailed) as exc:
+            run_mc_mcmc(bench_model, plan)
+        message = str(exc.value)
+        assert "chain of component 2 failed" in message
+        assert "chain of component 4 failed" in message
+        assert "component 0" not in message
+        # A failure does not stop its siblings: every chain ran.
+        assert sorted(ran) == [c.stream_id for c in plan.chains]
 
     def test_zero_budget_chain_skipped(self):
         mix = mixture_1d([0.5, 0.25, 0.25], [0.0, 5.0, -5.0], [0.2, 0.2, 0.2])
@@ -242,7 +295,7 @@ class TestBenchmark:
             repetitions=1,
             burn_in=10,
             stride=1,
-            pool_mode="serial",
+            cost_input=gaussian_cost_input(70, 10, 1),
         )
         assert rows[0].workers == 1
         assert rows[0].speedup == 1.0
@@ -257,8 +310,6 @@ class TestBenchmark:
     def test_predicted_columns_match_cost_model(self, bench_model):
         # Predictions are the cost model's integral parallel costs,
         # normalized to the p = 1 prediction.
-        from csample.cost_model import CostModelInput, predict_cost
-
         rows = benchmark_speedup(
             bench_model,
             70,
@@ -268,7 +319,7 @@ class TestBenchmark:
             repetitions=1,
             burn_in=10,
             stride=1,
-            pool_mode="serial",
+            cost_input=gaussian_cost_input(70, 10, 1),
         )
 
         def integral_cost(p):
@@ -298,7 +349,7 @@ class TestBenchmark:
             repetitions=1,
             burn_in=0,
             stride=1,
-            pool_mode="serial",
+            cost_input=gaussian_cost_input(70, 0, 1),
         )
         n_c = bench_model.prior.n_components
         assert rows[1].pred_speedup == n_c / np.ceil(n_c / 2)
@@ -317,6 +368,30 @@ class TestBenchmark:
                 repetitions=1,
                 burn_in=5,
                 stride=1,
-                pool_mode="serial",
+                cost_input=gaussian_cost_input(30, 5, 1),
             )
         assert rows[-1].oversubscribed
+
+    def test_failed_chain_fails_the_benchmark(self, bench_model, monkeypatch):
+        from csample import mc_scheduler
+
+        original = mc_scheduler.run_chain
+
+        def exploding_run_chain(model, chain_config, mechanism):
+            if chain_config.rng.stream_id == 2:
+                raise FloatingPointError("injected fault")
+            return original(model, chain_config, mechanism)
+
+        monkeypatch.setattr(mc_scheduler, "run_chain", exploding_run_chain)
+        with pytest.raises(ChainFailed, match="chain of component 2 failed.*injected fault"):
+            benchmark_speedup(
+                bench_model,
+                30,
+                "gaussian",
+                [1],
+                seed=14,
+                repetitions=1,
+                burn_in=5,
+                stride=1,
+                cost_input=gaussian_cost_input(30, 5, 1),
+            )
