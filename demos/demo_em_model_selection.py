@@ -15,12 +15,11 @@ data = truth.sample_n(RngStream(7, 0), 1000)
 selection = select_model_aic(data, range(1, 11), structure="full", rng=RngStream(7, 1))
 
 print(f"\n{'n_c':>4} {'AIC':>10} {'loglik':>10}")
-best = min(aic for _, aic, _ in selection.table)
-for n_c, aic, loglik in selection.table:
-    marker = "  <-- selected" if n_c == selection.n_components else ""
-    print(f"{n_c:4d} {aic:10.1f} {loglik:10.1f}{marker}")
+for row in selection.table:
+    marker = "  <-- selected" if row["n_c"] == selection.n_components else ""
+    print(f"{row['n_c']:4d} {row['aic']:10.1f} {row['log_likelihood']:10.1f}{marker}")
 
 mix = selection.mixture
 print("\nselected fit:")
-for w, mu, cov in zip(mix.weights, mix.means, mix.covariances):
-    print(f"  weight {w:.3f}  mean {mu[0]:+6.2f}  variance {cov.diagonal()[0]:.4f}")
+for w, mu, var in zip(mix.weights, mix.means, mix.covariances[:, 0]):
+    print(f"  weight {w:.3f}  mean {mu[0]:+6.2f}  variance {var:.4f}")

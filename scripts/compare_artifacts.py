@@ -1,0 +1,127 @@
+"""Run the csample CLI from two source trees on the same inputs and list
+every artifact that differs between them.
+
+    python scripts/compare_artifacts.py PARENT_TREE CHANGE_TREE
+
+Each tree runs four experiments, each in a fresh interpreter with BLAS on
+one thread and the tree's own ``src/`` on the path:
+
+- ``oned``, ``deblur`` and ``em-fit`` on the benchmark's seed-2024 configs
+  (``perfbench.workloads.write_config``, two workers);
+- ``tikhonov`` on PARENT_TREE's shipped ``configs/tikhonov.json``.
+
+The configs and input files are written once, by this checkout's
+``perfbench`` (imported, never modified), and both trees read the same
+copies. For ``summary.json`` the top-level keys that differ are named.
+
+The exit status is 0 when every artifact is byte-identical, except that
+``summary.json`` may differ in ``timings`` (wall-clock readings, which
+differ between any two runs); 1 when anything else differs or a run fails.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from perfbench.workloads import WORKLOADS, write_config, write_inputs  # noqa: E402
+
+SEED = 2024
+WORKERS = 2
+BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# summary.json keys that differ between any two runs of the same program.
+VOLATILE_KEYS = {"timings"}
+
+
+def write_runs(work, parent):
+    """(label, subcommand, config path) of every run, inputs written under work."""
+    runs = []
+    for label in ("oned", "deblur", "emfit"):
+        workload = WORKLOADS[label]
+        inputs = write_inputs(label, SEED, ROOT, work / "inputs" / label)
+        config = write_config(workload, SEED, inputs, WORKERS, work / f"{label}.json")
+        runs.append((label, workload.command, config))
+    runs.append(("tikhonov", "tikhonov", Path(parent).resolve() / "configs" / "tikhonov.json"))
+    return runs
+
+
+def run_tree(tree, command, config, out):
+    env = {**os.environ, **BLAS_PIN, "PYTHONPATH": str(Path(tree).resolve() / "src")}
+    argv = [sys.executable, "-m", "csample.cli", command, "--config", str(config)]
+    proc = subprocess.run(argv + ["--out", str(out)], env=env, cwd=out.parent,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        return f"exit code {proc.returncode}: {proc.stderr.strip()[-500:]}"
+    return None
+
+
+def summary_keys_differing(a, b):
+    doc_a = json.loads(a.read_text(encoding="utf-8"))
+    doc_b = json.loads(b.read_text(encoding="utf-8"))
+    return sorted(k for k in set(doc_a) | set(doc_b) if doc_a.get(k) != doc_b.get(k))
+
+
+def compare(out_a, out_b):
+    """(lines describing every difference, whether any counts as a change)."""
+    lines, changed = [], False
+    names_a = {p.name for p in out_a.iterdir()}
+    names_b = {p.name for p in out_b.iterdir()}
+    for name in sorted(names_a | names_b):
+        if name not in names_a or name not in names_b:
+            lines.append(f"  {name}: only in {'change' if name in names_b else 'parent'}")
+            changed = True
+            continue
+        a, b = out_a / name, out_b / name
+        if a.read_bytes() == b.read_bytes():
+            continue
+        if name == "summary.json":
+            keys = summary_keys_differing(a, b)
+            lines.append(f"  {name}: differs in keys {', '.join(keys) or '(formatting only)'}")
+            changed |= not set(keys) <= VOLATILE_KEYS
+        else:
+            lines.append(f"  {name}: differs")
+            changed = True
+    return lines, changed, len(names_a | names_b)
+
+
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent, change = argv
+    any_change = False
+    with tempfile.TemporaryDirectory(prefix="compare_artifacts_") as tmp:
+        work = Path(tmp)
+        for label, command, config in write_runs(work, parent):
+            outs = []
+            failures = []
+            for tag, tree in (("parent", parent), ("change", change)):
+                out = work / tag / label
+                out.parent.mkdir(parents=True, exist_ok=True)
+                error = run_tree(tree, command, config, out)
+                if error:
+                    failures.append(f"  {tag} run failed, {error}")
+                outs.append(out)
+            if failures:
+                print(f"{label}: run failed")
+                print("\n".join(failures))
+                any_change = True
+                continue
+            lines, changed, count = compare(*outs)
+            identical = count - len(lines)
+            print(f"{label}: {count} artifacts, {identical} byte-identical")
+            if lines:
+                print("\n".join(lines))
+            any_change |= changed
+    return 1 if any_change else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

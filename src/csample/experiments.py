@@ -212,6 +212,7 @@ class RunSummary:
     relative_errors: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     n_c_selected: int | None = None
+    aic: list | None = None  # AicSelection.table of the prior fit
     alpha_star: float | None = None
     manifest: list = field(default_factory=list)
 
@@ -223,10 +224,19 @@ class RunSummary:
             "relative_errors": self.relative_errors,
             "timings": self.timings,
             "n_c_selected": self.n_c_selected,
+            "aic": self.aic,
             "alpha_star": self.alpha_star,
             "manifest": self.manifest,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def write(self, out, name, text):
+        """Write one text artifact and list it in the manifest."""
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / name, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        self.manifest.append(name)
+        return self
 
 
 def relative_error(x, x_true):
@@ -241,31 +251,39 @@ def relative_error(x, x_true):
 
 def benchmark_prior_mixture():
     """The 1-D benchmark's true prior as a GaussianMixture."""
-    weights = np.array([row[0] for row in BENCHMARK_GENERATOR_1D])
-    total = float(weights.sum())
-    if abs(total - 1.0) > 1e-6:
-        import warnings
+    generator = np.array(BENCHMARK_GENERATOR_1D)
+    return GaussianMixture(
+        generator[:, 0], generator[:, 1:2], generator[:, 2:3], structure="diagonal"
+    )
 
-        warnings.warn(f"generator weights sum to {total}; renormalizing")
-        weights = weights / total
-    means = np.array([[row[1]] for row in BENCHMARK_GENERATOR_1D])
-    covs = [SpdMatrix.from_diagonal([row[2]]) for row in BENCHMARK_GENERATOR_1D]
-    return GaussianMixture(weights, means, covs, structure="diagonal")
+
+def fit_prior_mixture(members, config):
+    """EM + AIC over the config's candidate component counts and covariance
+    structure, on the EM stream of the config's seed."""
+    lo, hi = config["candidate_components"]
+    return select_model_aic(
+        members,
+        range(int(lo), int(hi) + 1),
+        structure=config["gmm_structure"],
+        rng=RngStream(config["seed"], STREAM_EM),
+    )
+
+
+def _record_selection(summary, selection, out=None):
+    """Selected count and AIC table into the summary; with ``out``, gmm.json too."""
+    summary.n_c_selected = selection.n_components
+    summary.aic = selection.table
+    if out is not None:
+        doc = selection.mixture.to_json_dict()
+        summary.write(out, "gmm.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def prepare_oned_model(config):
     """Generate the prior ensemble, fit the GMM by EM + AIC, and assemble
     the posterior model of the 1-D benchmark."""
-    seed = config["seed"]
-    truth = benchmark_prior_mixture()
-    ensemble = truth.sample_n(RngStream(seed, STREAM_PRIOR_ENSEMBLE), config["n_ens_prior"])
-    lo, hi = config["candidate_components"]
-    selection = select_model_aic(
-        ensemble,
-        range(int(lo), int(hi) + 1),
-        structure=config["gmm_structure"],
-        rng=RngStream(seed, STREAM_EM),
-    )
+    stream = RngStream(config["seed"], STREAM_PRIOR_ENSEMBLE)
+    ensemble = benchmark_prior_mixture().sample_n(stream, config["n_ens_prior"])
+    selection = fit_prior_mixture(ensemble, config)
     mixture = selection.mixture
     model = PosteriorModel(
         mixture,
@@ -280,8 +298,8 @@ def mixture_moments(mixture):
     """Mean vector and total covariance diagonal of a mixture."""
     mean = mixture.weights @ mixture.means
     second = np.zeros(mixture.dim)
-    for w, mu, cov in zip(mixture.weights, mixture.means, mixture.covariances):
-        second += w * (cov.diagonal() + (mu - mean) ** 2)
+    for w, mu, var in zip(mixture.weights, mixture.means, mixture.variances):
+        second += w * (var + (mu - mean) ** 2)
     return mean, second
 
 
@@ -329,12 +347,6 @@ def total_variation(sample_masses, reference_masses):
     return 0.5 * float(np.sum(np.abs(sample_masses - reference_masses)))
 
 
-def _write_text(path, text):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def samples_to_csv(samples, weights):
     dim = samples.shape[1]
     header = ",".join(f"x{i}" for i in range(dim)) + ",weight"
@@ -362,7 +374,6 @@ def run_oned_benchmark(config, out_dir):
     summary = RunSummary(kind="oned", seed=config["seed"])
     t0 = time.perf_counter()
     model, selection, _ = prepare_oned_model(config)
-    summary.n_c_selected = selection.n_components
     summary.timings["em_fit_s"] = time.perf_counter() - t0
 
     prior_mean, _ = mixture_moments(model.prior)
@@ -376,25 +387,19 @@ def run_oned_benchmark(config, out_dir):
         accepted = sum(r.proposals_accepted for r in results)
         summary.acceptance[name] = accepted / made
         if pooled is not None:
-            csv = samples_to_csv(pooled, weights)
-            _write_text(out / f"samples_{name}.csv", csv)
-            summary.manifest.append(f"samples_{name}.csv")
+            summary.write(out, f"samples_{name}.csv", samples_to_csv(pooled, weights))
 
     # Serial chains sample the full posterior from the prior mean.
-    t0 = time.perf_counter()
-    cfg = ChainConfig(n, prior_mean, RngStream(seed, STREAM_SERIAL_GAUSSIAN),
-                      burn_in=config["burn_in"], stride=config["stride"])
-    serial_g = run_chain(model, cfg, serial_gaussian_mechanism(config))
-    summary.timings["serial_gaussian_s"] = time.perf_counter() - t0
-    record("serial_gaussian", [serial_g], serial_g.samples,
-           np.full(n, 1.0 / n))
-
-    t0 = time.perf_counter()
-    cfg = ChainConfig(n, prior_mean, RngStream(seed, STREAM_SERIAL_HMC),
-                      burn_in=config["burn_in"], stride=config["stride"])
-    serial_h = run_chain(model, cfg, serial_hmc_mechanism(model, config))
-    summary.timings["serial_hmc_s"] = time.perf_counter() - t0
-    record("serial_hmc", [serial_h], serial_h.samples, np.full(n, 1.0 / n))
+    for name, stream, mechanism in (
+        ("serial_gaussian", STREAM_SERIAL_GAUSSIAN, serial_gaussian_mechanism(config)),
+        ("serial_hmc", STREAM_SERIAL_HMC, serial_hmc_mechanism(model, config)),
+    ):
+        t0 = time.perf_counter()
+        cfg = ChainConfig(n, prior_mean, RngStream(seed, stream),
+                          burn_in=config["burn_in"], stride=config["stride"])
+        chain = run_chain(model, cfg, mechanism)
+        summary.timings[f"{name}_s"] = time.perf_counter() - t0
+        record(name, [chain], chain.samples, np.full(n, 1.0 / n))
 
     pool = WorkerPool(config["workers"])
     try:
@@ -428,8 +433,7 @@ def run_oned_benchmark(config, out_dir):
     ref_csv = "x,density\n" + "\n".join(
         f"{float(x)!r},{float(d)!r}" for x, d in zip(grid, density)
     ) + "\n"
-    _write_text(out / "reference_density.csv", ref_csv)
-    summary.manifest.append("reference_density.csv")
+    summary.write(out, "reference_density.csv", ref_csv)
 
     lo, hi = config["histogram_range"]
     edges = np.linspace(lo, hi, config["histogram_bins"] + 1)
@@ -442,19 +446,14 @@ def run_oned_benchmark(config, out_dir):
         f"{float(sample_masses[b])!r},{float(ref_masses[b])!r}"
         for b in range(edges.size - 1)
     ) + "\n"
-    _write_text(out / "histogram_parallel_hmc.csv", hist_csv)
-    summary.manifest.append("histogram_parallel_hmc.csv")
+    summary.write(out, "histogram_parallel_hmc.csv", hist_csv)
     summary.relative_errors["tv_parallel_hmc_vs_reference"] = total_variation(
         sample_masses, ref_masses
     )
 
-    _write_text(out / "acceptance.csv", acceptance_table_csv(acceptance_rows))
-    summary.manifest.append("acceptance.csv")
-    _write_text(out / "gmm.json", json.dumps(model.prior.to_json_dict(), indent=2, sort_keys=True) + "\n")
-    summary.manifest.append("gmm.json")
-    _write_text(out / "summary.json", summary.to_json())
-    summary.manifest.append("summary.json")
-    return summary
+    summary.write(out, "acceptance.csv", acceptance_table_csv(acceptance_rows))
+    _record_selection(summary, selection, out)
+    return summary.write(out, "summary.json", summary.to_json())
 
 
 def bundled_phantom_path():
@@ -559,9 +558,9 @@ def _run_tikhonov_baseline(config, setup, out, summary):
     solution = lcurve.solutions[lcurve.alpha].x
     summary.timings["tikhonov_s"] = time.perf_counter() - t0
     summary.alpha_star = lcurve.alpha
-    _write_text(out / "lcurve.csv", lcurve_points_to_csv(lcurve.points))
+    summary.write(out, "lcurve.csv", lcurve_points_to_csv(lcurve.points))
     write_pgm(ImageGrid(rows, cols, solution), out / "tikhonov.pgm")
-    summary.manifest.extend(["lcurve.csv", "tikhonov.pgm"])
+    summary.manifest.append("tikhonov.pgm")
     return solution
 
 
@@ -573,32 +572,18 @@ def run_deblur_experiment(config, out_dir):
     setup = prepare_deblur_problem(config)
     truth = setup["truth"]
     rows, cols = truth.rows, truth.cols
-    dim = rows * cols
-    seed = config["seed"]
-
     _write_input_images(setup, out, summary)
 
     t0 = time.perf_counter()
-    lo, hi = config["candidate_components"]
-    selection = select_model_aic(
-        setup["prior_members"],
-        range(int(lo), int(hi) + 1),
-        structure=config["gmm_structure"],
-        rng=RngStream(seed, STREAM_EM),
-    )
-    summary.n_c_selected = selection.n_components
+    selection = fit_prior_mixture(setup["prior_members"], config)
     summary.timings["em_fit_s"] = time.perf_counter() - t0
-    _write_text(
-        out / "gmm.json",
-        json.dumps(selection.mixture.to_json_dict(), indent=2, sort_keys=True) + "\n",
-    )
-    summary.manifest.append("gmm.json")
+    _record_selection(summary, selection, out)
 
     model = PosteriorModel(
         selection.mixture,
         setup["operator"],
         setup["observed"],
-        SpdMatrix.spherical(dim, setup["noise_std"] ** 2),
+        SpdMatrix.spherical(rows * cols, setup["noise_std"] ** 2),
     )
 
     pool = WorkerPool(config["workers"])
@@ -610,7 +595,7 @@ def run_deblur_experiment(config, out_dir):
                 model,
                 config["n_ens"],
                 mechanism,
-                seed,
+                config["seed"],
                 workers=config["workers"],
                 burn_in=config["burn_in"],
                 stride=config["stride"],
@@ -628,21 +613,12 @@ def run_deblur_experiment(config, out_dir):
     ensemble = results["hmc"].ensemble
     posterior_mean = ensemble.mean()
     posterior_median = np.median(ensemble.members, axis=0)
-    _write_text(out / "samples_parallel_hmc.csv",
-                samples_to_csv(ensemble.members, ensemble.weights))
-    summary.manifest.append("samples_parallel_hmc.csv")
     gauss_ens = results["gaussian"].ensemble
-    _write_text(out / "samples_parallel_gaussian.csv",
-                samples_to_csv(gauss_ens.members, gauss_ens.weights))
-    summary.manifest.append("samples_parallel_gaussian.csv")
-    _write_text(
-        out / "acceptance.csv",
-        acceptance_table_csv(
-            [("parallel_hmc", results["hmc"].chain_results),
-             ("parallel_gaussian", results["gaussian"].chain_results)]
-        ),
-    )
-    summary.manifest.append("acceptance.csv")
+    for name, ens in (("hmc", ensemble), ("gaussian", gauss_ens)):
+        summary.write(out, f"samples_parallel_{name}.csv", samples_to_csv(ens.members, ens.weights))
+    summary.write(out, "acceptance.csv", acceptance_table_csv(
+        [(f"parallel_{name}", results[name].chain_results) for name in ("hmc", "gaussian")]
+    ))
 
     write_pgm(ImageGrid(rows, cols, posterior_mean), out / "posterior_mean.pgm")
     write_pgm(ImageGrid(rows, cols, posterior_median), out / "posterior_median.pgm")
@@ -659,9 +635,7 @@ def run_deblur_experiment(config, out_dir):
         "tikhonov": relative_error(tikhonov_solution, x_true),
         "gaussian_posterior_mean": relative_error(gauss_ens.mean(), x_true),
     }
-    _write_text(out / "summary.json", summary.to_json())
-    summary.manifest.append("summary.json")
-    return summary
+    return summary.write(out, "summary.json", summary.to_json())
 
 
 def run_speedup_benchmark(config, out_dir):
@@ -670,8 +644,8 @@ def run_speedup_benchmark(config, out_dir):
     summary = RunSummary(kind="bench", seed=config["seed"])
     t0 = time.perf_counter()
     model, selection, _ = prepare_oned_model(config)
-    summary.n_c_selected = selection.n_components
     summary.timings["em_fit_s"] = time.perf_counter() - t0
+    _record_selection(summary, selection)
 
     cost_input = CostModelInput(
         workers=1,
@@ -702,13 +676,10 @@ def run_speedup_benchmark(config, out_dir):
         hmc_steps=config["hmc_steps"],
     )
     summary.timings["benchmark_s"] = time.perf_counter() - t0
-    _write_text(out / "bench.csv", benchmark_rows_to_csv(rows))
-    summary.manifest.append("bench.csv")
+    summary.write(out, "bench.csv", benchmark_rows_to_csv(rows))
     summary.timings["wall_by_p"] = {str(r.workers): r.wall_s for r in rows}
     summary.acceptance["oversubscribed"] = any(r.oversubscribed for r in rows)
-    _write_text(out / "summary.json", summary.to_json())
-    summary.manifest.append("summary.json")
-    return summary
+    return summary.write(out, "summary.json", summary.to_json())
 
 
 def run_tikhonov_experiment(config, out_dir):
@@ -723,9 +694,7 @@ def run_tikhonov_experiment(config, out_dir):
         "noisy_input": relative_error(setup["observed"], truth.intensities),
         "tikhonov": relative_error(solution, truth.intensities),
     }
-    _write_text(out / "summary.json", summary.to_json())
-    summary.manifest.append("summary.json")
-    return summary
+    return summary.write(out, "summary.json", summary.to_json())
 
 
 def run_em_fit(config, out_dir):
@@ -739,23 +708,10 @@ def run_em_fit(config, out_dir):
         raise ConfigError(f"cannot read data file {config['data']}: {exc}") from exc
     summary = RunSummary(kind="em-fit", seed=config["seed"])
     t0 = time.perf_counter()
-    lo, hi = config["candidate_components"]
-    selection = select_model_aic(
-        data,
-        range(int(lo), int(hi) + 1),
-        structure=config["gmm_structure"],
-        rng=RngStream(config["seed"], STREAM_EM),
-    )
+    selection = fit_prior_mixture(data, config)
     summary.timings["em_fit_s"] = time.perf_counter() - t0
-    summary.n_c_selected = selection.n_components
-    _write_text(
-        out / "gmm.json",
-        json.dumps(selection.mixture.to_json_dict(), indent=2, sort_keys=True) + "\n",
-    )
-    summary.manifest.append("gmm.json")
-    _write_text(out / "summary.json", summary.to_json())
-    summary.manifest.append("summary.json")
-    return summary
+    _record_selection(summary, selection, out)
+    return summary.write(out, "summary.json", summary.to_json())
 
 
 RUNNERS = {

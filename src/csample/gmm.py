@@ -1,10 +1,11 @@
 """Gaussian mixture models: density evaluation, sampling, EM fitting, AIC selection.
 
-Mixtures are immutable once built and share their per-component Cholesky
-factors, so concurrent readers (chain workers) never re-factorize. This is
-the one home of per-component mixture arithmetic: Mahalanobis distances,
-densities and the posterior's prior kernel (log-sum-exp, responsibilities
-and pullback) all come from the factors cached here. Fitting
+Mixtures are immutable once built and keep their covariances and Cholesky
+factors in two stacked arrays (see GaussianMixture), so concurrent readers
+(chain workers) never re-factorize. This is the one home of per-component
+mixture arithmetic: Mahalanobis distances, densities and the posterior's
+prior kernel (log-sum-exp, responsibilities and pullback) all come from the
+arrays cached here. The EM M-step writes those arrays directly. Fitting
 canonicalizes the data ordering before seeding, which makes the whole
 EM/AIC pipeline invariant to permutations of the input ensemble.
 """
@@ -14,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import DegenerateComponent, DimensionMismatch
-from .linalg_rng import RngStream, SpdMatrix, sample_mvn
+from .linalg_rng import RngStream, cholesky_stack, symmetrized
 
 WEIGHT_TOLERANCE = 1e-12
 
@@ -73,8 +75,10 @@ class Ensemble:
 class GaussianMixture:
     """Weighted sum of Gaussians with a shared covariance-structure tag.
 
-    ``covariances`` is one SpdMatrix per component; for ``tied`` structure
-    the same object is shared by every component.
+    ``covariances`` is one array: (k, dim) variances for the diagonal and
+    spherical structures and for dim = 1, (k, dim, dim) matrices otherwise;
+    tied broadcasts its one matrix. The factors are stored alike. Callers may
+    also pass diagonal matrices for variances, or one SpdMatrix each.
     """
 
     def __init__(self, weights, means, covariances, structure="full"):
@@ -90,30 +94,29 @@ class GaussianMixture:
             raise ValueError("all mixture weights must be positive")
         if abs(float(np.sum(weights)) - 1.0) > WEIGHT_TOLERANCE:
             raise ValueError("mixture weights must sum to 1")
-        covariances = list(covariances)
-        if len(covariances) != weights.size:
-            raise DimensionMismatch("one covariance per component required")
-        dim = means.shape[1]
-        for cov in covariances:
-            if cov.order != dim:
-                raise DimensionMismatch("covariance order must equal mean dimension")
-        if structure == "tied" and any(c is not covariances[0] for c in covariances):
-            raise ValueError("tied structure requires a single shared covariance")
+        covs = _stacked_covariances(covariances, weights.size, means.shape[1], structure)
+        if structure == "tied":
+            if np.any(covs != covs[:1]):
+                raise ValueError("tied structure requires a single shared covariance")
+            covs = covs[:1]
+        factors = cholesky_stack(covs)
+        pivots = factors if covs.ndim == 2 else np.diagonal(factors, axis1=1, axis2=2)
 
         self.weights = weights
         self.means = means
-        self.covariances = covariances
+        self.covariances = np.broadcast_to(covs, weights.shape + covs.shape[1:])
         self.structure = structure
+        self._factors = np.broadcast_to(factors, self.covariances.shape)
         self._log_weights = np.log(weights)
-        self._logdets = np.array([c.logdet() for c in covariances])
+        self._logdets = np.broadcast_to(2.0 * np.sum(np.log(pivots), axis=1), weights.shape)
         # Per-component terms of the kernel: log tau_k - 0.5 log|Sigma_k|.
         self._kernel_consts = self._log_weights - 0.5 * self._logdets
-        self._factors = [c.chol() for c in covariances]
-        # Fast vectorized path when every covariance is stored diagonally.
-        if all(c.is_diagonal for c in covariances):
-            self._inv_diag = np.array([1.0 / c.diagonal() for c in covariances])
-        else:
-            self._inv_diag = None
+
+    def __reduce__(self):
+        # Chain workers get a mixture rebuilt from its parameters: a pickled
+        # factor stack would arrive in C order, and the triangular solves
+        # would then take another LAPACK path and round differently.
+        return GaussianMixture, (self.weights, self.means, self.covariances, self.structure)
 
     @property
     def n_components(self):
@@ -123,19 +126,35 @@ class GaussianMixture:
     def dim(self):
         return self.means.shape[1]
 
+    @property
+    def variances(self):
+        """The covariance diagonals, (k, dim)."""
+        if self.covariances.ndim == 2:
+            return self.covariances
+        return np.diagonal(self.covariances, axis1=1, axis2=2)
+
+    def _dense_mahalanobis(self, x):
+        """mahalanobis_sq of (k, dim, dim) storage, and the whitened
+        deviations L_k^{-1} (x - mu_k) it came from: (dim,) or (dim, n) each."""
+        whitened = [
+            solve_triangular(lower, (x - mu).T, lower=True)
+            for lower, mu in zip(self._factors, self.means)
+        ]
+        maha = np.empty(x.shape[:-1] + (self.n_components,))
+        for k, w in enumerate(whitened):
+            maha[..., k] = w @ w if w.ndim == 1 else np.einsum("i...,i...->...", w, w)
+        return maha, whitened
+
     def mahalanobis_sq(self, x):
         """(x - mu_k)^T Sigma_k^{-1} (x - mu_k) for every component k.
 
         ``x`` is one float state (dim,) or a batch (n, dim); the result is
         (n_c,) or (n, n_c) accordingly.
         """
-        if self._inv_diag is not None:
+        if self.covariances.ndim == 2:
             dev = x[..., None, :] - self.means
-            return np.einsum("...kd,kd,...kd->...k", dev, self._inv_diag, dev)
-        maha = np.empty(x.shape[:-1] + (self.n_components,))
-        for k, (factor, mu) in enumerate(zip(self._factors, self.means)):
-            maha[..., k] = factor.maha_sq((x - mu).T)
-        return maha
+            return np.einsum("...kd,kd,...kd->...k", dev, 1.0 / self.covariances, dev)
+        return self._dense_mahalanobis(x)[0]
 
     def component_log_densities(self, x):
         """log N(x; mu_k, Sigma_k) for each component, vectorized over rows.
@@ -167,33 +186,44 @@ class GaussianMixture:
     # sum_k tau_k |Sigma_k|^{-1/2} exp(-0.5 maha_k(x)): the density without
     # its (2 pi)^{-dim/2} factor, which is all a posterior potential needs.
 
-    def _kernel_log_terms(self, x):
-        return self._kernel_consts - 0.5 * self.mahalanobis_sq(x)
-
     def log_kernel(self, x):
         """Log of the mixture kernel at x, by log-sum-exp."""
-        logs = self._kernel_log_terms(x)
+        logs = self._kernel_consts - 0.5 * self.mahalanobis_sq(x)
         m = logs.max()
         return m + np.log(np.exp(logs - m).sum())
 
-    def kernel_responsibilities(self, x):
-        """Normalized kernel terms w_k(x); they sum to 1."""
-        logs = self._kernel_log_terms(x)
+    def _kernel_weights(self, maha):
+        logs = self._kernel_consts - 0.5 * maha
         shifted = np.exp(logs - logs.max())
         return shifted / shifted.sum()
 
+    def kernel_responsibilities(self, x):
+        """Normalized kernel terms w_k(x); they sum to 1."""
+        return self._kernel_weights(self.mahalanobis_sq(x))
+
     def kernel_pullback(self, x):
-        """sum_k w_k(x) Sigma_k^{-1} (x - mu_k), the gradient of -log_kernel."""
-        resp = self.kernel_responsibilities(x)
-        if self._inv_diag is not None:
-            return resp @ (self._inv_diag * (x[None, :] - self.means))
-        return sum(w * f.solve(x - mu) for w, f, mu in zip(resp, self._factors, self.means))
+        """sum_k w_k(x) Sigma_k^{-1} (x - mu_k), the gradient of -log_kernel.
+        Dense storage back-substitutes the Mahalanobis step's L_k^{-1} (x - mu_k)."""
+        if self.covariances.ndim == 2:
+            precision = 1.0 / self.covariances
+            dev = x[None, :] - self.means
+            resp = self._kernel_weights(np.einsum("...kd,kd,...kd->...k", dev, precision, dev))
+            return resp @ (precision * dev)
+        maha, whitened = self._dense_mahalanobis(x)
+        resp = self._kernel_weights(maha)
+        return sum(
+            w * solve_triangular(lower, v, lower=True, trans="T")
+            for w, lower, v in zip(resp, self._factors, whitened)
+        )
 
     def sample(self, rng):
         """One draw: a categorical component pick followed by an MVN draw."""
         k = int(np.searchsorted(np.cumsum(self.weights), rng.uniform()))
         k = min(k, self.n_components - 1)
-        return sample_mvn(rng, self.means[k], self.covariances[k])
+        z = rng.standard_normal(self.dim)
+        if self.covariances.ndim == 2:
+            return self.means[k] + self._factors[k] * z
+        return self.means[k] + self._factors[k] @ z
 
     def sample_n(self, rng, n):
         return np.array([self.sample(rng) for _ in range(n)])
@@ -202,14 +232,15 @@ class GaussianMixture:
 
     def to_json_dict(self):
         """JSON document with fields {structure, weights, means, covariances}."""
+        covs = self.covariances
         if self.structure == "diagonal":
-            covs = [c.diagonal().tolist() for c in self.covariances]
+            covs = covs.tolist()
         elif self.structure == "spherical":
-            covs = [float(c.diagonal()[0]) for c in self.covariances]
-        elif self.structure == "tied":
-            covs = self.covariances[0].dense().tolist()
+            covs = covs[:, 0].tolist()
         else:
-            covs = [c.dense().tolist() for c in self.covariances]
+            # Only order-1 matrices of these structures are stored as variances.
+            dense = covs.reshape(self.n_components, self.dim, self.dim)
+            covs = dense[0].tolist() if self.structure == "tied" else dense.tolist()
         return {
             "structure": self.structure,
             "weights": self.weights.tolist(),
@@ -222,18 +253,30 @@ class GaussianMixture:
         structure = doc["structure"]
         weights = np.asarray(doc["weights"], dtype=float)
         means = np.asarray(doc["means"], dtype=float)
-        raw = doc["covariances"]
-        dim = means.shape[1] if means.ndim == 2 else 1
-        if structure == "diagonal":
-            covs = [SpdMatrix.from_diagonal(d) for d in raw]
-        elif structure == "spherical":
-            covs = [SpdMatrix.spherical(dim, v) for v in raw]
+        covs = np.asarray(doc["covariances"], dtype=float)
+        if structure == "spherical":
+            covs = np.repeat(covs[:, None], np.atleast_2d(means).shape[1], axis=1)
         elif structure == "tied":
-            shared = SpdMatrix.from_dense(raw)
-            covs = [shared] * weights.size
-        else:
-            covs = [SpdMatrix.from_dense(m) for m in raw]
+            covs = np.broadcast_to(covs, weights.shape + covs.shape)
         return cls(weights, means, covs, structure=structure)
+
+
+def _stacked_covariances(covariances, n_components, dim, structure):
+    """The covariances in GaussianMixture's storage, a fresh array."""
+    if isinstance(covariances, np.ndarray):
+        covs = np.array(covariances, dtype=float)
+    else:
+        covs = np.array([c.dense() for c in covariances])
+    diagonal = structure in ("diagonal", "spherical") or dim == 1
+    if diagonal and covs.shape == (n_components, dim, dim):
+        variances = np.diagonal(covs, axis1=1, axis2=2).copy()
+        if np.any(covs != variances[..., None] * np.eye(dim)):
+            raise ValueError(f"{structure} covariances must be diagonal")
+        covs = variances
+    want = (n_components, dim) if diagonal else (n_components, dim, dim)
+    if covs.shape != want:
+        raise DimensionMismatch(f"covariances of shape {covs.shape}, expected {want}")
+    return covs if diagonal else symmetrized(covs)
 
 
 def free_parameter_count(structure, n_components, dim):
@@ -308,35 +351,53 @@ def _data_floor(points):
 
 
 def _m_step(points, resp, structure, floor):
-    """Means/covariances maximizing the expected complete-data likelihood."""
+    """Means/covariances maximizing the expected complete-data likelihood,
+    the covariances stacked as (k, dim) variances or (k, dim, dim) matrices."""
     n, dim = points.shape
     mass = resp.sum(axis=0)
     weights = mass / n
     means = (resp.T @ points) / mass[:, None]
-    covs = []
+    n_c = means.shape[0]
     if structure == "tied":
         pooled = np.zeros((dim, dim))
-        for k in range(means.shape[0]):
+        for k in range(n_c):
             dev = points - means[k]
             pooled += (resp[:, k : k + 1] * dev).T @ dev
         pooled /= n
         pooled += floor * np.eye(dim)
-        shared = SpdMatrix.from_dense(pooled)
-        covs = [shared] * means.shape[0]
-        return weights, means, covs
-    for k in range(means.shape[0]):
+        return weights, means, np.broadcast_to(pooled, (n_c, dim, dim))
+    diagonal = structure in ("diagonal", "spherical")
+    covs = np.empty((n_c, dim) if diagonal else (n_c, dim, dim))
+    for k in range(n_c):
         dev = points - means[k]
-        if structure in ("diagonal", "spherical"):
+        if diagonal:
             var = (resp[:, k] @ (dev * dev)) / mass[k]
             if structure == "spherical":
                 var = np.full(dim, float(np.mean(var)))
-            var = var + floor
-            covs.append(SpdMatrix.from_diagonal(var))
+            covs[k] = var + floor
         else:
-            cov = (resp[:, k : k + 1] * dev).T @ dev / mass[k]
-            cov += floor * np.eye(dim)
-            covs.append(SpdMatrix.from_dense(cov))
+            covs[k] = (resp[:, k : k + 1] * dev).T @ dev / mass[k]
+            covs[k] += floor * np.eye(dim)
     return weights, means, covs
+
+
+def _nearest_center_assignment(points, centers):
+    """Hard responsibilities: each point wholly to its nearest center."""
+    d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    resp = np.zeros((points.shape[0], centers.shape[0]))
+    resp[np.arange(points.shape[0]), np.argmin(d2, axis=1)] = 1.0
+    return resp
+
+
+def _starved_components(resp, repairs_left):
+    """Components holding fewer than two effective points; raises
+    DegenerateComponent if there are any and no repair is left."""
+    mass = resp.sum(axis=0)
+    weak = np.nonzero(mass < 2.0)[0]
+    if weak.size and repairs_left == 0:
+        k = weak[0]
+        raise DegenerateComponent(f"component {k} holds {mass[k]:.3f} effective points")
+    return weak
 
 
 def _em_single(points, n_components, structure, rng, max_iter, rel_tol, seeding="kmeans++"):
@@ -346,29 +407,14 @@ def _em_single(points, n_components, structure, rng, max_iter, rel_tol, seeding=
     else:
         centers = _kmeanspp_centers(points, n_components, rng)
     # Hard assignment to the nearest seed gives the first responsibilities.
-    d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    resp = np.zeros((n, n_components))
-    resp[np.arange(n), np.argmin(d2, axis=1)] = 1.0
-
+    resp = _nearest_center_assignment(points, centers)
     repair_budget = 3
-    k = 0
-    while True:
-        mass = resp.sum(axis=0)
-        weak = np.nonzero(mass < 2.0)[0]
-        if weak.size == 0:
-            break
-        if repair_budget == 0:
-            raise DegenerateComponent(
-                f"component {weak[0]} holds {mass[weak[0]]:.3f} effective points"
-            )
+    while (weak := _starved_components(resp, repair_budget)).size:
         repair_budget -= 1
         # Reseat starved components on random data points and reassign.
         for j in weak:
             centers[j] = points[int(rng.uniform() * n) % n]
-        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        resp = np.zeros((n, n_components))
-        resp[np.arange(n), np.argmin(d2, axis=1)] = 1.0
-        k += 1
+        resp = _nearest_center_assignment(points, centers)
 
     floor = _data_floor(points)
     weights, means, covs = _m_step(points, resp, structure, floor)
@@ -379,7 +425,6 @@ def _em_single(points, n_components, structure, rng, max_iter, rel_tol, seeding=
     converged = False
     n_iter = 0
     repair_budget = 3
-    previous = mixture
     for n_iter in range(1, max_iter + 1):
         logr = mixture.joint_log_densities(points)
         point_ll = _logsumexp(logr, axis=1)
@@ -398,13 +443,8 @@ def _em_single(points, n_components, structure, rng, max_iter, rel_tol, seeding=
             break
         loglik = new_loglik
         resp = np.exp(logr - point_ll[:, None])
-        mass = resp.sum(axis=0)
-        weak = np.nonzero(mass < 2.0)[0]
+        weak = _starved_components(resp, repair_budget)
         if weak.size:
-            if repair_budget == 0:
-                raise DegenerateComponent(
-                    f"component {weak[0]} holds {mass[weak[0]]:.3f} effective points"
-                )
             repair_budget -= 1
             for j in weak:
                 # Reseat the component on a random point plus its neighbor so
@@ -480,7 +520,9 @@ class AicSelection:
 
     fit: EmFit
     n_components: int
-    table: list  # (n_c, aic, log_likelihood) per successful candidate
+    # One row per candidate that fitted: {n_c, aic, log_likelihood, n_iter,
+    # converged}, the last two from the kept restart.
+    table: list
 
     @property
     def mixture(self):
@@ -503,8 +545,6 @@ def select_model_aic(data, candidates, structure="full", rng=None, **em_kwargs):
         rng = RngStream(0)
     dim = points.shape[1]
     best = None
-    best_aic = np.inf
-    best_nc = None
     table = []
     last_error = None
     for n_c in candidates:
@@ -515,9 +555,10 @@ def select_model_aic(data, candidates, structure="full", rng=None, **em_kwargs):
             continue
         k = free_parameter_count(structure, n_c, dim)
         aic = 2.0 * k - 2.0 * fit.log_likelihood
-        table.append((n_c, aic, fit.log_likelihood))
-        if aic < best_aic:
-            best, best_aic, best_nc = fit, aic, n_c
+        table.append({"n_c": n_c, "aic": aic, "log_likelihood": fit.log_likelihood,
+                      "n_iter": fit.n_iter, "converged": bool(fit.converged)})
+        if aic < (np.inf if best is None else best["aic"]):
+            best, best_fit = table[-1], fit
     if best is None:
         raise last_error if last_error is not None else RuntimeError("no candidates fit")
-    return AicSelection(best, best_nc, table)
+    return AicSelection(best_fit, best["n_c"], table)

@@ -18,60 +18,54 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 # well above it, so a trip here means something upstream needs repair.
 RELATIVE_PIVOT_FLOOR = 1e-13
 
-def _as_vector(x, name="vector"):
+def _as_vector(x, name="vector", order=None):
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be one-dimensional, got shape {v.shape}")
+    if order is not None and v.size != order:
+        raise DimensionMismatch(f"expected length {order}, got {v.size}")
     return v
 
 
 class CholeskyFactor:
-    """Lower-triangular factor L with L @ L.T equal to the factored matrix."""
+    """Lower-triangular factor L with L @ L.T equal to the factored matrix.
 
-    __slots__ = ("order", "_sqrt_diag", "_lower", "_logdet")
+    ``lower`` is L itself, or the vector of its diagonal when L is diagonal.
+    """
 
-    def __init__(self, order, sqrt_diag=None, lower=None):
-        self.order = order
-        self._sqrt_diag = sqrt_diag
+    __slots__ = ("order", "_lower", "_logdet")
+
+    def __init__(self, lower):
+        self.order = lower.shape[0]
         self._lower = lower
-        if sqrt_diag is not None:
-            self._logdet = 2.0 * float(np.sum(np.log(sqrt_diag)))
-        else:
-            self._logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
+        pivots = lower if lower.ndim == 1 else np.diag(lower)
+        self._logdet = 2.0 * float(np.sum(np.log(pivots)))
 
     @property
     def diagonal_path(self):
-        return self._sqrt_diag is not None
+        return self._lower.ndim == 1
 
     def lower(self):
         """Dense L; materializes a diagonal factor (test/debug use)."""
-        if self._lower is not None:
-            return np.array(self._lower)
-        return np.diag(self._sqrt_diag)
+        return np.diag(self._lower) if self.diagonal_path else np.array(self._lower)
 
     def apply(self, z):
         """L @ z, the scaling step of multivariate-normal sampling."""
-        z = _as_vector(z)
-        if z.size != self.order:
-            raise DimensionMismatch(f"expected length {self.order}, got {z.size}")
-        if self.diagonal_path:
-            return self._sqrt_diag * z
-        return self._lower @ z
+        z = _as_vector(z, order=self.order)
+        return self._lower * z if self.diagonal_path else self._lower @ z
 
     def solve_lower(self, b):
         """L^{-1} b; b may be a vector or a stack of columns."""
         if self.diagonal_path:
-            d = self._sqrt_diag if b.ndim == 1 else self._sqrt_diag[:, None]
-            return b / d
+            return b / (self._lower if b.ndim == 1 else self._lower[:, None])
         return solve_triangular(self._lower, b, lower=True)
 
     def solve(self, b):
         """A^{-1} b via two triangular solves."""
         if self.diagonal_path:
-            d = self._sqrt_diag if b.ndim == 1 else self._sqrt_diag[:, None]
+            d = self._lower if b.ndim == 1 else self._lower[:, None]
             return b / (d * d)
-        y = solve_triangular(self._lower, b, lower=True)
-        return solve_triangular(self._lower, y, lower=True, trans="T")
+        return solve_triangular(self._lower, self.solve_lower(b), lower=True, trans="T")
 
     def maha_sq(self, v):
         """v.T A^{-1} v, computed through the factor."""
@@ -87,17 +81,16 @@ class SpdMatrix:
     """Symmetric positive definite matrix.
 
     Matrices built from a diagonal (and order-1 matrices) store only the
-    diagonal; others store the dense matrix. The Cholesky factor is computed
-    lazily and cached, so repeated solves and samples reuse one
+    diagonal, a vector; others store the dense matrix. The Cholesky factor is
+    computed lazily and cached, so repeated solves and samples reuse one
     factorization.
     """
 
-    __slots__ = ("order", "_diag", "_dense", "_factor")
+    __slots__ = ("order", "_array", "_factor")
 
-    def __init__(self, order, diag=None, dense=None):
-        self.order = int(order)
-        self._diag = diag
-        self._dense = dense
+    def __init__(self, array):
+        self.order = array.shape[0]
+        self._array = array
         self._factor = None
 
     # -- constructors -------------------------------------------------
@@ -105,21 +98,18 @@ class SpdMatrix:
     @classmethod
     def from_diagonal(cls, diag):
         d = _as_vector(diag, "diagonal")
-        return cls(d.size, diag=d.copy())
+        return cls(d.copy())
 
     @classmethod
     def from_dense(cls, a):
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        scale = max(np.max(np.abs(a)), 1.0)
-        if np.max(np.abs(a - a.T)) > 1e-12 * scale:
-            raise ValueError("matrix is not symmetric")
+        sym = symmetrized(a)
         if a.shape[0] == 1:
             # Order-1 matrices are stored diagonally: same algebra, O(1) ops.
-            return cls(1, diag=np.diag(a).copy())
-        sym = 0.5 * (a + a.T)
-        return cls(a.shape[0], dense=sym)
+            return cls(np.diag(a).copy())
+        return cls(sym)
 
     @classmethod
     def identity(cls, order):
@@ -133,27 +123,21 @@ class SpdMatrix:
 
     @property
     def is_diagonal(self):
-        return self._diag is not None
+        return self._array.ndim == 1
 
     def diagonal(self):
-        if self.is_diagonal:
-            return np.array(self._diag)
-        return np.diag(self._dense).copy()
+        return np.array(self._array) if self.is_diagonal else np.diag(self._array).copy()
 
     def dense(self):
         """Materialize the full matrix (test/debug use; O(order^2))."""
-        if self.is_diagonal:
-            return np.diag(self._diag)
-        return np.array(self._dense)
+        return np.diag(self._array) if self.is_diagonal else np.array(self._array)
 
     def scaled(self, c):
         """A new SpdMatrix equal to c * A (c > 0)."""
         c = float(c)
         if c <= 0.0:
             raise ValueError("scale factor must be positive")
-        if self.is_diagonal:
-            return SpdMatrix(self.order, diag=c * self._diag)
-        return SpdMatrix(self.order, dense=c * self._dense)
+        return SpdMatrix(c * self._array)
 
     # -- numerics -----------------------------------------------------
 
@@ -167,34 +151,32 @@ class SpdMatrix:
         return self.chol().logdet()
 
     def matvec(self, v):
-        v = _as_vector(v)
-        if v.size != self.order:
-            raise DimensionMismatch(f"expected length {self.order}, got {v.size}")
-        if self.is_diagonal:
-            return self._diag * v
-        return self._dense @ v
+        v = _as_vector(v, order=self.order)
+        return self._array * v if self.is_diagonal else self._array @ v
 
     def solve(self, v):
-        v = _as_vector(v)
-        if v.size != self.order:
-            raise DimensionMismatch(f"expected length {self.order}, got {v.size}")
-        return self.chol().solve(v)
+        return self.chol().solve(_as_vector(v, order=self.order))
 
     def quad(self, v):
         """v.T A v."""
-        v = _as_vector(v)
-        if v.size != self.order:
-            raise DimensionMismatch(f"expected length {self.order}, got {v.size}")
+        v = _as_vector(v, order=self.order)
         if self.is_diagonal:
-            return float(np.sum(self._diag * v * v))
-        return float(v @ (self._dense @ v))
+            return float(np.sum(self._array * v * v))
+        return float(v @ (self._array @ v))
 
     def maha_sq(self, v):
         """v.T A^{-1} v."""
-        v = _as_vector(v)
-        if v.size != self.order:
-            raise DimensionMismatch(f"expected length {self.order}, got {v.size}")
-        return float(self.chol().maha_sq(v))
+        return float(self.chol().maha_sq(_as_vector(v, order=self.order)))
+
+
+def symmetrized(a):
+    """0.5 (A + A^T) of a matrix or of each matrix of a stack; a matrix
+    farther than 1e-12 (relative) from symmetric raises ValueError."""
+    flipped = a.swapaxes(-1, -2)
+    scale = np.maximum(np.max(np.abs(a), axis=(-2, -1)), 1.0)
+    if np.any(np.max(np.abs(a - flipped), axis=(-2, -1)) > 1e-12 * scale):
+        raise ValueError("matrix is not symmetric")
+    return 0.5 * (a + flipped)
 
 
 def cholesky(a):
@@ -208,25 +190,42 @@ def cholesky(a):
         a = SpdMatrix.from_dense(np.asarray(a, dtype=float))
     if a.order < 1:
         raise DimensionMismatch("matrix order must be at least 1")
-    if a.is_diagonal:
-        d = a._diag
-        floor = RELATIVE_PIVOT_FLOOR * max(float(np.max(d)), 0.0)
-        bad = np.nonzero(d <= floor)[0]
-        if bad.size:
-            raise NotPositiveDefinite(bad[0])
-        return CholeskyFactor(a.order, sqrt_diag=np.sqrt(d))
-    dense = a._dense
-    lower, info = dpotrf(dense, lower=1, clean=1)
-    if info > 0:
-        raise NotPositiveDefinite(info - 1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    pivots = np.diag(lower) ** 2
-    floor = RELATIVE_PIVOT_FLOOR * float(np.max(np.diag(dense)))
-    bad = np.nonzero(pivots <= floor)[0]
+    return CholeskyFactor(cholesky_stack(a._array[None])[0])
+
+
+def cholesky_stack(stack):
+    """Lower Cholesky factors of a stack of SPD matrices.
+
+    A (k, d) stack holds k diagonal matrices, one per row, and factors to
+    their elementwise square roots. A (k, d, d) stack is factored matrix by
+    matrix with LAPACK's dpotrf. A pivot at or below RELATIVE_PIVOT_FLOOR
+    times the largest diagonal entry of its matrix raises
+    NotPositiveDefinite carrying the pivot index.
+    """
+    if stack.ndim == 2:
+        _check_pivots(stack, np.maximum(stack.max(axis=1), 0.0))
+        return np.sqrt(stack)
+    # Each factor in Fortran order, as dpotrf returns it and trtrs takes it.
+    lower = np.empty(stack.shape).swapaxes(1, 2)
+    for k, a in enumerate(stack):
+        lower[k], info = dpotrf(a, lower=1, clean=1)
+        if info > 0:
+            i = info - 1
+            raise NotPositiveDefinite(i, f"matrix {k} is not positive definite (pivot {i})")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    pivots = np.diagonal(lower, axis1=1, axis2=2) ** 2
+    _check_pivots(pivots, np.diagonal(stack, axis1=1, axis2=2).max(axis=1))
+    return lower
+
+
+def _check_pivots(pivots, largest):
+    """Raise NotPositiveDefinite at the first pivot of a (k, d) stack that is
+    at or below RELATIVE_PIVOT_FLOOR times its matrix's largest diagonal."""
+    bad = np.argwhere(pivots <= RELATIVE_PIVOT_FLOOR * largest[:, None])
     if bad.size:
-        raise NotPositiveDefinite(bad[0])
-    return CholeskyFactor(a.order, lower=lower)
+        k, i = bad[0]
+        raise NotPositiveDefinite(i, f"matrix {k} is not positive definite (pivot {i})")
 
 
 class RngStream:

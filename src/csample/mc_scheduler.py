@@ -121,14 +121,16 @@ def allocate_budgets(log_scores, n_ens):
 
 
 def tune_gaussian_proposal(component_cov, scale):
-    return GaussianProposal(component_cov.scaled(scale))
+    """Random walk with covariance ``scale`` times the component's, given as
+    the mixture stores it: (dim,) variances or a (dim, dim) matrix."""
+    return GaussianProposal(SpdMatrix(component_cov).scaled(scale))
 
 
-def tune_hmc(component_cov, trajectory, n_steps, jitter=False):
+def tune_hmc(variances, trajectory, n_steps, jitter=False):
     """HMC tuning from local component statistics: the mass matrix is the
-    diagonal component precision, and h*m covers ``trajectory`` local
-    standard-deviation units."""
-    mass = SpdMatrix.from_diagonal(1.0 / component_cov.diagonal())
+    diagonal component precision, 1 / ``variances``, and h*m covers
+    ``trajectory`` local standard-deviation units."""
+    mass = SpdMatrix.from_diagonal(1.0 / variances)
     return HmcParams(mass, float(trajectory) / n_steps, int(n_steps), jitter_steps=jitter)
 
 
@@ -189,11 +191,10 @@ def build_plan(
 
     chains = []
     for i in range(n_c):
-        cov = prior.covariances[i]
         if mechanism == "gaussian":
-            mech = tune_gaussian_proposal(cov, proposal_scale)
+            mech = tune_gaussian_proposal(prior.covariances[i], proposal_scale)
         else:
-            mech = tune_hmc(cov, hmc_trajectory, hmc_steps, jitter=hmc_jitter)
+            mech = tune_hmc(prior.variances[i], hmc_trajectory, hmc_steps, jitter=hmc_jitter)
         chains.append(
             ChainPlan(
                 component=i,

@@ -179,6 +179,10 @@ class TestOnedRun:
         weights = np.array([float(r["weight"]) for r in srows])
         assert weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert len(srows) == cfg["n_samples"]
+        # The selected count recomputes from the AIC table.
+        assert [row["n_c"] for row in doc["aic"]] == [1, 2, 3, 4, 5, 6]
+        best = min(doc["aic"], key=lambda row: (row["aic"], row["n_c"]))
+        assert doc["n_c_selected"] == summary.n_c_selected == best["n_c"]
 
 
 class TestDeblurRun:
@@ -247,6 +251,7 @@ class TestTikhonovRun:
         summary = run_tikhonov_experiment(cfg, tmp_path)
         assert summary.relative_errors["tikhonov"] < summary.relative_errors["noisy_input"]
         assert (tmp_path / "lcurve.csv").exists()
+        assert json.loads((tmp_path / "summary.json").read_text())["aic"] is None
 
 
 class TestEmFitRun:
@@ -295,6 +300,11 @@ class TestCli:
         code = cli_main(["em-fit", "--config", str(cfg_path), "--out", str(out)])
         assert code == 0
         assert (out / "gmm.json").exists()
+        doc = json.loads((out / "summary.json").read_text())
+        assert [row["n_c"] for row in doc["aic"]] == [1, 2]
+        assert set(doc["aic"][0]) == {"n_c", "aic", "log_likelihood", "n_iter", "converged"}
+        best = min(doc["aic"], key=lambda row: (row["aic"], row["n_c"]))
+        assert doc["n_c_selected"] == best["n_c"]
 
     def test_image_io_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

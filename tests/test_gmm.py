@@ -1,9 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from conftest import FIT_1D
 
-from csample.errors import DegenerateComponent, DimensionMismatch
+from csample.errors import DegenerateComponent, DimensionMismatch, NotPositiveDefinite
 from csample.gmm import (
     Ensemble,
     GaussianMixture,
@@ -93,7 +95,7 @@ class TestSample:
         edges = np.array([-np.inf, -4.25, -1.25, 1.25, 4.25, np.inf])
         weights = true_mixture_1d.weights
         means = np.asarray(true_mixture_1d.means).ravel()
-        sigmas = np.sqrt([c.diagonal()[0] for c in true_mixture_1d.covariances])
+        sigmas = np.sqrt(true_mixture_1d.covariances[:, 0])
         for lo, hi in zip(edges[:-1], edges[1:]):
             p = float(
                 np.sum(
@@ -118,9 +120,7 @@ class TestEmFit:
         assert fit.mixture.means[0] == pytest.approx(data.mean(axis=0), abs=1e-12)
         biased_cov = np.cov(data.T, bias=True)
         # Covariance matches up to the documented relative floor.
-        assert np.allclose(
-            fit.mixture.covariances[0].dense(), biased_cov, rtol=1e-5, atol=1e-9
-        )
+        assert np.allclose(fit.mixture.covariances[0], biased_cov, rtol=1e-5, atol=1e-9)
         assert fit.converged
 
     def test_loglik_nondecreasing(self):
@@ -177,11 +177,20 @@ class TestModelSelection:
         sel = select_model_aic(data, range(1, 5), structure="full", rng=RngStream(2))
         assert sel.n_components == 1
         # Direct AIC recomputation from the reported table.
-        for n_c, aic, loglik in sel.table:
-            k = free_parameter_count("full", n_c, 1)
-            assert aic == pytest.approx(2 * k - 2 * loglik)
-        best = min(sel.table, key=lambda row: (row[1], row[0]))
-        assert best[0] == sel.n_components
+        for row in sel.table:
+            k = free_parameter_count("full", row["n_c"], 1)
+            assert row["aic"] == pytest.approx(2 * k - 2 * row["log_likelihood"])
+        best = min(sel.table, key=lambda row: (row["aic"], row["n_c"]))
+        assert best["n_c"] == sel.n_components
+
+    def test_table_reports_em_convergence(self):
+        rng = np.random.default_rng(1)
+        data = np.concatenate([rng.standard_normal(60) - 3.0, rng.standard_normal(60) + 3.0])
+        capped = select_model_aic(data, [2, 3], rng=RngStream(0), max_iter=2)
+        assert [row["n_c"] for row in capped.table] == [2, 3]
+        assert all(row["n_iter"] == 2 and not row["converged"] for row in capped.table)
+        free = select_model_aic(data, [2, 3], rng=RngStream(0))
+        assert all(row["n_iter"] > 2 and row["converged"] for row in free.table)
 
     def test_free_parameters_1d_full(self):
         for n_c in range(1, 6):
@@ -215,8 +224,8 @@ class TestModelSelection:
             data, range(1, 11), structure="full", rng=RngStream(2024, 901)
         )
         assert 5 <= sel.n_components <= 10
-        best = min(aic for _, aic, _ in sel.table)
-        near_seven = min(aic for n_c, aic, _ in sel.table if 5 <= n_c <= 9)
+        best = min(row["aic"] for row in sel.table)
+        near_seven = min(row["aic"] for row in sel.table if 5 <= row["n_c"] <= 9)
         assert near_seven <= best + 2.0
 
 
@@ -244,6 +253,108 @@ class TestResponsibilities:
             single = np.array([mix.responsibilities(x) for x in batch])
             assert np.allclose(mix.responsibilities(batch), single, atol=1e-13)
             assert np.allclose(mix.responsibilities(batch).sum(axis=1), 1.0, atol=1e-12)
+
+
+def _stacked_case(structure, dim, n_c=3):
+    """A mixture built from one SpdMatrix per component, and those matrices."""
+    rng = np.random.default_rng(17)
+    if structure == "diagonal":
+        covs = [SpdMatrix.from_diagonal(rng.uniform(0.3, 2.0, dim)) for _ in range(n_c)]
+    elif structure == "spherical":
+        covs = [SpdMatrix.spherical(dim, v) for v in rng.uniform(0.3, 2.0, n_c)]
+    else:
+        dense = []
+        for _ in range(1 if structure == "tied" else n_c):
+            g = rng.standard_normal((dim, dim))
+            dense.append(SpdMatrix.from_dense(g @ g.T + 0.5 * np.eye(dim)))
+        covs = dense * n_c if structure == "tied" else dense
+    weights = rng.dirichlet(np.ones(n_c))
+    means = 1.5 * rng.standard_normal((n_c, dim))
+    return GaussianMixture(weights, means, covs, structure=structure), covs
+
+
+class TestStackedStorage:
+    """The stacked arrays against a per-component SpdMatrix reference."""
+
+    CASES = [("diagonal", 3), ("spherical", 3), ("tied", 3), ("full", 3), ("full", 1)]
+
+    @pytest.mark.parametrize("structure,dim", CASES)
+    def test_matches_per_component_reference(self, structure, dim):
+        mix, covs = _stacked_case(structure, dim)
+        diagonal = structure in ("diagonal", "spherical") or dim == 1
+        assert mix.covariances.shape == ((3, dim) if diagonal else (3, dim, dim))
+        rng = np.random.default_rng(3)
+        for x in mix.means.mean(axis=0) + 0.5 * rng.standard_normal((4, dim)):
+            maha = np.array([c.maha_sq(x - mu) for c, mu in zip(covs, mix.means)])
+            logdets = np.array([c.logdet() for c in covs])
+            log_dens = -0.5 * (dim * np.log(2 * np.pi) + logdets + maha)
+            assert np.allclose(mix.component_log_densities(x), log_dens, rtol=1e-12)
+            terms = np.log(mix.weights) - 0.5 * logdets - 0.5 * maha
+            log_kernel = np.log(np.sum(np.exp(terms)))
+            assert mix.log_kernel(x) == pytest.approx(log_kernel, rel=1e-12)
+            resp = np.exp(terms - log_kernel)
+            pullback = sum(w * c.solve(x - mu) for w, c, mu in zip(resp, covs, mix.means))
+            assert np.allclose(mix.kernel_pullback(x), pullback, rtol=1e-10, atol=1e-12)
+        for seed in range(5):
+            stream = RngStream(seed, 2)
+            k = int(np.searchsorted(np.cumsum(mix.weights), stream.uniform()))
+            want = sample_mvn(stream, mix.means[k], covs[k])
+            assert np.array_equal(mix.sample(RngStream(seed, 2)), want)
+
+    @pytest.mark.parametrize("dim", [1, 8])
+    def test_em_builds_no_spd_matrix(self, monkeypatch, dim):
+        builds = []
+        original = SpdMatrix.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpdMatrix, "__init__", counting)
+        rng = np.random.default_rng(dim)
+        data = np.concatenate(
+            [rng.standard_normal((60, dim)) - 2.0, rng.standard_normal((60, dim)) + 2.0]
+        )
+        fit = em_fit(data, 2, structure="full", rng=RngStream(0))
+        assert fit.n_iter > 1
+        assert builds == []
+
+    @pytest.mark.parametrize("structure", ["tied", "full"])
+    def test_pickled_mixture_computes_the_same_bits(self, structure):
+        # Chain workers receive the prior pickled; their pools must match
+        # the in-process pool bit for bit.
+        mix, _ = _stacked_case(structure, 6)
+        copy = pickle.loads(pickle.dumps(mix))
+        rng = np.random.default_rng(4)
+        for x in rng.standard_normal((50, 6)):
+            assert np.array_equal(copy.kernel_pullback(x), mix.kernel_pullback(x))
+            assert np.array_equal(copy.mahalanobis_sq(x), mix.mahalanobis_sq(x))
+        assert np.array_equal(copy.sample(RngStream(1)), mix.sample(RngStream(1)))
+
+    def test_tied_keeps_one_matrix(self):
+        mix, _ = _stacked_case("tied", 3)
+        assert mix.covariances.strides[0] == 0
+        with pytest.raises(ValueError):
+            covs = np.array([np.eye(2), 2.0 * np.eye(2)])
+            GaussianMixture([0.5, 0.5], np.zeros((2, 2)), covs, structure="tied")
+
+    def test_indefinite_component_raises(self):
+        covs = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
+        with pytest.raises(NotPositiveDefinite) as exc:
+            GaussianMixture([0.5, 0.5], np.zeros((2, 2)), covs)
+        assert exc.value.pivot_index == 1
+        assert "matrix 1" in str(exc.value)
+
+    def test_zero_variance_raises(self):
+        covs = np.array([[1.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(NotPositiveDefinite) as exc:
+            GaussianMixture([0.5, 0.5], np.zeros((2, 2)), covs, structure="diagonal")
+        assert exc.value.pivot_index == 1
+
+    def test_asymmetric_matrix_rejected(self):
+        covs = np.array([[[1.0, 0.2], [0.1, 1.0]]])
+        with pytest.raises(ValueError):
+            GaussianMixture([1.0], np.zeros((1, 2)), covs)
 
 
 class TestSerialization:

@@ -166,8 +166,7 @@ class TestBuildPlan:
         assert isinstance(plan.chains[0].mechanism, HmcParams)
 
     def test_hmc_tuning_from_component(self):
-        cov = SpdMatrix.from_diagonal([0.25])
-        params = tune_hmc(cov, trajectory=1.0, n_steps=20)
+        params = tune_hmc(np.array([0.25]), trajectory=1.0, n_steps=20)
         assert params.n_steps == 20
         assert params.step_size == pytest.approx(0.05)
         assert params.mass.diagonal() == pytest.approx([4.0])

@@ -22,10 +22,9 @@ def naive_neg_log_posterior_1d(model, x):
     r = x - model.y[0]
     misfit = 0.5 * r * r / model.obs_cov.diagonal()[0]
     total = 0.0
-    for tau, mu, cov in zip(
-        model.prior.weights, model.prior.means[:, 0], model.prior.covariances
+    for tau, mu, var in zip(
+        model.prior.weights, model.prior.means[:, 0], model.prior.covariances[:, 0]
     ):
-        var = cov.diagonal()[0]
         total += tau / np.sqrt(var) * np.exp(-0.5 * (x - mu) ** 2 / var)
     return misfit - np.log(total)
 
@@ -172,13 +171,31 @@ class TestFullCovariancePosterior:
         return mix @ model.prior.means + 0.2 * rng.standard_normal((6, model.dim))
 
     def test_gradient_matches_finite_differences(self, model):
-        assert not all(c.is_diagonal for c in model.prior.covariances)
+        assert model.prior.covariances.shape == (3, 4, 4)
         for x in self.states(model):
             resp = model.prior_responsibilities(x)
             assert np.sum(resp > 1e-3) >= 2
             grad = model.grad_neg_log_posterior(x)
             fd = finite_difference_gradient(model.neg_log_posterior, x, 1e-6)
             assert np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(grad))
+
+    def test_gradient_makes_two_solves_per_component(self, model, monkeypatch):
+        import csample.gmm
+        import csample.linalg_rng
+        from scipy.linalg import solve_triangular
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_triangular(*args, **kwargs)
+
+        for module in (csample.gmm, csample.linalg_rng):
+            monkeypatch.setattr(module, "solve_triangular", counting)
+        model.grad_neg_log_posterior(self.states(model)[0])
+        # Two for the solve with R, then per component one whitening solve
+        # (shared with the Mahalanobis step) and one back-substitution.
+        assert len(calls) == 2 + 2 * 3
 
     def test_potential_is_negative_log_likelihood_times_prior(self, model):
         # Dense oracle: -log N(y; Hx, R) - log sum_k tau_k N(x; mu_k, Sigma_k).
@@ -193,7 +210,7 @@ class TestFullCovariancePosterior:
         def oracle(x):
             prior = model.prior
             dens = sum(
-                tau * np.exp(-neg_log_gaussian(x - mu, cov.dense()))
+                tau * np.exp(-neg_log_gaussian(x - mu, cov))
                 for tau, mu, cov in zip(prior.weights, prior.means, prior.covariances)
             )
             return neg_log_gaussian(h @ x - model.y, r) - np.log(dens)

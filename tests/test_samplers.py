@@ -232,8 +232,8 @@ class TestRunChain:
         model = PosteriorModel(
             fit_mixture_1d, IdentityOperator(1), [-1.0], SpdMatrix.from_diagonal([2.2])
         )
-        for i, cov in enumerate(fit_mixture_1d.covariances):
-            params = tune_hmc(cov, trajectory=1.0, n_steps=20)
+        for i, variances in enumerate(fit_mixture_1d.variances):
+            params = tune_hmc(variances, trajectory=1.0, n_steps=20)
             cfg = ChainConfig(
                 100, fit_mixture_1d.means[i], RngStream(5, i), burn_in=50, stride=1
             )
