@@ -40,7 +40,7 @@ from .mc_scheduler import (
     build_plan,
     run_mc_mcmc,
 )
-from .posterior import PosteriorModel, conjugate_posterior
+from .posterior import PosteriorModel, linear_mixture_posterior
 from .samplers import (
     ChainConfig,
     ChainResult,
@@ -96,13 +96,13 @@ __all__ = [
     "build_plan",
     "chain_diagnostics",
     "cholesky",
-    "conjugate_posterior",
     "discrete_laplacian",
     "em_fit",
     "gaussian_kernel1d",
     "hmc_step",
     "lcurve_select_alpha",
     "leapfrog",
+    "linear_mixture_posterior",
     "mh_step",
     "predict_cost",
     "read_pgm",

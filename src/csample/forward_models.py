@@ -5,8 +5,8 @@ built once from the kernel with the boundary rule folded in, and applies
 H X = B_r X B_c^T. The adjoint is H^T V = B_r^T V B_c, exact by
 construction, so the dot-test identity <H x, v> = <x, H^T v> holds to
 round-off. Apply and adjoint cost O(rows * cols * (rows + cols)); the full
-n_pixels-square Jacobian is never materialized outside the structure-check
-helper.
+n_pixels-square Jacobian is materialized only on request, by
+``materialize_jacobian``.
 """
 
 from __future__ import annotations
@@ -187,7 +187,8 @@ class SaturationWrapper(ForwardOperator):
 
 
 def materialize_jacobian(op, x=None):
-    """Dense Jacobian of H at x by applying to unit vectors (test/debug only)."""
+    """Dense Jacobian of H at x: the columns H e_j of a linear operator,
+    central differences of a nonlinear one; O(out_dim * in_dim) memory."""
     x = np.zeros(op.in_dim) if x is None else np.asarray(x, dtype=float)
     jac = np.empty((op.out_dim, op.in_dim))
     if op.linear:
@@ -253,11 +254,6 @@ class ImageGrid:
         if not np.all(np.isfinite(values)):
             raise ValueError("image intensities must be finite")
         object.__setattr__(self, "intensities", values)
-
-    @classmethod
-    def from_matrix(cls, matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        return cls(matrix.shape[0], matrix.shape[1], matrix.reshape(-1))
 
     def as_matrix(self):
         return self.intensities.reshape(self.rows, self.cols)

@@ -174,8 +174,10 @@ class GaussianMixture:
         return self._log_weights + self.component_log_densities(x)
 
     def logpdf(self, x):
-        """Log mixture density, stabilized with log-sum-exp."""
-        return float(_logsumexp(self.joint_log_densities(x), axis=-1))
+        """Log mixture density, stabilized with log-sum-exp: a float for one
+        state (dim,), an (n,) array for a batch (n, dim)."""
+        out = _logsumexp(self.joint_log_densities(x), axis=-1)
+        return float(out) if out.ndim == 0 else out
 
     def responsibilities(self, x):
         """Posterior component probabilities of x under the mixture."""

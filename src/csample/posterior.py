@@ -1,20 +1,24 @@
 """The target distribution: Gaussian likelihood times GMM prior.
 
 The sampler-facing surface is the potential J(x) (the posterior negative
-log-kernel), its gradient, and the shape function -J(x). The model holds
-only the likelihood half: the factor of R, the misfit and its adjoint. The
-prior half (kernel log-sum-exp, responsibilities, pullback) is the
-mixture's own, computed from the factors and log determinants it caches
-once and shares read-only with every chain worker. The observation-error
-inverse is never formed: solves go through the cached factor of R.
+log-kernel) and its gradient. The model holds only the likelihood half: the
+factor of R, the misfit and its adjoint. The prior half (kernel
+log-sum-exp, responsibilities, pullback) is the mixture's own, computed
+from the factors and log determinants it caches once and shares read-only
+with every chain worker. The observation-error inverse is never formed:
+solves go through the cached factor of R. For a linear operator the
+posterior is itself a Gaussian mixture: ``linear_mixture_posterior``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch
-from .linalg_rng import SpdMatrix
+from .forward_models import materialize_jacobian
+from .gmm import GaussianMixture
+from .linalg_rng import cholesky_stack
 
 
 class PosteriorModel:
@@ -55,10 +59,6 @@ class PosteriorModel:
     def dim(self):
         return self.prior.dim
 
-    @property
-    def obs_dim(self):
-        return self.y.size
-
     def _check_state(self, x):
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.size != self.dim:
@@ -90,28 +90,39 @@ class PosteriorModel:
         grad = self.operator.adjoint_jacobian_apply(x, rinv_residual)
         return grad + self.prior.kernel_pullback(x)
 
-    def unnormalized_log_posterior(self, x):
-        """The shape function -J(x); samplers depend only on this."""
-        return -self.neg_log_posterior(x)
 
-    def prior_responsibilities(self, x):
-        """Normalized kernel responsibilities w_i(x); they sum to 1."""
-        return self.prior.kernel_responsibilities(self._check_state(x))
+def linear_mixture_posterior(model):
+    """The exact posterior of a model with a linear operator, as a mixture.
 
-
-def conjugate_posterior(prior_mean, prior_cov, operator_matrix, y, obs_cov):
-    """Analytic Gaussian posterior for a single-Gaussian prior and linear H.
-
-    Standard normal-equation formulas: P_a = (S^-1 + H^T R^-1 H)^-1 and
-    x_a = P_a (S^-1 mu + H^T R^-1 y). Used as the oracle for the n_c = 1
-    reduction of the mixture posterior.
+    This is the Gaussian-sum update (Alspach & Sorenson, IEEE TAC 1972).
+    With H the dense operator matrix, component k has the innovation
+    covariance C_k = R + H Sigma_k H^T, factored once as L_k L_k^T. With
+    the whitened gain G_k = L_k^{-1} H Sigma_k and residual
+    z_k = L_k^{-1} (y - H mu_k), the component has mean mu_k + G_k^T z_k and
+    covariance Sigma_k - G_k^T G_k. Its weight is proportional to
+    tau_k N(y; H mu_k, C_k), the evidence, normalised in log space. A
+    nonlinear operator raises ValueError.
     """
-    h = np.asarray(operator_matrix, dtype=float)
-    prior_mean = np.asarray(prior_mean, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    s_inv = np.linalg.inv(prior_cov.dense())
-    r_inv = np.linalg.inv(obs_cov.dense())
-    precision = s_inv + h.T @ r_inv @ h
-    cov = np.linalg.inv(precision)
-    mean = cov @ (s_inv @ prior_mean + h.T @ r_inv @ y)
-    return mean, SpdMatrix.from_dense(0.5 * (cov + cov.T))
+    if not model.operator.linear:
+        raise ValueError(f"operator {model.operator.kind!r} is nonlinear")
+    prior = model.prior
+    h = materialize_jacobian(model.operator)
+    covs = prior.covariances
+    if covs.ndim == 2:
+        covs = covs[:, :, None] * np.eye(prior.dim)
+    h_covs = h @ covs
+    # dpotrf reads only the lower triangle of each C_k.
+    factors = cholesky_stack(model.obs_cov.dense() + h_covs @ h.T)
+    residuals = model.y - prior.means @ h.T
+    log_weights = np.log(prior.weights)
+    means = np.empty_like(prior.means)
+    post_covs = np.empty_like(covs)
+    for k, lower in enumerate(factors):
+        z = solve_triangular(lower, residuals[k], lower=True)
+        gain = solve_triangular(lower, h_covs[k], lower=True)
+        logdet = 2.0 * np.sum(np.log(np.diag(lower)))
+        log_weights[k] -= 0.5 * (z.size * np.log(2.0 * np.pi) + logdet + z @ z)
+        means[k] = prior.means[k] + gain.T @ z
+        post_covs[k] = covs[k] - gain.T @ gain
+    weights = np.exp(log_weights - log_weights.max())
+    return GaussianMixture(weights / weights.sum(), means, post_covs, structure="full")

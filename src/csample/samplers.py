@@ -99,7 +99,7 @@ class ChainResult:
 class MhStep(NamedTuple):
     state: np.ndarray
     accepted: bool
-    log_target: float
+    potential: float
 
 
 class HmcStep(NamedTuple):
@@ -109,23 +109,23 @@ class HmcStep(NamedTuple):
     divergent: bool
 
 
-def mh_step(model, x, proposal, rng, log_target=None):
+def mh_step(model, x, proposal, rng, potential=None):
     """One Metropolis step with a symmetric Gaussian proposal.
 
     The proposal kernel is symmetric, so the acceptance ratio reduces to the
-    target ratio: a = min(1, exp(logpi(x') - logpi(x))). Accept when a > u.
-    ``log_target`` carries the current state's log target to avoid a second
+    target ratio: a = min(1, exp(J(x) - J(x'))). Accept when a > u.
+    ``potential`` carries the current state's J to avoid a second
     evaluation per step; it is computed when omitted.
     """
-    if log_target is None:
-        log_target = model.unnormalized_log_posterior(x)
+    if potential is None:
+        potential = model.neg_log_posterior(x)
     step = sample_mvn(rng, np.zeros(x.shape[0]), proposal.cov)
     candidate = x + step
-    log_target_new = model.unnormalized_log_posterior(candidate)
-    a = min(1.0, np.exp(min(0.0, log_target_new - log_target)))
+    potential_new = model.neg_log_posterior(candidate)
+    a = min(1.0, np.exp(min(0.0, potential - potential_new)))
     if a > rng.uniform():
-        return MhStep(candidate, True, log_target_new)
-    return MhStep(x, False, log_target)
+        return MhStep(candidate, True, potential_new)
+    return MhStep(x, False, potential)
 
 
 def leapfrog(model, x, p, mass, step_size, n_steps):
@@ -181,18 +181,16 @@ def run_chain(model, config, mechanism):
     x = config.initial_state.copy()
     rng = config.rng
     gaussian = isinstance(mechanism, GaussianProposal)
-    carried = (
-        model.unnormalized_log_posterior(x) if gaussian else model.neg_log_posterior(x)
-    )
+    potential = model.neg_log_posterior(x)
     samples = np.empty((config.n_samples, x.size))
     accepted = 0
     divergences = 0
     recorded = 0
     for step in range(1, config.total_steps + 1):
         if gaussian:
-            x, ok, carried = mh_step(model, x, mechanism, rng, carried)
+            x, ok, potential = mh_step(model, x, mechanism, rng, potential)
         else:
-            x, ok, carried, divergent = hmc_step(model, x, mechanism, rng, carried)
+            x, ok, potential, divergent = hmc_step(model, x, mechanism, rng, potential)
             divergences += divergent
         accepted += ok
         if step > config.burn_in and (step - config.burn_in) % config.stride == 0:

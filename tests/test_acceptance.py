@@ -15,9 +15,8 @@ from conftest import record_criterion
 from csample.cost_model import CostModelInput, predict_cost
 from csample.experiments import (
     default_config,
+    mixture_bin_masses,
     prepare_oned_model,
-    quadrature_reference,
-    reference_bin_masses,
     run_deblur_experiment,
     serial_gaussian_mechanism,
     serial_hmc_mechanism,
@@ -33,7 +32,7 @@ from csample.forward_models import (
 from csample.gmm import GaussianMixture, em_fit, select_model_aic
 from csample.linalg_rng import RngStream, SpdMatrix
 from csample.mc_scheduler import WorkerPool, benchmark_speedup, build_plan, run_mc_mcmc
-from csample.posterior import PosteriorModel, conjugate_posterior
+from csample.posterior import PosteriorModel, linear_mixture_posterior
 from csample.samplers import ChainConfig, GaussianProposal, chain_diagnostics, run_chain
 from csample.tikhonov import (
     TikhonovProblem,
@@ -45,7 +44,7 @@ from csample.tikhonov import (
 @pytest.fixture(scope="session")
 def oned_pipeline():
     """EM-fitted 1-D benchmark model plus the four sampling runs and the
-    quadrature reference, with stage timings."""
+    exact posterior, with stage timings."""
     cfg = default_config("oned")
     timings = {}
     t0 = time.perf_counter()
@@ -90,8 +89,8 @@ def oned_pipeline():
     timings["parallel_hmc"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    grid, density = quadrature_reference(model)
-    timings["quadrature"] = time.perf_counter() - t0
+    posterior = linear_mixture_posterior(model)
+    timings["reference"] = time.perf_counter() - t0
 
     return {
         "config": cfg,
@@ -101,8 +100,7 @@ def oned_pipeline():
         "serial_hmc": serial_h,
         "parallel_gaussian": parallel_g,
         "parallel_hmc": parallel_h,
-        "grid": grid,
-        "density": density,
+        "posterior": posterior,
         "timings": timings,
     }
 
@@ -179,15 +177,14 @@ class TestCriterion2ConjugateOracle:
         y = rng.standard_normal(obs)
         obs_cov = SpdMatrix.from_diagonal([0.8, 1.2, 0.5])
         model = PosteriorModel(prior, MatrixOperator(h), y, obs_cov)
-        mean_a, cov_a = conjugate_posterior(prior_mean, prior_cov, h, y, obs_cov)
-        factor = cov_a.chol()
+        posterior = linear_mixture_posterior(model)
+        mean_a = posterior.means[0]
+        cov_a = SpdMatrix.from_dense(posterior.covariances[0])
 
         diffs = []
         for _ in range(10):
             x = mean_a + rng.standard_normal(dim)
-            diffs.append(
-                model.neg_log_posterior(x) - 0.5 * factor.maha_sq(x - mean_a)
-            )
+            diffs.append(model.neg_log_posterior(x) + posterior.logpdf(x))
         spread = max(diffs) - min(diffs)
 
         proposal = GaussianProposal(cov_a.scaled(2.38**2 / dim))
@@ -211,15 +208,15 @@ class TestCriterion3DistributionalAccuracy:
     def test_parallel_hmc_total_variation(self, oned_pipeline):
         cfg = oned_pipeline["config"]
         edges = np.linspace(*cfg["histogram_range"], cfg["histogram_bins"] + 1)
-        ref = reference_bin_masses(oned_pipeline["grid"], oned_pipeline["density"], edges)
+        ref = mixture_bin_masses(oned_pipeline["posterior"], edges)
         ens = oned_pipeline["parallel_hmc"].ensemble
         sampled = weighted_histogram(ens.members[:, 0], ens.weights, edges)
         tv = total_variation(sampled, ref)
         t = oned_pipeline["timings"]
-        runtime = t["em"] + t["parallel_hmc"] + t["quadrature"]
+        runtime = t["em"] + t["parallel_hmc"] + t["reference"]
         ok = tv <= 0.08 and ens.size == 5000 and runtime < 120.0
         record_criterion(
-            3, ok, f"pooled parallel-HMC vs quadrature: TV {tv:.4f} (<=0.08) at "
+            3, ok, f"pooled parallel-HMC vs exact posterior: TV {tv:.4f} (<=0.08) at "
             f"{ens.size} samples, {runtime:.0f}s (budget 120s)"
         )
         assert ens.size == 5000

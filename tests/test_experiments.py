@@ -10,7 +10,7 @@ from csample.experiments import (
     benchmark_prior_mixture,
     default_config,
     load_config,
-    reference_bin_masses,
+    mixture_bin_masses,
     relative_error,
     run_deblur_experiment,
     run_em_fit,
@@ -21,6 +21,7 @@ from csample.experiments import (
     weighted_histogram,
 )
 from csample.forward_models import read_pgm
+from csample.gmm import GaussianMixture
 
 
 def small_oned_config(**overrides):
@@ -122,15 +123,25 @@ class TestBenchmarkGenerator:
         assert np.sum(mix.weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_histogram_tools(self):
-        grid = np.linspace(-1, 1, 2001)
-        density = np.full_like(grid, 0.5)
-        edges = np.linspace(-1, 1, 5)
-        masses = reference_bin_masses(grid, density, edges)
-        assert np.allclose(masses, 0.25, atol=1e-12)
-        samples = np.array([-0.9, -0.4, 0.4, 0.9])
-        weights = np.full(4, 0.25)
-        observed = weighted_histogram(samples, weights, edges)
-        assert np.allclose(observed, 0.25)
+        # Two unit-variance components at -1 and +1 with weights 1/4, 3/4,
+        # and bins split at the means and midway: every component's share
+        # of a bin is a sum of 1/2, Phi(1) - 1/2 and Phi(2) - 1/2 terms.
+        mixture = GaussianMixture([0.25, 0.75], [[-1.0], [1.0]], np.ones((2, 1)))
+        edges = np.array([-np.inf, -1.0, 0.0, 1.0, np.inf])
+        masses = mixture_bin_masses(mixture, edges)
+        half_sd = 0.3413447460685429  # Phi(1) - 1/2
+        two_sd = 0.4772498680518208  # Phi(2) - 1/2
+        expected = [
+            0.25 * 0.5 + 0.75 * (0.5 - two_sd),
+            0.25 * half_sd + 0.75 * (two_sd - half_sd),
+            0.25 * (two_sd - half_sd) + 0.75 * half_sd,
+            0.25 * (0.5 - two_sd) + 0.75 * 0.5,
+        ]
+        assert np.allclose(masses, expected, rtol=0.0, atol=1e-15)
+        assert np.sum(masses) == pytest.approx(1.0, abs=1e-15)
+        samples = np.array([-1.5, -0.5, 0.5, 1.5])
+        observed = weighted_histogram(samples, masses, edges)
+        assert np.allclose(observed, masses)
         assert total_variation(observed, masses) == pytest.approx(0.0, abs=1e-12)
 
 

@@ -69,6 +69,16 @@ class TestLogpdf:
         )
         assert mix.logpdf(x) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("structure, dim", [("diagonal", 1), ("diagonal", 4), ("full", 3)])
+    def test_batch_matches_single_states(self, structure, dim):
+        mix, _ = _stacked_case(structure, dim)
+        batch = np.random.default_rng(9).uniform(-3.0, 3.0, size=(5, dim))
+        out = mix.logpdf(batch)
+        assert out.shape == (5,)
+        single = np.array([mix.logpdf(x) for x in batch])
+        assert np.allclose(out, single, rtol=0.0, atol=1e-12)
+        assert isinstance(mix.logpdf(batch[0]), float)
+
 
 class TestSample:
     def test_single_component_reduces_to_mvn(self):

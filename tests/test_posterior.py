@@ -4,10 +4,16 @@ import pytest
 from conftest import FIT_1D
 
 from csample.errors import DimensionMismatch
-from csample.forward_models import GaussianBlurOperator, IdentityOperator, MatrixOperator
+from csample.experiments import mixture_bin_masses
+from csample.forward_models import (
+    GaussianBlurOperator,
+    IdentityOperator,
+    MatrixOperator,
+    SaturationWrapper,
+)
 from csample.gmm import GaussianMixture
 from csample.linalg_rng import SpdMatrix
-from csample.posterior import PosteriorModel, conjugate_posterior
+from csample.posterior import PosteriorModel, linear_mixture_posterior
 
 
 @pytest.fixture
@@ -27,6 +33,13 @@ def naive_neg_log_posterior_1d(model, x):
     ):
         total += tau / np.sqrt(var) * np.exp(-0.5 * (x - mu) ** 2 / var)
     return misfit - np.log(total)
+
+
+def model_minus_posterior(model, posterior, points):
+    """-J(x) - log p_post(x) at each point: constant iff p_post is exp(-J)
+    normalised."""
+    potentials = np.array([model.neg_log_posterior(x) for x in points])
+    return -potentials - posterior.logpdf(points)
 
 
 def finite_difference_gradient(f, x, step):
@@ -84,10 +97,6 @@ class TestPotential:
         j_mode = bench_model.neg_log_posterior([FIT_1D["means"][0]])
         assert j_far - j_mode > 1e6
 
-    def test_shape_function_negates_potential(self, bench_model):
-        for x in (-4.0, -1.0, 0.3, 6.0):
-            assert bench_model.unnormalized_log_posterior([x]) == -bench_model.neg_log_posterior([x])
-
     def test_kernel_quadrature_finite(self, bench_model):
         grid = np.linspace(-15.0, 15.0, 6001)
         values = np.exp([-bench_model.neg_log_posterior([x]) for x in grid])
@@ -143,37 +152,41 @@ class TestGradient:
             assert rel <= 1e-5
 
 
-class TestFullCovariancePosterior:
+@pytest.fixture
+def full_model():
     """Three full-covariance components in 4-D under a dense linear H."""
+    rng = np.random.default_rng(41)
+    dim, obs = 4, 3
+    covs = []
+    for _ in range(3):
+        g = rng.standard_normal((dim, dim))
+        covs.append(SpdMatrix.from_dense(g @ g.T + 0.5 * np.eye(dim)))
+    means = 1.5 * rng.standard_normal((3, dim))
+    prior = GaussianMixture([0.5, 0.3, 0.2], means, covs, structure="full")
+    h = rng.standard_normal((obs, dim))
+    g = rng.standard_normal((obs, obs))
+    obs_cov = SpdMatrix.from_dense(g @ g.T + np.eye(obs))
+    y = h @ means[1] + 0.3 * rng.standard_normal(obs)
+    return PosteriorModel(prior, MatrixOperator(h), y, obs_cov)
 
+
+def states_between_means(model, n=6):
+    """Points between the component means, where every component holds a
+    share of the responsibility."""
+    rng = np.random.default_rng(42)
+    mix = rng.dirichlet(np.ones(model.prior.n_components), size=n)
+    return mix @ model.prior.means + 0.2 * rng.standard_normal((n, model.dim))
+
+
+class TestFullCovariancePosterior:
     @pytest.fixture
-    def model(self):
-        rng = np.random.default_rng(41)
-        dim, obs = 4, 3
-        covs = []
-        for _ in range(3):
-            g = rng.standard_normal((dim, dim))
-            covs.append(SpdMatrix.from_dense(g @ g.T + 0.5 * np.eye(dim)))
-        means = 1.5 * rng.standard_normal((3, dim))
-        prior = GaussianMixture([0.5, 0.3, 0.2], means, covs, structure="full")
-        h = rng.standard_normal((obs, dim))
-        g = rng.standard_normal((obs, obs))
-        obs_cov = SpdMatrix.from_dense(g @ g.T + np.eye(obs))
-        y = h @ means[1] + 0.3 * rng.standard_normal(obs)
-        return PosteriorModel(prior, MatrixOperator(h), y, obs_cov)
-
-    @staticmethod
-    def states(model):
-        # Points between the component means, where every component holds
-        # a share of the responsibility.
-        rng = np.random.default_rng(42)
-        mix = rng.dirichlet(np.ones(3), size=6)
-        return mix @ model.prior.means + 0.2 * rng.standard_normal((6, model.dim))
+    def model(self, full_model):
+        return full_model
 
     def test_gradient_matches_finite_differences(self, model):
         assert model.prior.covariances.shape == (3, 4, 4)
-        for x in self.states(model):
-            resp = model.prior_responsibilities(x)
+        for x in states_between_means(model):
+            resp = model.prior.kernel_responsibilities(x)
             assert np.sum(resp > 1e-3) >= 2
             grad = model.grad_neg_log_posterior(x)
             fd = finite_difference_gradient(model.neg_log_posterior, x, 1e-6)
@@ -192,7 +205,7 @@ class TestFullCovariancePosterior:
 
         for module in (csample.gmm, csample.linalg_rng):
             monkeypatch.setattr(module, "solve_triangular", counting)
-        model.grad_neg_log_posterior(self.states(model)[0])
+        model.grad_neg_log_posterior(states_between_means(model)[0])
         # Two for the solve with R, then per component one whitening solve
         # (shared with the Mahalanobis step) and one back-substitution.
         assert len(calls) == 2 + 2 * 3
@@ -215,14 +228,14 @@ class TestFullCovariancePosterior:
             )
             return neg_log_gaussian(h @ x - model.y, r) - np.log(dens)
 
-        diffs = [model.neg_log_posterior(x) - oracle(x) for x in self.states(model)]
+        diffs = [model.neg_log_posterior(x) - oracle(x) for x in states_between_means(model)]
         assert max(diffs) - min(diffs) <= 1e-10
 
 
 class TestResponsibilities:
     def test_sum_to_one_even_far_out(self, bench_model):
         for x in (-80.0, -1.0, 40.0):
-            w = bench_model.prior_responsibilities([x])
+            w = bench_model.prior.kernel_responsibilities(np.array([x]))
             assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
             assert np.all(w >= 0.0)
 
@@ -238,7 +251,7 @@ class TestResponsibilities:
         )
         for x in (-1.5, 0.2, 3.0):
             assert np.allclose(
-                model.prior_responsibilities([x]),
+                model.prior.kernel_responsibilities(np.array([x])),
                 prior.responsibilities([x]),
                 atol=1e-13,
             )
@@ -257,15 +270,11 @@ class TestConjugateReduction:
         y = rng.standard_normal(obs)
         model = PosteriorModel(prior, MatrixOperator(h), y, obs_cov)
 
-        mean_a, cov_a = conjugate_posterior(prior_mean, prior_cov, h, y, obs_cov)
-        factor = cov_a.chol()
-
-        def analytic_neg_log(x):
-            dev = x - mean_a
-            return 0.5 * factor.maha_sq(dev)
+        posterior = linear_mixture_posterior(model)
+        assert posterior.n_components == 1
 
         points = rng.standard_normal((10, dim))
-        diffs = [model.neg_log_posterior(p) - analytic_neg_log(p) for p in points]
+        diffs = model_minus_posterior(model, posterior, points)
         assert max(diffs) - min(diffs) <= 1e-8
 
     def test_tikhonov_equivalence(self):
@@ -289,3 +298,84 @@ class TestConjugateReduction:
         points = rng.standard_normal((10, dim))
         diffs = [2.0 * model.neg_log_posterior(p) - tikhonov(p) for p in points]
         assert max(diffs) - min(diffs) <= 1e-8
+
+
+@pytest.fixture
+def blur_model():
+    """A 16x16 blur with a two-component diagonal prior."""
+    rng = np.random.default_rng(5)
+    n = 16
+    op = GaussianBlurOperator(n, n, width=5, sigma=1.5)
+    blurred = op.apply(rng.uniform(0.1, 0.9, n * n))
+    means = blurred + 0.03 * rng.standard_normal((2, n * n))
+    variances = rng.uniform(5e-4, 2e-3, (2, n * n))
+    prior = GaussianMixture([0.6, 0.4], means, variances, structure="diagonal")
+    y = blurred + 0.03 * rng.standard_normal(n * n)
+    return PosteriorModel(prior, op, y, SpdMatrix.spherical(n * n, 0.03**2))
+
+
+class TestLinearMixturePosterior:
+    def test_exact_on_full_covariance_matrix_model(self, full_model):
+        posterior = linear_mixture_posterior(full_model)
+        assert posterior.n_components == 3
+        points = states_between_means(full_model, n=10)
+        diffs = model_minus_posterior(full_model, posterior, points)
+        assert max(diffs) - min(diffs) <= 1e-8
+
+    def test_exact_on_blur_with_two_diagonal_components(self, blur_model):
+        posterior = linear_mixture_posterior(blur_model)
+        assert posterior.covariances.shape == (2, 256, 256)
+        # Five states near each posterior component's mean.
+        rng = np.random.default_rng(6)
+        points = np.repeat(posterior.means, 5, axis=0)
+        points += 0.02 * rng.standard_normal(points.shape)
+        diffs = model_minus_posterior(blur_model, posterior, points)
+        assert max(diffs) - min(diffs) <= 1e-8
+
+    def test_single_component_matches_normal_equations(self):
+        rng = np.random.default_rng(21)
+        dim, obs = 3, 2
+        g = rng.standard_normal((dim, dim))
+        prior_cov = g @ g.T + dim * np.eye(dim)
+        prior_mean = rng.standard_normal(dim)
+        h = rng.standard_normal((obs, dim))
+        r = np.diag([0.5, 1.5])
+        y = rng.standard_normal(obs)
+        prior = GaussianMixture([1.0], [prior_mean], [SpdMatrix.from_dense(prior_cov)])
+        model = PosteriorModel(prior, MatrixOperator(h), y, SpdMatrix.from_dense(r))
+
+        posterior = linear_mixture_posterior(model)
+        # P = (S^-1 + H^T R^-1 H)^-1 and x = P (S^-1 mu + H^T R^-1 y).
+        s_inv, r_inv = np.linalg.inv(prior_cov), np.linalg.inv(r)
+        cov = np.linalg.inv(s_inv + h.T @ r_inv @ h)
+        mean = cov @ (s_inv @ prior_mean + h.T @ r_inv @ y)
+        assert posterior.weights == pytest.approx([1.0], abs=1e-15)
+        assert np.allclose(posterior.means[0], mean, rtol=0.0, atol=1e-12)
+        assert np.allclose(posterior.covariances[0], cov, rtol=0.0, atol=1e-12)
+
+    def test_1d_weights_and_bin_masses_match_quadrature(self, bench_model):
+        posterior = linear_mixture_posterior(bench_model)
+        # Trapezoid quadrature of exp(-J), split over the prior components
+        # by their kernel responsibilities.
+        grid = np.linspace(-15.0, 15.0, 12001)
+        potentials = np.array([bench_model.neg_log_posterior([x]) for x in grid])
+        kernel = np.exp(potentials.min() - potentials)
+        density = kernel / np.trapezoid(kernel, grid)
+        resp = np.array([bench_model.prior.kernel_responsibilities(np.array([x])) for x in grid])
+        weights = np.trapezoid(density[:, None] * resp, grid, axis=0)
+        assert np.allclose(posterior.weights, weights, rtol=0.0, atol=1e-5)
+
+        edges = np.linspace(-10.0, 10.0, 51)
+        masses = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            sub = np.linspace(lo, hi, 81)
+            masses.append(np.trapezoid(np.interp(sub, grid, density), sub))
+        assert np.allclose(mixture_bin_masses(posterior, edges), masses, rtol=0.0, atol=1e-5)
+
+    def test_nonlinear_operator_raises(self, bench_model):
+        model = PosteriorModel(
+            bench_model.prior, SaturationWrapper(IdentityOperator(1)), [-0.5],
+            bench_model.obs_cov,
+        )
+        with pytest.raises(ValueError, match="nonlinear"):
+            linear_mixture_posterior(model)

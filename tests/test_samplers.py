@@ -5,7 +5,7 @@ from csample.errors import InsufficientSamples
 from csample.forward_models import IdentityOperator, MatrixOperator
 from csample.gmm import GaussianMixture
 from csample.linalg_rng import RngStream, SpdMatrix
-from csample.posterior import PosteriorModel, conjugate_posterior
+from csample.posterior import PosteriorModel, linear_mixture_posterior
 from csample.samplers import (
     ChainConfig,
     ChainResult,
@@ -22,20 +22,20 @@ from csample.samplers import (
 class FlatTarget:
     """Constant density: every proposal must be accepted."""
 
-    def unnormalized_log_posterior(self, x):
+    def neg_log_posterior(self, x):
         return 0.0
 
 
 class HalfDensityTarget:
-    """log pi = 0 at the origin state, log(1/2) elsewhere."""
+    """J = 0 at the origin state, log 2 elsewhere: half the density."""
 
     def __init__(self, origin):
         self.origin = np.asarray(origin, dtype=float)
 
-    def unnormalized_log_posterior(self, x):
+    def neg_log_posterior(self, x):
         if np.array_equal(x, self.origin):
             return 0.0
-        return np.log(0.5)
+        return np.log(2.0)
 
 
 class QuadraticPotential:
@@ -46,9 +46,6 @@ class QuadraticPotential:
 
     def grad_neg_log_posterior(self, x):
         return np.asarray(x, dtype=float)
-
-    def unnormalized_log_posterior(self, x):
-        return -self.neg_log_posterior(x)
 
 
 def gaussian_model_1d(mean=0.0, var=1.0):
@@ -206,7 +203,9 @@ class TestRunChain:
         y = np.array([0.8, -0.2])
         obs_cov = SpdMatrix.from_diagonal([0.5, 0.5])
         model = PosteriorModel(prior, MatrixOperator(h), y, obs_cov)
-        mean_a, cov_a = conjugate_posterior(prior_mean, prior_cov, h, y, obs_cov)
+        posterior = linear_mixture_posterior(model)
+        mean_a = posterior.means[0]
+        cov_a = SpdMatrix.from_dense(posterior.covariances[0])
 
         proposal = GaussianProposal(cov_a.scaled(2.38**2 / 2.0))
         cfg = ChainConfig(5000, mean_a + 0.5, RngStream(15, 0), burn_in=200, stride=2)
