@@ -3,24 +3,28 @@ every artifact that differs between them.
 
     python scripts/compare_artifacts.py PARENT_TREE CHANGE_TREE
 
-Each tree runs four experiments, each in a fresh interpreter with BLAS on
+Each tree runs five experiments, each in a fresh interpreter with BLAS on
 one thread and the tree's own ``src/`` on the path:
 
 - ``oned``, ``deblur`` and ``em-fit`` on the benchmark's seed-2024 configs
   (``perfbench.workloads.write_config``, two workers);
-- ``tikhonov`` on PARENT_TREE's shipped ``configs/tikhonov.json``.
+- ``tikhonov`` on PARENT_TREE's shipped ``configs/tikhonov.json``;
+- ``bench`` on a small seed-2024 config (``BENCH_CONFIG``) that sets only
+  keys every tree accepts.
 
 The configs and input files are written once, by this checkout's
 ``perfbench`` (imported, never modified), and both trees read the same
 copies. For ``summary.json`` the top-level keys that differ are named.
 
 The exit status is 0 when every artifact is byte-identical, except that
-``summary.json`` may differ in ``timings`` (wall-clock readings, which
-differ between any two runs); 1 when anything else differs or a run fails.
+``summary.json`` may differ in ``timings`` and ``bench.csv`` in its
+wall-clock columns (readings that differ between any two runs); 1 when
+anything else differs or a run fails.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -38,6 +42,10 @@ WORKERS = 2
 BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 # summary.json keys that differ between any two runs of the same program.
 VOLATILE_KEYS = {"timings"}
+BENCH_CONFIG = {"kind": "bench", "seed": SEED, "n_samples": 700, "p_values": [1, 2],
+                "repetitions": 1}
+# Columns of a CSV artifact that hold no wall-clock reading; only these are compared.
+STABLE_COLUMNS = {"bench.csv": ("p", "pred_speedup", "pred_efficiency")}
 
 
 def write_runs(work, parent):
@@ -49,6 +57,9 @@ def write_runs(work, parent):
         config = write_config(workload, SEED, inputs, WORKERS, work / f"{label}.json")
         runs.append((label, workload.command, config))
     runs.append(("tikhonov", "tikhonov", Path(parent).resolve() / "configs" / "tikhonov.json"))
+    bench = work / "bench.json"
+    bench.write_text(json.dumps(BENCH_CONFIG), encoding="utf-8")
+    runs.append(("bench", "bench", bench))
     return runs
 
 
@@ -68,6 +79,13 @@ def summary_keys_differing(a, b):
     return sorted(k for k in set(doc_a) | set(doc_b) if doc_a.get(k) != doc_b.get(k))
 
 
+def stable_columns(path, names):
+    """The named columns of a CSV artifact, one tuple of cells per column."""
+    rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+    columns = dict(zip(rows[0], zip(*rows[1:])))
+    return [columns.get(name) for name in names]
+
+
 def compare(out_a, out_b):
     """(lines describing every difference, whether any counts as a change)."""
     lines, changed = [], False
@@ -85,6 +103,11 @@ def compare(out_a, out_b):
             keys = summary_keys_differing(a, b)
             lines.append(f"  {name}: differs in keys {', '.join(keys) or '(formatting only)'}")
             changed |= not set(keys) <= VOLATILE_KEYS
+        elif name in STABLE_COLUMNS:
+            names = STABLE_COLUMNS[name]
+            same = stable_columns(a, names) == stable_columns(b, names)
+            lines.append(f"  {name}: {', '.join(names)} {'identical' if same else 'differ'}")
+            changed |= not same
         else:
             lines.append(f"  {name}: differs")
             changed = True

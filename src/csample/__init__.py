@@ -30,7 +30,7 @@ from .forward_models import (
     write_pgm,
 )
 from .gmm import Ensemble, GaussianMixture, em_fit, select_model_aic
-from .linalg_rng import RngStream, SpdMatrix, cholesky, sample_mvn
+from .linalg_rng import RngStream, SpdMatrix, sample_mvn
 from .mc_scheduler import (
     ChainPlan,
     SchedulerPlan,
@@ -95,7 +95,6 @@ __all__ = [
     "blur_jacobian_structure_check",
     "build_plan",
     "chain_diagnostics",
-    "cholesky",
     "discrete_laplacian",
     "em_fit",
     "gaussian_kernel1d",

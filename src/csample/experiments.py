@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .cost_model import CostModelInput
 from .errors import ConfigError, ZeroReference
 from .forward_models import (
     GaussianBlurOperator,
@@ -132,8 +131,6 @@ _BENCH_DEFAULTS = {
     "hmc_steps": 20,
     "p_values": [1, 2, 4, 7, 8, 12],
     "repetitions": 3,
-    "t_startup": 1e-4,
-    "t_word": 1e-8,
 }
 
 _TIKHONOV_DEFAULTS = {
@@ -315,7 +312,7 @@ def serial_hmc_mechanism(model, config):
         mass,
         config["serial_hmc_trajectory"] / config["hmc_steps"],
         config["hmc_steps"],
-        jitter_steps=config.get("hmc_jitter", False),
+        jitter_steps=config["hmc_jitter"],
     )
 
 
@@ -453,7 +450,7 @@ def bundled_phantom_path():
 
 
 def load_experiment_image(config):
-    if config.get("image"):
+    if config["image"]:
         return read_pgm(config["image"])
     with resources.as_file(bundled_phantom_path()) as path:
         return read_pgm(path)
@@ -464,17 +461,17 @@ def _blur_operator(config, rows, cols):
         rows, cols, width=config["blur_width"], sigma=config["blur_sigma"],
         boundary=config["boundary"],
     )
-    if config.get("saturation"):
+    if config["saturation"]:
         op = SaturationWrapper(op)
     return op
 
 
 def _regularization_matrix(config, rows, cols):
-    kind = config.get("reg_matrix", "identity")
+    kind = config["reg_matrix"]
     if kind == "identity":
         return SpdMatrix.identity(rows * cols)
     if kind == "laplacian":
-        return discrete_laplacian(rows, cols, epsilon=config.get("reg_epsilon", 1e-3))
+        return discrete_laplacian(rows, cols, epsilon=config["reg_epsilon"])
     raise ConfigError(f"unknown reg_matrix {kind!r}; expected identity or laplacian")
 
 
@@ -639,19 +636,6 @@ def run_speedup_benchmark(config, out_dir):
     summary.timings["em_fit_s"] = time.perf_counter() - t0
     _record_selection(summary, selection)
 
-    cost_input = CostModelInput(
-        workers=1,
-        n_components=model.prior.n_components,
-        n_ens=config["n_samples"],
-        n_var=model.dim,
-        burn_in=config["burn_in"],
-        stride=config["stride"],
-        traj_steps=config["hmc_steps"] if config["mechanism"] == "hmc" else 1,
-        t_startup=config["t_startup"],
-        t_word=config["t_word"],
-        gmm_structure="diagonal",
-        proposal="diagonal" if config["mechanism"] == "gaussian" else "hmc",
-    )
     t0 = time.perf_counter()
     rows = benchmark_speedup(
         model,
@@ -662,7 +646,6 @@ def run_speedup_benchmark(config, out_dir):
         repetitions=config["repetitions"],
         burn_in=config["burn_in"],
         stride=config["stride"],
-        cost_input=cost_input,
         proposal_scale=config["parallel_proposal_scale"],
         hmc_trajectory=config["hmc_trajectory"],
         hmc_steps=config["hmc_steps"],
@@ -692,7 +675,7 @@ def run_tikhonov_experiment(config, out_dir):
 def run_em_fit(config, out_dir):
     """Fit a mixture to an ensemble stored as CSV (one sample per row)."""
     out = Path(out_dir)
-    if not config.get("data"):
+    if not config["data"]:
         raise ConfigError("em-fit requires a 'data' CSV path")
     try:
         data = np.loadtxt(config["data"], delimiter=",", ndmin=2)

@@ -255,9 +255,6 @@ class ImageGrid:
             raise ValueError("image intensities must be finite")
         object.__setattr__(self, "intensities", values)
 
-    def as_matrix(self):
-        return self.intensities.reshape(self.rows, self.cols)
-
     def mean_intensity(self):
         return float(np.mean(self.intensities))
 

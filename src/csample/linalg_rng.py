@@ -1,8 +1,11 @@
-"""Dense SPD linear algebra and reproducible per-chain random streams.
+"""SPD linear algebra and reproducible per-chain random streams.
 
-SPD matrices built from a diagonal store only that diagonal, and every
-operation on them is O(order), with no call into LAPACK or the triangular
-solver; dense matrices are Cholesky-backed.
+``SpdMatrix`` is the one SPD type: it caches its own lower Cholesky factor
+and solves, whitens, samples and takes log determinants through it.
+``cholesky_stack`` factors a stack of matrices at once (the mixture's
+covariances) and is also what factors a single ``SpdMatrix``. Matrices
+built from a diagonal store only that diagonal, and every operation on
+them is O(order), with no call into LAPACK or the triangular solver.
 """
 
 from __future__ import annotations
@@ -27,71 +30,25 @@ def _as_vector(x, name="vector", order=None):
     return v
 
 
-class CholeskyFactor:
-    """Lower-triangular factor L with L @ L.T equal to the factored matrix.
-
-    ``lower`` is L itself, or the vector of its diagonal when L is diagonal.
-    """
-
-    __slots__ = ("order", "_lower", "_logdet")
-
-    def __init__(self, lower):
-        self.order = lower.shape[0]
-        self._lower = lower
-        pivots = lower if lower.ndim == 1 else np.diag(lower)
-        self._logdet = 2.0 * float(np.sum(np.log(pivots)))
-
-    @property
-    def diagonal_path(self):
-        return self._lower.ndim == 1
-
-    def lower(self):
-        """Dense L; materializes a diagonal factor (test/debug use)."""
-        return np.diag(self._lower) if self.diagonal_path else np.array(self._lower)
-
-    def apply(self, z):
-        """L @ z, the scaling step of multivariate-normal sampling."""
-        z = _as_vector(z, order=self.order)
-        return self._lower * z if self.diagonal_path else self._lower @ z
-
-    def solve_lower(self, b):
-        """L^{-1} b; b may be a vector or a stack of columns."""
-        if self.diagonal_path:
-            return b / (self._lower if b.ndim == 1 else self._lower[:, None])
-        return solve_triangular(self._lower, b, lower=True)
-
-    def solve(self, b):
-        """A^{-1} b via two triangular solves."""
-        if self.diagonal_path:
-            d = self._lower if b.ndim == 1 else self._lower[:, None]
-            return b / (d * d)
-        return solve_triangular(self._lower, self.solve_lower(b), lower=True, trans="T")
-
-    def maha_sq(self, v):
-        """v.T A^{-1} v, computed through the factor."""
-        w = self.solve_lower(v)
-        return float(w @ w) if w.ndim == 1 else np.einsum("i...,i...->...", w, w)
-
-    def logdet(self):
-        """log det of the factored matrix A."""
-        return self._logdet
-
-
 class SpdMatrix:
     """Symmetric positive definite matrix.
 
     Matrices built from a diagonal (and order-1 matrices) store only the
-    diagonal, a vector; others store the dense matrix. The Cholesky factor is
-    computed lazily and cached, so repeated solves and samples reuse one
-    factorization.
+    diagonal, a vector; others store the dense matrix. The lower Cholesky
+    factor L (A = L L^T) is computed on first use and cached, so repeated
+    solves and samples reuse one factorization. It is stored as
+    ``cholesky_stack`` returns it: the vector of square roots of a diagonal
+    matrix, else a Fortran-ordered matrix. ``solve``, ``maha_sq`` and
+    ``factor_apply`` sit on the samplers' per-step path and take a float
+    vector of length ``order`` unchecked.
     """
 
-    __slots__ = ("order", "_array", "_factor")
+    __slots__ = ("order", "_array", "_lower")
 
     def __init__(self, array):
         self.order = array.shape[0]
         self._array = array
-        self._factor = None
+        self._lower = None
 
     # -- constructors -------------------------------------------------
 
@@ -141,32 +98,43 @@ class SpdMatrix:
 
     # -- numerics -----------------------------------------------------
 
-    def chol(self):
-        """Cached Cholesky factor; raises NotPositiveDefinite on failure."""
-        if self._factor is None:
-            self._factor = cholesky(self)
-        return self._factor
+    def _factor(self):
+        """The cached lower Cholesky factor. A pivot at or below
+        RELATIVE_PIVOT_FLOOR times the largest diagonal entry raises
+        NotPositiveDefinite carrying the pivot index."""
+        if self._lower is None:
+            if self.order < 1:
+                raise DimensionMismatch("matrix order must be at least 1")
+            self._lower = cholesky_stack(self._array[None])[0]
+        return self._lower
 
     def logdet(self):
-        return self.chol().logdet()
+        lower = self._factor()
+        pivots = lower if lower.ndim == 1 else np.diag(lower)
+        return 2.0 * float(np.sum(np.log(pivots)))
 
     def matvec(self, v):
         v = _as_vector(v, order=self.order)
         return self._array * v if self.is_diagonal else self._array @ v
 
     def solve(self, v):
-        return self.chol().solve(_as_vector(v, order=self.order))
-
-    def quad(self, v):
-        """v.T A v."""
-        v = _as_vector(v, order=self.order)
-        if self.is_diagonal:
-            return float(np.sum(self._array * v * v))
-        return float(v @ (self._array @ v))
+        """A^{-1} v via two triangular solves."""
+        lower = self._factor()
+        if lower.ndim == 1:
+            return v / (lower * lower)
+        w = solve_triangular(lower, v, lower=True)
+        return solve_triangular(lower, w, lower=True, trans="T")
 
     def maha_sq(self, v):
-        """v.T A^{-1} v."""
-        return float(self.chol().maha_sq(_as_vector(v, order=self.order)))
+        """v.T A^{-1} v, as |L^{-1} v|^2."""
+        lower = self._factor()
+        w = v / lower if lower.ndim == 1 else solve_triangular(lower, v, lower=True)
+        return float(w @ w)
+
+    def factor_apply(self, z):
+        """L @ z, the scaling step of multivariate-normal sampling."""
+        lower = self._factor()
+        return lower * z if lower.ndim == 1 else lower @ z
 
 
 def symmetrized(a):
@@ -177,20 +145,6 @@ def symmetrized(a):
     if np.any(np.max(np.abs(a - flipped), axis=(-2, -1)) > 1e-12 * scale):
         raise ValueError("matrix is not symmetric")
     return 0.5 * (a + flipped)
-
-
-def cholesky(a):
-    """Lower Cholesky factor of an SpdMatrix.
-
-    Diagonal matrices factor in O(order) elementwise square roots. A pivot
-    at or below RELATIVE_PIVOT_FLOOR times the largest diagonal entry raises
-    NotPositiveDefinite carrying the pivot index.
-    """
-    if not isinstance(a, SpdMatrix):
-        a = SpdMatrix.from_dense(np.asarray(a, dtype=float))
-    if a.order < 1:
-        raise DimensionMismatch("matrix order must be at least 1")
-    return CholeskyFactor(cholesky_stack(a._array[None])[0])
 
 
 def cholesky_stack(stack):
@@ -274,4 +228,4 @@ def sample_mvn(rng, mean, cov):
     if mean.size != cov.order:
         raise DimensionMismatch(f"mean length {mean.size} != covariance order {cov.order}")
     z = rng.standard_normal(mean.size)
-    return mean + cov.chol().apply(z)
+    return mean + cov.factor_apply(z)

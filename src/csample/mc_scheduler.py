@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cost_model import predict_cost
+from .cost_model import CostModelInput, predict_cost
 from .errors import BudgetInfeasibleWarning, ChainFailed, OversubscribedWarning
 from .gmm import Ensemble
 from .linalg_rng import RngStream, SpdMatrix
@@ -371,7 +371,6 @@ def benchmark_speedup(
     p_values,
     *,
     seed,
-    cost_input,
     repetitions=3,
     burn_in=100,
     stride=5,
@@ -382,9 +381,11 @@ def benchmark_speedup(
     Budgets are uniform, the split the cost model assumes. Pools are created
     and warmed before timing; the wall time is the best of ``repetitions``.
     Measured speedup is wall(1) / wall(p). Predicted columns come from the
-    cost model's integral-work variant on ``cost_input`` with each p's worker
-    count and the model's component count, normalized by its own p = 1 value
-    so prediction and measurement share the multi-chain baseline (the
+    cost model's integral-work variant for the same run (``n_ens`` samples of
+    ``model.dim`` variables, ``burn_in``, ``stride``, the mechanism's
+    leapfrog steps) with each p's worker count and the model's component
+    count, normalized by its own p = 1 value so prediction and measurement
+    share the multi-chain baseline (the
     serial-chain baseline differs by the per-chain burn-in, which the cost
     model reports as overhead). Requesting more workers than logical
     processors flags the rows and warns.
@@ -402,6 +403,17 @@ def benchmark_speedup(
         )
 
     n_c = model.prior.n_components
+    hmc = mechanism == "hmc"
+    prediction_input = CostModelInput(
+        workers=1,
+        n_components=n_c,
+        n_ens=n_ens,
+        n_var=model.dim,
+        burn_in=burn_in,
+        stride=stride,
+        traj_steps=plan_kwargs.get("hmc_steps", DEFAULT_HMC_STEPS) if hmc else 1,
+        proposal="hmc" if hmc else "diagonal",
+    )
     rows = []
     baseline = None
     pred_baseline = None
@@ -425,7 +437,7 @@ def benchmark_speedup(
                 best = min(best, result.wall_time)
         if p == 1:
             baseline = best
-        report = predict_cost(replace(cost_input, workers=p, n_components=n_c))
+        report = predict_cost(replace(prediction_input, workers=p))
         if p == 1:
             pred_baseline = report.parallel_cost_integral
         pred_speedup = pred_baseline / report.parallel_cost_integral

@@ -1,12 +1,12 @@
 """The target distribution: Gaussian likelihood times GMM prior.
 
 The sampler-facing surface is the potential J(x) (the posterior negative
-log-kernel) and its gradient. The model holds only the likelihood half: the
-factor of R, the misfit and its adjoint. The prior half (kernel
+log-kernel) and its gradient. The model holds only the likelihood half: R,
+the misfit and its adjoint. The prior half (kernel
 log-sum-exp, responsibilities, pullback) is the mixture's own, computed
 from the factors and log determinants it caches once and shares read-only
 with every chain worker. The observation-error inverse is never formed:
-solves go through the cached factor of R. For a linear operator the
+solves go through the Cholesky factor that R caches. For a linear operator the
 posterior is itself a Gaussian mixture: ``linear_mixture_posterior``.
 """
 
@@ -51,9 +51,8 @@ class PosteriorModel:
         self.operator = operator
         self.y = y
         self.obs_cov = obs_cov
-        self._obs_factor = obs_cov.chol()
         m = y.size
-        self._lik_const = -0.5 * (m * np.log(2.0 * np.pi) + self._obs_factor.logdet())
+        self._lik_const = -0.5 * (m * np.log(2.0 * np.pi) + obs_cov.logdet())
 
     @property
     def dim(self):
@@ -67,7 +66,7 @@ class PosteriorModel:
 
     def _misfit_terms(self, x):
         residual = self.operator.apply(x) - self.y
-        rinv_residual = self._obs_factor.solve(residual)
+        rinv_residual = self.obs_cov.solve(residual)
         return residual, rinv_residual, float(residual @ rinv_residual)
 
     def log_likelihood(self, x):

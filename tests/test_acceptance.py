@@ -305,15 +305,6 @@ class TestCriterion6MeasuredScaling:
                 repetitions=3,
                 burn_in=0,
                 stride=5,
-                cost_input=CostModelInput(
-                    workers=1,
-                    n_components=1,
-                    n_ens=3500,
-                    n_var=1,
-                    burn_in=0,
-                    stride=5,
-                    proposal="diagonal",
-                ),
                 proposal_scale=0.3,
             )
         by_p = {r.workers: r for r in rows}

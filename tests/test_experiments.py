@@ -342,8 +342,9 @@ class TestCli:
             ("oned", "pool_mode", "process"),
             ("deblur", "noise_interpretation", "std"),
             ("bench", "budgets", "uniform"),
+            ("bench", "t_startup", 1e-4),
         ],
-        ids=["balance", "pool_mode", "noise_interpretation", "budgets"],
+        ids=["balance", "pool_mode", "noise_interpretation", "budgets", "t_startup"],
     )
     def test_removed_key_exit_code(self, tmp_path, capsys, kind, key, value):
         cfg_path = tmp_path / "cfg.json"

@@ -278,7 +278,7 @@ class TestImageIo:
         path.write_text("P2\n# a comment\n2 2\n255\n0 128\n255 64\n")
         grid = read_pgm(path)
         expected = np.array([[0.0, 128 / 255], [1.0, 64 / 255]])
-        assert np.allclose(grid.as_matrix(), expected)
+        assert np.allclose(grid.intensities.reshape(2, 2), expected)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pgm"

@@ -40,20 +40,6 @@ def bench_model(fit_mixture_1d):
     )
 
 
-def gaussian_cost_input(n_ens, burn_in, stride):
-    """The cost-model input of a 1-D Gaussian-proposal benchmark;
-    benchmark_speedup sets its worker and component counts."""
-    return CostModelInput(
-        workers=1,
-        n_components=1,
-        n_ens=n_ens,
-        n_var=1,
-        burn_in=burn_in,
-        stride=stride,
-        proposal="diagonal",
-    )
-
-
 def worker_steps(budgets, assignment, workers, burn_in, stride):
     """Sampler steps per worker: burn-in plus stride steps per sample of each
     non-empty chain."""
@@ -294,7 +280,6 @@ class TestBenchmark:
             repetitions=1,
             burn_in=10,
             stride=1,
-            cost_input=gaussian_cost_input(70, 10, 1),
         )
         assert rows[0].workers == 1
         assert rows[0].speedup == 1.0
@@ -318,7 +303,6 @@ class TestBenchmark:
             repetitions=1,
             burn_in=10,
             stride=1,
-            cost_input=gaussian_cost_input(70, 10, 1),
         )
 
         def integral_cost(p):
@@ -348,7 +332,6 @@ class TestBenchmark:
             repetitions=1,
             burn_in=0,
             stride=1,
-            cost_input=gaussian_cost_input(70, 0, 1),
         )
         n_c = bench_model.prior.n_components
         assert rows[1].pred_speedup == n_c / np.ceil(n_c / 2)
@@ -367,7 +350,6 @@ class TestBenchmark:
                 repetitions=1,
                 burn_in=5,
                 stride=1,
-                cost_input=gaussian_cost_input(30, 5, 1),
             )
         assert rows[-1].oversubscribed
 
@@ -392,5 +374,4 @@ class TestBenchmark:
                 repetitions=1,
                 burn_in=5,
                 stride=1,
-                cost_input=gaussian_cost_input(30, 5, 1),
             )
