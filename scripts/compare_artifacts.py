@@ -3,12 +3,14 @@ every artifact that differs between them.
 
     python scripts/compare_artifacts.py PARENT_TREE CHANGE_TREE
 
-Each tree runs five experiments, each in a fresh interpreter with BLAS on
+Each tree runs six experiments, each in a fresh interpreter with BLAS on
 one thread and the tree's own ``src/`` on the path:
 
 - ``oned``, ``deblur`` and ``em-fit`` on the benchmark's seed-2024 configs
   (``perfbench.workloads.write_config``, two workers);
-- ``tikhonov`` on PARENT_TREE's shipped ``configs/tikhonov.json``;
+- ``tikhonov`` on PARENT_TREE's shipped ``configs/tikhonov.json``, and
+  again with ``boundary: "periodic"``, which takes the conjugate-gradient
+  solver instead of the closed form;
 - ``bench`` on a small seed-2024 config (``BENCH_CONFIG``) that sets only
   keys every tree accepts.
 
@@ -56,7 +58,12 @@ def write_runs(work, parent):
         inputs = write_inputs(label, SEED, ROOT, work / "inputs" / label)
         config = write_config(workload, SEED, inputs, WORKERS, work / f"{label}.json")
         runs.append((label, workload.command, config))
-    runs.append(("tikhonov", "tikhonov", Path(parent).resolve() / "configs" / "tikhonov.json"))
+    tikhonov = Path(parent).resolve() / "configs" / "tikhonov.json"
+    runs.append(("tikhonov", "tikhonov", tikhonov))
+    periodic = work / "tikhonov_periodic.json"
+    doc = {**json.loads(tikhonov.read_text(encoding="utf-8")), "boundary": "periodic"}
+    periodic.write_text(json.dumps(doc), encoding="utf-8")
+    runs.append(("tikhonov_periodic", "tikhonov", periodic))
     bench = work / "bench.json"
     bench.write_text(json.dumps(BENCH_CONFIG), encoding="utf-8")
     runs.append(("bench", "bench", bench))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -31,19 +32,13 @@ from .gmm import GaussianMixture, select_model_aic
 from .linalg_rng import RngStream, SpdMatrix
 from .mc_scheduler import (
     WorkerPool,
-    benchmark_rows_to_csv,
     benchmark_speedup,
     build_plan,
     run_mc_mcmc,
 )
 from .posterior import PosteriorModel, linear_mixture_posterior
 from .samplers import ChainConfig, GaussianProposal, HmcParams, run_chain
-from .tikhonov import (
-    TikhonovProblem,
-    discrete_laplacian,
-    lcurve_points_to_csv,
-    lcurve_select_alpha,
-)
+from .tikhonov import TikhonovProblem, discrete_laplacian, lcurve_select_alpha
 
 # The synthetic prior generator of the 1-D benchmark: weights, means,
 # variances of the mixture the prior ensemble is drawn from.
@@ -66,17 +61,23 @@ STREAM_SUBSAMPLE = 10003
 STREAM_SERIAL_GAUSSIAN = 20000
 STREAM_SERIAL_HMC = 20001
 
-_ONED_DEFAULTS = {
-    "kind": "oned",
+# The 1-D model (prior generator draw, EM + AIC fit, observation) that
+# ``prepare_oned_model`` reads; ``oned`` and ``bench`` share it.
+_ONED_MODEL_DEFAULTS = {
     "seed": 2024,
     "n_ens_prior": 1000,
-    "n_samples": 5000,
-    "burn_in": 100,
-    "stride": 15,
     "observation": -1.0,
     "observation_variance": 2.2,
     "gmm_structure": "full",
     "candidate_components": [1, 10],
+}
+
+_ONED_DEFAULTS = {
+    "kind": "oned",
+    **_ONED_MODEL_DEFAULTS,
+    "n_samples": 5000,
+    "burn_in": 100,
+    "stride": 15,
     "serial_proposal_variance": 2.0,
     "parallel_proposal_scale": 0.3,
     "serial_hmc_trajectory": 1.0,
@@ -88,8 +89,24 @@ _ONED_DEFAULTS = {
     "histogram_range": [-10.0, 10.0],
 }
 
-_DEBLUR_DEFAULTS = {
-    "kind": "deblur",
+_BENCH_DEFAULTS = {
+    "kind": "bench",
+    **_ONED_MODEL_DEFAULTS,
+    "n_samples": 3500,
+    "burn_in": 0,
+    "stride": 5,
+    "mechanism": "gaussian",
+    "parallel_proposal_scale": 0.3,
+    "hmc_trajectory": 1.0,
+    "hmc_steps": 20,
+    "p_values": [1, 2, 4, 7, 8, 12],
+    "repetitions": 3,
+}
+
+# The deblurring problem (image, blur, noise) and its L-curve Tikhonov
+# baseline; ``deblur`` and ``tikhonov`` share it, so the Tikhonov-only run
+# solves the same problem.
+_DEBLUR_PROBLEM_DEFAULTS = {
     "seed": 7,
     "image": None,
     "blur_width": 5,
@@ -97,6 +114,14 @@ _DEBLUR_DEFAULTS = {
     "boundary": "reflect",
     "saturation": False,
     "noise_level": 0.09,
+    "alpha_grid": [1e-6, 1e2, 30],
+    "reg_matrix": "laplacian",
+    "reg_epsilon": 1e-3,
+}
+
+_DEBLUR_DEFAULTS = {
+    "kind": "deblur",
+    **_DEBLUR_PROBLEM_DEFAULTS,
     "prior_spread": 0.08,
     "prior_pool": 50,
     "n_ens": 30,
@@ -109,43 +134,9 @@ _DEBLUR_DEFAULTS = {
     "hmc_jitter": False,
     "parallel_proposal_scale": 0.002,
     "workers": 2,
-    "alpha_grid": [1e-6, 1e2, 30],
-    "reg_matrix": "laplacian",
-    "reg_epsilon": 1e-3,
 }
 
-_BENCH_DEFAULTS = {
-    "kind": "bench",
-    "seed": 2024,
-    "n_ens_prior": 1000,
-    "n_samples": 3500,
-    "burn_in": 0,
-    "stride": 5,
-    "observation": -1.0,
-    "observation_variance": 2.2,
-    "gmm_structure": "full",
-    "candidate_components": [1, 10],
-    "mechanism": "gaussian",
-    "parallel_proposal_scale": 0.3,
-    "hmc_trajectory": 1.0,
-    "hmc_steps": 20,
-    "p_values": [1, 2, 4, 7, 8, 12],
-    "repetitions": 3,
-}
-
-_TIKHONOV_DEFAULTS = {
-    "kind": "tikhonov",
-    "seed": 7,
-    "image": None,
-    "blur_width": 5,
-    "blur_sigma": 1.5,
-    "boundary": "reflect",
-    "saturation": False,
-    "noise_level": 0.09,
-    "alpha_grid": [1e-6, 1e2, 30],
-    "reg_matrix": "laplacian",
-    "reg_epsilon": 1e-3,
-}
+_TIKHONOV_DEFAULTS = {"kind": "tikhonov", **_DEBLUR_PROBLEM_DEFAULTS}
 
 _EMFIT_DEFAULTS = {
     "kind": "em-fit",
@@ -164,6 +155,17 @@ _DEFAULTS = {
 }
 
 EXPERIMENT_KINDS = tuple(_DEFAULTS)
+
+# Least allowed value of each integer count a config may hold.
+_LOWER_BOUNDS = {
+    "n_samples": 1,
+    "n_ens": 1,
+    "n_ens_prior": 1,
+    "stride": 1,
+    "hmc_steps": 1,
+    "workers": 1,
+    "burn_in": 0,
+}
 
 
 def default_config(kind):
@@ -199,13 +201,37 @@ def load_config(kind, path=None, overrides=None):
         if unknown:
             raise ConfigError(f"unknown override keys for {kind!r}: {sorted(unknown)}")
         config.update({k: v for k, v in overrides.items() if v is not None})
+    for key, least in _LOWER_BOUNDS.items():
+        if key in config and not (isinstance(config[key], int) and config[key] >= least):
+            raise ConfigError(f"{key} must be an integer of at least {least}, "
+                              f"got {config[key]!r}")
+    if "candidate_components" in config:
+        lo, hi = config["candidate_components"]
+        if not 1 <= lo <= hi:
+            raise ConfigError(
+                f"candidate_components [{lo}, {hi}] must satisfy 1 <= lo <= hi"
+            )
     return config
+
+
+def _csv_cell(value):
+    """Strings verbatim, floats by repr (read back exactly by float()),
+    everything else (ints, bools, numpy bools) as an integer."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, str):
+        return value
+    return str(int(value))
 
 
 @dataclass
 class RunSummary:
+    """The record of one run: it writes every artifact into ``out``, lists
+    each in the manifest, times the run's phases, and ends as summary.json."""
+
     kind: str
     seed: int
+    out: Path  # never written into summary.json
     acceptance: dict = field(default_factory=dict)
     relative_errors: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
@@ -213,6 +239,9 @@ class RunSummary:
     aic: list | None = None  # AicSelection.table of the prior fit
     alpha_star: float | None = None
     manifest: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.out = Path(self.out)
 
     def to_json(self):
         doc = {
@@ -228,12 +257,33 @@ class RunSummary:
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    def write(self, out, name, text):
+    def write(self, name, text):
         """Write one text artifact and list it in the manifest."""
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / name, "w", encoding="utf-8") as fh:
+        self.out.mkdir(parents=True, exist_ok=True)
+        with open(self.out / name, "w", encoding="utf-8") as fh:
             fh.write(text)
         self.manifest.append(name)
+
+    def write_csv(self, name, header, rows):
+        lines = [",".join(header)]
+        lines.extend(",".join(map(_csv_cell, row)) for row in rows)
+        self.write(name, "\n".join(lines) + "\n")
+
+    def write_image(self, name, rows, cols, values):
+        """A rows-by-cols image as a plain PGM, clamped to [0, 1]."""
+        write_pgm(ImageGrid(rows, cols, values), self.out / name)
+        self.manifest.append(name)
+
+    @contextmanager
+    def timed(self, phase):
+        """Record the wall time of the enclosed block as ``timings[phase]``."""
+        start = time.perf_counter()
+        yield
+        self.timings[phase] = time.perf_counter() - start
+
+    def finish(self):
+        """Write summary.json; its manifest lists every earlier artifact."""
+        self.write("summary.json", self.to_json())
         return self
 
 
@@ -267,13 +317,12 @@ def fit_prior_mixture(members, config):
     )
 
 
-def _record_selection(summary, selection, out=None):
-    """Selected count and AIC table into the summary; with ``out``, gmm.json too."""
+def _record_selection(summary, selection):
+    """Selected count and AIC table into the summary, the mixture as gmm.json."""
     summary.n_c_selected = selection.n_components
     summary.aic = selection.table
-    if out is not None:
-        doc = selection.mixture.to_json_dict()
-        summary.write(out, "gmm.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    doc = selection.mixture.to_json_dict()
+    summary.write("gmm.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def prepare_oned_model(config):
@@ -333,116 +382,98 @@ def total_variation(sample_masses, reference_masses):
     return 0.5 * float(np.sum(np.abs(sample_masses - reference_masses)))
 
 
-def samples_to_csv(samples, weights):
-    dim = samples.shape[1]
-    header = ",".join(f"x{i}" for i in range(dim)) + ",weight"
-    lines = [header]
-    for row, w in zip(samples, weights):
-        lines.append(",".join(repr(float(v)) for v in row) + f",{float(w)!r}")
-    return "\n".join(lines) + "\n"
+ACCEPTANCE_HEADER = ("variant", "chain", "component", "proposals_made",
+                     "proposals_accepted", "acceptance_rate", "divergences")
 
 
-def acceptance_table_csv(rows):
-    lines = ["variant,chain,component,proposals_made,proposals_accepted,acceptance_rate,divergences"]
-    for variant, results in rows:
-        for r in results:
-            lines.append(
-                f"{variant},{r.stream_id},{r.component},{r.proposals_made},"
-                f"{r.proposals_accepted},{r.acceptance_rate!r},{r.divergences}"
-            )
-    return "\n".join(lines) + "\n"
+def _record_sampling(summary, acceptance_rows, name, chains, samples, weights):
+    """One sampling variant into the run record: its acceptance rate
+    (accepted over made, summed over its chains), samples_{name}.csv, and
+    its chains' rows of acceptance.csv appended to ``acceptance_rows``."""
+    made = sum(c.proposals_made for c in chains)
+    summary.acceptance[name] = sum(c.proposals_accepted for c in chains) / made
+    header = [f"x{i}" for i in range(samples.shape[1])] + ["weight"]
+    summary.write_csv(f"samples_{name}.csv", header,
+                      ([*row, w] for row, w in zip(samples.tolist(), weights.tolist())))
+    acceptance_rows.extend(
+        (name, c.stream_id, c.component, c.proposals_made, c.proposals_accepted,
+         c.acceptance_rate, c.divergences)
+        for c in chains
+    )
+
+
+def _sample_parallel(summary, acceptance_rows, model, n_ens, config, mechanisms, phase):
+    """Multi-chain sampling with each mechanism in turn on one worker pool,
+    each timed as ``{phase}_{mechanism}_s`` and recorded as
+    ``parallel_{mechanism}``. Every plan gets all tuning keys of the config;
+    ``build_plan`` reads those of its mechanism. Returns the McmcResult of
+    each mechanism."""
+    results = {}
+    with WorkerPool(config["workers"]) as pool:
+        for mechanism in mechanisms:
+            with summary.timed(f"{phase}_{mechanism}_s"):
+                plan = build_plan(
+                    model, n_ens, mechanism, config["seed"], workers=config["workers"],
+                    burn_in=config["burn_in"], stride=config["stride"],
+                    proposal_scale=config["parallel_proposal_scale"],
+                    hmc_trajectory=config["hmc_trajectory"],
+                    hmc_steps=config["hmc_steps"], hmc_jitter=config["hmc_jitter"],
+                )
+                result = results[mechanism] = run_mc_mcmc(model, plan, pool=pool)
+            _record_sampling(summary, acceptance_rows, f"parallel_{mechanism}",
+                             result.chain_results, result.ensemble.members,
+                             result.ensemble.weights)
+    return results
 
 
 def run_oned_benchmark(config, out_dir):
     """The 1-D benchmark end to end: serial and multi-chain sampling with
     both mechanisms, and the histogram against the exact posterior."""
-    out = Path(out_dir)
-    summary = RunSummary(kind="oned", seed=config["seed"])
-    t0 = time.perf_counter()
-    model, selection, _ = prepare_oned_model(config)
-    summary.timings["em_fit_s"] = time.perf_counter() - t0
+    summary = RunSummary("oned", config["seed"], out_dir)
+    with summary.timed("em_fit_s"):
+        model, selection, _ = prepare_oned_model(config)
 
     prior_mean, _ = mixture_moments(model.prior)
     n = config["n_samples"]
-    seed = config["seed"]
     acceptance_rows = []
-
-    def record(name, results, pooled=None, weights=None):
-        acceptance_rows.append((name, results))
-        made = sum(r.proposals_made for r in results)
-        accepted = sum(r.proposals_accepted for r in results)
-        summary.acceptance[name] = accepted / made
-        if pooled is not None:
-            summary.write(out, f"samples_{name}.csv", samples_to_csv(pooled, weights))
-
     # Serial chains sample the full posterior from the prior mean.
     for name, stream, mechanism in (
         ("serial_gaussian", STREAM_SERIAL_GAUSSIAN, serial_gaussian_mechanism(config)),
         ("serial_hmc", STREAM_SERIAL_HMC, serial_hmc_mechanism(model, config)),
     ):
-        t0 = time.perf_counter()
-        cfg = ChainConfig(n, prior_mean, RngStream(seed, stream),
-                          burn_in=config["burn_in"], stride=config["stride"])
-        chain = run_chain(model, cfg, mechanism)
-        summary.timings[f"{name}_s"] = time.perf_counter() - t0
-        record(name, [chain], chain.samples, np.full(n, 1.0 / n))
+        with summary.timed(f"{name}_s"):
+            cfg = ChainConfig(n, prior_mean, RngStream(config["seed"], stream),
+                              burn_in=config["burn_in"], stride=config["stride"])
+            chain = run_chain(model, cfg, mechanism)
+        _record_sampling(summary, acceptance_rows, name, [chain],
+                         chain.samples, np.full(n, 1.0 / n))
 
-    pool = WorkerPool(config["workers"])
-    try:
-        t0 = time.perf_counter()
-        plan_g = build_plan(
-            model, n, "gaussian", seed, workers=config["workers"],
-            burn_in=config["burn_in"], stride=config["stride"],
-            proposal_scale=config["parallel_proposal_scale"],
-        )
-        par_g = run_mc_mcmc(model, plan_g, pool=pool)
-        summary.timings["parallel_gaussian_s"] = time.perf_counter() - t0
-        record("parallel_gaussian", par_g.chain_results,
-               par_g.ensemble.members, par_g.ensemble.weights)
-
-        t0 = time.perf_counter()
-        plan_h = build_plan(
-            model, n, "hmc", seed, workers=config["workers"],
-            burn_in=config["burn_in"], stride=config["stride"],
-            hmc_trajectory=config["hmc_trajectory"], hmc_steps=config["hmc_steps"],
-            hmc_jitter=config["hmc_jitter"],
-        )
-        par_h = run_mc_mcmc(model, plan_h, pool=pool)
-        summary.timings["parallel_hmc_s"] = time.perf_counter() - t0
-        record("parallel_hmc", par_h.chain_results,
-               par_h.ensemble.members, par_h.ensemble.weights)
-    finally:
-        pool.close()
+    results = _sample_parallel(summary, acceptance_rows, model, n, config,
+                               ("gaussian", "hmc"), "parallel")
 
     # The exact posterior's density and bin masses against the pooled samples.
     posterior = linear_mixture_posterior(model)
     grid = np.linspace(-15.0, 15.0, 12001)
     blocks = np.array_split(grid[:, None], 4)  # keeps logpdf's (n, k) temporaries small
     density = np.exp(np.concatenate([posterior.logpdf(b) for b in blocks]))
-    ref_csv = "x,density\n" + "\n".join(
-        f"{float(x)!r},{float(d)!r}" for x, d in zip(grid, density)
-    ) + "\n"
-    summary.write(out, "reference_density.csv", ref_csv)
+    summary.write_csv("reference_density.csv", ("x", "density"),
+                      zip(grid.tolist(), density.tolist()))
 
     lo, hi = config["histogram_range"]
     edges = np.linspace(lo, hi, config["histogram_bins"] + 1)
     ref_masses = mixture_bin_masses(posterior, edges)
-    sample_masses = weighted_histogram(
-        par_h.ensemble.members[:, 0], par_h.ensemble.weights, edges
-    )
-    hist_csv = "bin_left,bin_right,mass_sampled,mass_reference\n" + "\n".join(
-        f"{float(edges[b])!r},{float(edges[b + 1])!r},"
-        f"{float(sample_masses[b])!r},{float(ref_masses[b])!r}"
-        for b in range(edges.size - 1)
-    ) + "\n"
-    summary.write(out, "histogram_parallel_hmc.csv", hist_csv)
+    ensemble = results["hmc"].ensemble
+    sample_masses = weighted_histogram(ensemble.members[:, 0], ensemble.weights, edges)
+    summary.write_csv("histogram_parallel_hmc.csv",
+                      ("bin_left", "bin_right", "mass_sampled", "mass_reference"),
+                      zip(edges[:-1], edges[1:], sample_masses, ref_masses))
     summary.relative_errors["tv_parallel_hmc_vs_reference"] = total_variation(
         sample_masses, ref_masses
     )
 
-    summary.write(out, "acceptance.csv", acceptance_table_csv(acceptance_rows))
-    _record_selection(summary, selection, out)
-    return summary.write(out, "summary.json", summary.to_json())
+    summary.write_csv("acceptance.csv", ACCEPTANCE_HEADER, acceptance_rows)
+    _record_selection(summary, selection)
+    return summary.finish()
 
 
 def bundled_phantom_path():
@@ -514,7 +545,7 @@ def prepare_deblur_problem(config):
     return setup
 
 
-def _write_input_images(setup, out, summary):
+def _write_input_images(setup, summary):
     """The true, blurred and noisy images of a deblurring problem as PGMs."""
     truth = setup["truth"]
     for name, values in (
@@ -522,51 +553,51 @@ def _write_input_images(setup, out, summary):
         ("blurred", setup["blurred"]),
         ("noisy", setup["observed"]),
     ):
-        write_pgm(ImageGrid(truth.rows, truth.cols, values), out / f"{name}.pgm")
-        summary.manifest.append(f"{name}.pgm")
+        summary.write_image(f"{name}.pgm", truth.rows, truth.cols, values)
 
 
-def _run_tikhonov_baseline(config, setup, out, summary):
+def _run_tikhonov_baseline(config, setup, summary):
     """The L-curve-tuned Tikhonov reconstruction of the observed image.
 
     Writes lcurve.csv and tikhonov.pgm, records alpha* and ``tikhonov_s`` in
     the summary, and returns the reconstruction.
     """
     rows, cols = setup["truth"].rows, setup["truth"].cols
-    t0 = time.perf_counter()
-    lo_a, hi_a, n_a = config["alpha_grid"]
-    alphas = np.logspace(np.log10(lo_a), np.log10(hi_a), int(n_a))
-    problem = TikhonovProblem(
-        setup["operator"],
-        setup["observed"],
-        SpdMatrix.spherical(rows * cols, setup["noise_std"] ** 2),
-        _regularization_matrix(config, rows, cols),
-        alphas[0],
-    )
-    lcurve = lcurve_select_alpha(problem, alphas)
-    solution = lcurve.solutions[lcurve.alpha].x
-    summary.timings["tikhonov_s"] = time.perf_counter() - t0
+    with summary.timed("tikhonov_s"):
+        lo_a, hi_a, n_a = config["alpha_grid"]
+        alphas = np.logspace(np.log10(lo_a), np.log10(hi_a), int(n_a))
+        problem = TikhonovProblem(
+            setup["operator"],
+            setup["observed"],
+            SpdMatrix.spherical(rows * cols, setup["noise_std"] ** 2),
+            _regularization_matrix(config, rows, cols),
+            alphas[0],
+        )
+        lcurve = lcurve_select_alpha(problem, alphas)
+        solution = lcurve.solutions[lcurve.alpha].x
     summary.alpha_star = lcurve.alpha
-    summary.write(out, "lcurve.csv", lcurve_points_to_csv(lcurve.points))
-    write_pgm(ImageGrid(rows, cols, solution), out / "tikhonov.pgm")
-    summary.manifest.append("tikhonov.pgm")
+    summary.write_csv(
+        "lcurve.csv",
+        ("alpha", "residual_norm", "solution_norm", "curvature", "iterations", "converged"),
+        ((p.alpha, p.residual_norm, p.solution_norm, p.curvature, p.iterations, p.converged)
+         for p in lcurve.points),
+    )
+    summary.write_image("tikhonov.pgm", rows, cols, solution)
     return solution
 
 
 def run_deblur_experiment(config, out_dir):
     """Image retrieval: multi-chain sampling of the deblurring posterior and
     the L-curve-tuned Tikhonov baseline, with relative-error comparison."""
-    out = Path(out_dir)
-    summary = RunSummary(kind="deblur", seed=config["seed"])
+    summary = RunSummary("deblur", config["seed"], out_dir)
     setup = prepare_deblur_problem(config)
     truth = setup["truth"]
     rows, cols = truth.rows, truth.cols
-    _write_input_images(setup, out, summary)
+    _write_input_images(setup, summary)
 
-    t0 = time.perf_counter()
-    selection = fit_prior_mixture(setup["prior_members"], config)
-    summary.timings["em_fit_s"] = time.perf_counter() - t0
-    _record_selection(summary, selection, out)
+    with summary.timed("em_fit_s"):
+        selection = fit_prior_mixture(setup["prior_members"], config)
+    _record_selection(summary, selection)
 
     model = PosteriorModel(
         selection.mixture,
@@ -574,46 +605,18 @@ def run_deblur_experiment(config, out_dir):
         setup["observed"],
         SpdMatrix.spherical(rows * cols, setup["noise_std"] ** 2),
     )
-
-    pool = WorkerPool(config["workers"])
-    results = {}
-    try:
-        for mechanism in ("hmc", "gaussian"):
-            t0 = time.perf_counter()
-            plan = build_plan(
-                model,
-                config["n_ens"],
-                mechanism,
-                config["seed"],
-                workers=config["workers"],
-                burn_in=config["burn_in"],
-                stride=config["stride"],
-                proposal_scale=config["parallel_proposal_scale"],
-                hmc_trajectory=config["hmc_trajectory"],
-                hmc_steps=config["hmc_steps"],
-                hmc_jitter=config["hmc_jitter"],
-            )
-            results[mechanism] = run_mc_mcmc(model, plan, pool=pool)
-            summary.timings[f"sampling_{mechanism}_s"] = time.perf_counter() - t0
-            summary.acceptance[f"parallel_{mechanism}"] = results[mechanism].acceptance_rate
-    finally:
-        pool.close()
+    acceptance_rows = []
+    results = _sample_parallel(summary, acceptance_rows, model, config["n_ens"], config,
+                               ("hmc", "gaussian"), "sampling")
+    summary.write_csv("acceptance.csv", ACCEPTANCE_HEADER, acceptance_rows)
 
     ensemble = results["hmc"].ensemble
     posterior_mean = ensemble.mean()
     posterior_median = np.median(ensemble.members, axis=0)
-    gauss_ens = results["gaussian"].ensemble
-    for name, ens in (("hmc", ensemble), ("gaussian", gauss_ens)):
-        summary.write(out, f"samples_parallel_{name}.csv", samples_to_csv(ens.members, ens.weights))
-    summary.write(out, "acceptance.csv", acceptance_table_csv(
-        [(f"parallel_{name}", results[name].chain_results) for name in ("hmc", "gaussian")]
-    ))
+    summary.write_image("posterior_mean.pgm", rows, cols, posterior_mean)
+    summary.write_image("posterior_median.pgm", rows, cols, posterior_median)
 
-    write_pgm(ImageGrid(rows, cols, posterior_mean), out / "posterior_mean.pgm")
-    write_pgm(ImageGrid(rows, cols, posterior_median), out / "posterior_median.pgm")
-    summary.manifest.extend(["posterior_mean.pgm", "posterior_median.pgm"])
-
-    tikhonov_solution = _run_tikhonov_baseline(config, setup, out, summary)
+    tikhonov_solution = _run_tikhonov_baseline(config, setup, summary)
 
     x_true = truth.intensities
     summary.relative_errors = {
@@ -622,71 +625,71 @@ def run_deblur_experiment(config, out_dir):
         "posterior_mean": relative_error(posterior_mean, x_true),
         "posterior_median": relative_error(posterior_median, x_true),
         "tikhonov": relative_error(tikhonov_solution, x_true),
-        "gaussian_posterior_mean": relative_error(gauss_ens.mean(), x_true),
+        "gaussian_posterior_mean": relative_error(results["gaussian"].ensemble.mean(), x_true),
     }
-    return summary.write(out, "summary.json", summary.to_json())
+    return summary.finish()
 
 
 def run_speedup_benchmark(config, out_dir):
     """Measured-versus-predicted scaling of the multi-chain sampler."""
-    out = Path(out_dir)
-    summary = RunSummary(kind="bench", seed=config["seed"])
-    t0 = time.perf_counter()
-    model, selection, _ = prepare_oned_model(config)
-    summary.timings["em_fit_s"] = time.perf_counter() - t0
-    _record_selection(summary, selection)
+    summary = RunSummary("bench", config["seed"], out_dir)
+    with summary.timed("em_fit_s"):
+        model, selection, _ = prepare_oned_model(config)
+    # bench writes no gmm.json.
+    summary.n_c_selected, summary.aic = selection.n_components, selection.table
 
-    t0 = time.perf_counter()
-    rows = benchmark_speedup(
-        model,
-        config["n_samples"],
-        config["mechanism"],
-        config["p_values"],
-        seed=config["seed"],
-        repetitions=config["repetitions"],
-        burn_in=config["burn_in"],
-        stride=config["stride"],
-        proposal_scale=config["parallel_proposal_scale"],
-        hmc_trajectory=config["hmc_trajectory"],
-        hmc_steps=config["hmc_steps"],
+    with summary.timed("benchmark_s"):
+        rows = benchmark_speedup(
+            model,
+            config["n_samples"],
+            config["mechanism"],
+            config["p_values"],
+            seed=config["seed"],
+            repetitions=config["repetitions"],
+            burn_in=config["burn_in"],
+            stride=config["stride"],
+            proposal_scale=config["parallel_proposal_scale"],
+            hmc_trajectory=config["hmc_trajectory"],
+            hmc_steps=config["hmc_steps"],
+        )
+    summary.write_csv(
+        "bench.csv",
+        ("p", "wall_s", "speedup", "efficiency", "pred_speedup", "pred_efficiency"),
+        ((r.workers, r.wall_s, r.speedup, r.efficiency, r.pred_speedup, r.pred_efficiency)
+         for r in rows),
     )
-    summary.timings["benchmark_s"] = time.perf_counter() - t0
-    summary.write(out, "bench.csv", benchmark_rows_to_csv(rows))
     summary.timings["wall_by_p"] = {str(r.workers): r.wall_s for r in rows}
     summary.acceptance["oversubscribed"] = any(r.oversubscribed for r in rows)
-    return summary.write(out, "summary.json", summary.to_json())
+    return summary.finish()
 
 
 def run_tikhonov_experiment(config, out_dir):
     """The Tikhonov baseline alone on the deblurring problem."""
-    out = Path(out_dir)
-    summary = RunSummary(kind="tikhonov", seed=config["seed"])
+    summary = RunSummary("tikhonov", config["seed"], out_dir)
     setup = observe_deblur_problem(config)
     truth = setup["truth"]
-    _write_input_images(setup, out, summary)
-    solution = _run_tikhonov_baseline(config, setup, out, summary)
+    _write_input_images(setup, summary)
+    solution = _run_tikhonov_baseline(config, setup, summary)
     summary.relative_errors = {
         "noisy_input": relative_error(setup["observed"], truth.intensities),
         "tikhonov": relative_error(solution, truth.intensities),
     }
-    return summary.write(out, "summary.json", summary.to_json())
+    return summary.finish()
 
 
 def run_em_fit(config, out_dir):
     """Fit a mixture to an ensemble stored as CSV (one sample per row)."""
-    out = Path(out_dir)
     if not config["data"]:
         raise ConfigError("em-fit requires a 'data' CSV path")
     try:
         data = np.loadtxt(config["data"], delimiter=",", ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read data file {config['data']}: {exc}") from exc
-    summary = RunSummary(kind="em-fit", seed=config["seed"])
-    t0 = time.perf_counter()
-    selection = fit_prior_mixture(data, config)
-    summary.timings["em_fit_s"] = time.perf_counter() - t0
-    _record_selection(summary, selection, out)
-    return summary.write(out, "summary.json", summary.to_json())
+    summary = RunSummary("em-fit", config["seed"], out_dir)
+    with summary.timed("em_fit_s"):
+        selection = fit_prior_mixture(data, config)
+    _record_selection(summary, selection)
+    return summary.finish()
 
 
 RUNNERS = {

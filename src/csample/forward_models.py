@@ -186,22 +186,16 @@ class SaturationWrapper(ForwardOperator):
         return self.inner.adjoint_jacobian_apply(x, scaled)
 
 
-def materialize_jacobian(op, x=None):
-    """Dense Jacobian of H at x: the columns H e_j of a linear operator,
-    central differences of a nonlinear one; O(out_dim * in_dim) memory."""
-    x = np.zeros(op.in_dim) if x is None else np.asarray(x, dtype=float)
+def materialize_jacobian(op):
+    """Dense matrix of a linear operator H, column j being H e_j;
+    O(out_dim * in_dim) memory. A nonlinear operator raises ValueError."""
+    if not op.linear:
+        raise ValueError(f"operator {op.kind!r} is nonlinear")
     jac = np.empty((op.out_dim, op.in_dim))
-    if op.linear:
-        for j in range(op.in_dim):
-            e = np.zeros(op.in_dim)
-            e[j] = 1.0
-            jac[:, j] = op.apply(e)
-        return jac
-    eps = 1e-6
     for j in range(op.in_dim):
         e = np.zeros(op.in_dim)
-        e[j] = eps
-        jac[:, j] = (op.apply(x + e) - op.apply(x - e)) / (2.0 * eps)
+        e[j] = 1.0
+        jac[:, j] = op.apply(e)
     return jac
 
 

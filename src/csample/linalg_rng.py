@@ -203,10 +203,6 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=entropy, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
-    def fresh(self):
-        """A new stream at the start of this stream's sequence."""
-        return RngStream(self.seed, self.stream_id)
-
     def standard_normal(self, n):
         if n < 1:
             raise ValueError("n must be at least 1")

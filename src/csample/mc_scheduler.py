@@ -454,13 +454,3 @@ def benchmark_speedup(
                 )
             )
     return rows
-
-
-def benchmark_rows_to_csv(rows):
-    lines = ["p,wall_s,speedup,efficiency,pred_speedup,pred_efficiency"]
-    for row in rows:
-        lines.append(
-            f"{row.workers},{row.wall_s!r},{row.speedup!r},{row.efficiency!r},"
-            f"{row.pred_speedup!r},{row.pred_efficiency!r}"
-        )
-    return "\n".join(lines) + "\n"

@@ -102,10 +102,8 @@ def linear_mixture_posterior(model):
     tau_k N(y; H mu_k, C_k), the evidence, normalised in log space. A
     nonlinear operator raises ValueError.
     """
-    if not model.operator.linear:
-        raise ValueError(f"operator {model.operator.kind!r} is nonlinear")
-    prior = model.prior
     h = materialize_jacobian(model.operator)
+    prior = model.prior
     covs = prior.covariances
     if covs.ndim == 2:
         covs = covs[:, :, None] * np.eye(prior.dim)

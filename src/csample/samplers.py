@@ -9,7 +9,6 @@ they never abort the chain.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,8 +79,6 @@ class ChainResult:
     proposals_made: int
     proposals_accepted: int
     divergences: int = 0
-    wall_time: float = 0.0
-    cpu_time: float = 0.0
     component: int = -1
     stream_id: int = -1
 
@@ -176,8 +173,6 @@ def run_chain(model, config, mechanism):
     steps are counted, never raised. The output is a pure function of
     (model, config, mechanism) including the stream.
     """
-    wall_start = time.perf_counter()
-    cpu_start = time.process_time()
     x = config.initial_state.copy()
     rng = config.rng
     gaussian = isinstance(mechanism, GaussianProposal)
@@ -201,8 +196,6 @@ def run_chain(model, config, mechanism):
         proposals_made=config.total_steps,
         proposals_accepted=accepted,
         divergences=divergences,
-        wall_time=time.perf_counter() - wall_start,
-        cpu_time=time.process_time() - cpu_start,
         stream_id=rng.stream_id,
     )
 

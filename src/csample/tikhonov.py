@@ -338,13 +338,3 @@ def lcurve_select_alpha(problem, alphas=None, *, x0=None, solver_options=None):
     # Ties break toward larger alpha; the grid is scanned in order.
     idx = max(j for j, p in enumerate(points) if p.curvature == best)
     return LCurveSelection(points[idx].alpha, points, False, solutions)
-
-
-def lcurve_points_to_csv(points):
-    lines = ["alpha,residual_norm,solution_norm,curvature,iterations,converged"]
-    for p in points:
-        lines.append(
-            f"{p.alpha!r},{p.residual_norm!r},{p.solution_norm!r},{p.curvature!r},"
-            f"{p.iterations},{int(p.converged)}"
-        )
-    return "\n".join(lines) + "\n"

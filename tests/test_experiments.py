@@ -7,6 +7,7 @@ import pytest
 from csample.cli import main as cli_main
 from csample.errors import ConfigError, ZeroReference
 from csample.experiments import (
+    RunSummary,
     benchmark_prior_mixture,
     default_config,
     load_config,
@@ -143,6 +144,24 @@ class TestBenchmarkGenerator:
         observed = weighted_histogram(samples, masses, edges)
         assert np.allclose(observed, masses)
         assert total_variation(observed, masses) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestRunSummary:
+    def test_write_csv_cells(self, tmp_path):
+        summary = RunSummary("oned", 1, tmp_path)
+        x, y = 0.1 + 0.2, np.float64(1.0) / 3.0
+        summary.write_csv("cells.csv", ("a", "b", "c", "d", "e", "f"),
+                          [(x, y, np.bool_(True), False, np.int64(7), "parallel_hmc")])
+        summary.write_csv("empty.csv", ("a", "b"), [])
+        header, row = (tmp_path / "cells.csv").read_text().split("\n")[:2]
+        assert header == "a,b,c,d,e,f"
+        cells = row.split(",")
+        # Floats read back bit for bit; a numpy bool is an integer, not 1.0.
+        assert float(cells[0]).hex() == x.hex()
+        assert float(cells[1]).hex() == float(y).hex()
+        assert cells[2:] == ["1", "0", "7", "parallel_hmc"]
+        assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+        assert summary.manifest == ["cells.csv", "empty.csv"]
 
 
 class TestOnedRun:
@@ -347,6 +366,28 @@ class TestCli:
         ids=["balance", "pool_mode", "noise_interpretation", "budgets", "t_startup"],
     )
     def test_removed_key_exit_code(self, tmp_path, capsys, kind, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        code = cli_main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("oned", "n_samples", 0),
+            ("oned", "hmc_steps", 0),
+            ("oned", "stride", 0),
+            ("oned", "burn_in", -1),
+            ("oned", "candidate_components", [3, 1]),
+            ("oned", "workers", 0),
+            ("deblur", "n_ens", 0),
+            ("deblur", "n_ens", "30"),
+        ],
+        ids=["n_samples", "hmc_steps", "stride", "burn_in", "candidate_components",
+             "workers", "n_ens", "n_ens_string"],
+    )
+    def test_out_of_range_exit_code(self, tmp_path, capsys, kind, key, value):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({key: value}))
         code = cli_main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "o")])

@@ -209,6 +209,8 @@ class TestAdjoint:
         lhs = ((op.apply(x + eps * d) - op.apply(x - eps * d)) / (2 * eps)) @ v
         rhs = d @ op.adjoint_jacobian_apply(x, v)
         assert lhs == pytest.approx(rhs, rel=1e-6)
+        with pytest.raises(ValueError, match="nonlinear"):
+            materialize_jacobian(op)
 
 
 class TestJacobianStructure:

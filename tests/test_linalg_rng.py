@@ -120,11 +120,6 @@ class TestRngStream:
         draws = RngStream(42, 0).standard_normal(n)
         assert abs(np.mean(draws)) <= 4.0 / np.sqrt(n)
 
-    def test_fresh_restarts_sequence(self):
-        stream = RngStream(5, 2)
-        first = stream.standard_normal(4)
-        assert np.array_equal(stream.fresh().standard_normal(4), first)
-
     def test_uniform_in_unit_interval(self):
         u = RngStream(3, 0).uniform(1000)
         assert np.all((u >= 0.0) & (u < 1.0))

@@ -13,7 +13,6 @@ from csample.tikhonov import (
     DEFAULT_ALPHA_GRID,
     TikhonovProblem,
     discrete_laplacian,
-    lcurve_points_to_csv,
     lcurve_select_alpha,
     solve_tikhonov,
     tikhonov_objective,
@@ -178,13 +177,14 @@ class TestLCurve:
         assert sel.degenerate
 
     def test_csv_output(self):
-        sel = lcurve_select_alpha(simple_problem(), np.logspace(-3, 1, 6))
-        csv = lcurve_points_to_csv(sel.points)
-        header, *rows = csv.strip().split("\n")
-        assert header == "alpha,residual_norm,solution_norm,curvature,iterations,converged"
-        assert len(rows) == 6
-        for row, point in zip(rows, sel.points):
-            assert row.split(",")[4:] == [str(point.iterations), str(int(point.converged))]
+        # The fields of lcurve.csv, one point per grid alpha in grid order.
+        grid = np.logspace(-3, 1, 6)
+        sel = lcurve_select_alpha(simple_problem(), grid)
+        assert [p.alpha for p in sel.points] == grid.tolist()
+        for point in sel.points:
+            assert point.residual_norm > 0.0 and point.solution_norm > 0.0
+            assert point.iterations >= 1
+            assert point.converged
 
     def test_unconverged_solves_warn_and_are_recorded(self):
         rng = np.random.default_rng(8)
@@ -203,8 +203,6 @@ class TestLCurve:
             assert f"{alpha:.6g}" in message
         assert [p.iterations for p in sel.points] == [1] * 5
         assert not any(p.converged for p in sel.points)
-        csv = lcurve_points_to_csv(sel.points)
-        assert all(row.endswith(",1,0") for row in csv.strip().split("\n")[1:])
 
 
 def dense_laplacian_reference(rows, cols, epsilon):
