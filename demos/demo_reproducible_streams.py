@@ -11,8 +11,8 @@ print(f"posterior over {selection.n_components} prior components")
 
 digests = {}
 for workers in (1, 3, 7):
-    plan = build_plan(model, 300, "gaussian", seed=11, workers=workers,
-                      burn_in=50, stride=2, proposal_scale=0.3)
+    plan = build_plan(model, 300, "gaussian", seed=11, burn_in=50, stride=2,
+                      proposal_scale=0.3)
     with WorkerPool(workers) as pool:
         result = run_mc_mcmc(model, plan, pool=pool)
     digests[workers] = hash(result.ensemble.members.tobytes())

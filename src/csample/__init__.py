@@ -39,6 +39,8 @@ from .mc_scheduler import (
     benchmark_speedup,
     build_plan,
     run_mc_mcmc,
+    run_plans,
+    single_chain_plan,
 )
 from .posterior import PosteriorModel, linear_mixture_posterior
 from .samplers import (
@@ -107,8 +109,10 @@ __all__ = [
     "read_pgm",
     "run_chain",
     "run_mc_mcmc",
+    "run_plans",
     "sample_mvn",
     "select_model_aic",
+    "single_chain_plan",
     "solve_tikhonov",
     "step_cost",
     "tikhonov_objective",

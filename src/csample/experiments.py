@@ -34,10 +34,11 @@ from .mc_scheduler import (
     WorkerPool,
     benchmark_speedup,
     build_plan,
-    run_mc_mcmc,
+    run_plans,
+    single_chain_plan,
 )
 from .posterior import PosteriorModel, linear_mixture_posterior
-from .samplers import ChainConfig, GaussianProposal, HmcParams, run_chain
+from .samplers import GaussianProposal, HmcParams
 from .tikhonov import TikhonovProblem, discrete_laplacian, lcurve_select_alpha
 
 # The synthetic prior generator of the 1-D benchmark: weights, means,
@@ -206,12 +207,26 @@ def load_config(kind, path=None, overrides=None):
             raise ConfigError(f"{key} must be an integer of at least {least}, "
                               f"got {config[key]!r}")
     if "candidate_components" in config:
-        lo, hi = config["candidate_components"]
-        if not 1 <= lo <= hi:
+        pair = config["candidate_components"]
+        if not (_is_list_of(pair, 2, int) and 1 <= pair[0] <= pair[1]):
             raise ConfigError(
-                f"candidate_components [{lo}, {hi}] must satisfy 1 <= lo <= hi"
+                f"candidate_components must be two integers [lo, hi] with 1 <= lo <= hi, "
+                f"got {pair!r}"
+            )
+    if "alpha_grid" in config:
+        grid = config["alpha_grid"]
+        if not (_is_list_of(grid, 3, (int, float)) and 0 < grid[0] < grid[1]
+                and isinstance(grid[2], int) and grid[2] >= 2):
+            raise ConfigError(
+                f"alpha_grid must be [lo, hi, count] with 0 < lo < hi and an integer "
+                f"count of at least 2, got {grid!r}"
             )
     return config
+
+
+def _is_list_of(value, length, types):
+    return (isinstance(value, list) and len(value) == length
+            and all(isinstance(v, types) for v in value))
 
 
 def _csv_cell(value):
@@ -386,44 +401,64 @@ ACCEPTANCE_HEADER = ("variant", "chain", "component", "proposals_made",
                      "proposals_accepted", "acceptance_rate", "divergences")
 
 
-def _record_sampling(summary, acceptance_rows, name, chains, samples, weights):
-    """One sampling variant into the run record: its acceptance rate
-    (accepted over made, summed over its chains), samples_{name}.csv, and
-    its chains' rows of acceptance.csv appended to ``acceptance_rows``."""
-    made = sum(c.proposals_made for c in chains)
-    summary.acceptance[name] = sum(c.proposals_accepted for c in chains) / made
-    header = [f"x{i}" for i in range(samples.shape[1])] + ["weight"]
-    summary.write_csv(f"samples_{name}.csv", header,
-                      ([*row, w] for row, w in zip(samples.tolist(), weights.tolist())))
-    acceptance_rows.extend(
-        (name, c.stream_id, c.component, c.proposals_made, c.proposals_accepted,
-         c.acceptance_rate, c.divergences)
-        for c in chains
+def multichain_plan(model, n_ens, mechanism, config):
+    """One chain per prior component with ``mechanism``, tuned by the
+    config's keys; ``build_plan`` reads those of its mechanism."""
+    return build_plan(
+        model, n_ens, mechanism, config["seed"],
+        burn_in=config["burn_in"], stride=config["stride"],
+        proposal_scale=config["parallel_proposal_scale"],
+        hmc_trajectory=config["hmc_trajectory"],
+        hmc_steps=config["hmc_steps"], hmc_jitter=config["hmc_jitter"],
     )
 
 
-def _sample_parallel(summary, acceptance_rows, model, n_ens, config, mechanisms, phase):
-    """Multi-chain sampling with each mechanism in turn on one worker pool,
-    each timed as ``{phase}_{mechanism}_s`` and recorded as
-    ``parallel_{mechanism}``. Every plan gets all tuning keys of the config;
-    ``build_plan`` reads those of its mechanism. Returns the McmcResult of
-    each mechanism."""
-    results = {}
-    with WorkerPool(config["workers"]) as pool:
-        for mechanism in mechanisms:
-            with summary.timed(f"{phase}_{mechanism}_s"):
-                plan = build_plan(
-                    model, n_ens, mechanism, config["seed"], workers=config["workers"],
-                    burn_in=config["burn_in"], stride=config["stride"],
-                    proposal_scale=config["parallel_proposal_scale"],
-                    hmc_trajectory=config["hmc_trajectory"],
-                    hmc_steps=config["hmc_steps"], hmc_jitter=config["hmc_jitter"],
-                )
-                result = results[mechanism] = run_mc_mcmc(model, plan, pool=pool)
-            _record_sampling(summary, acceptance_rows, f"parallel_{mechanism}",
-                             result.chain_results, result.ensemble.members,
-                             result.ensemble.weights)
-    return results
+def oned_plans(model, config):
+    """The 1-D benchmark's four sampling variants by name. The serial chains
+    sample the full posterior from the prior mean; the multi-chain variants
+    run one chain per prior component."""
+    prior_mean, _ = mixture_moments(model.prior)
+    n = config["n_samples"]
+
+    def serial(mechanism, stream):
+        return single_chain_plan(prior_mean, mechanism, n, stream, burn_in=config["burn_in"],
+                                 stride=config["stride"], seed=config["seed"])
+
+    return {
+        "serial_gaussian": serial(serial_gaussian_mechanism(config), STREAM_SERIAL_GAUSSIAN),
+        "serial_hmc": serial(serial_hmc_mechanism(model, config), STREAM_SERIAL_HMC),
+        "parallel_gaussian": multichain_plan(model, n, "gaussian", config),
+        "parallel_hmc": multichain_plan(model, n, "hmc", config),
+    }
+
+
+def _run_sampling(summary, model, variants, workers):
+    """Run every sampling variant's plan in one ``run_plans`` call on a pool
+    of ``workers``, its elapsed wall timed as ``sampling_s``.
+
+    ``variants`` maps each variant's name to its phase key and plan. Each
+    variant goes into the run record: the seconds its chains ran as its
+    phase key, its acceptance rate (accepted over made, summed over its
+    chains) and samples_{name}.csv. Returns the McmcResult of each variant
+    by name, and the rows of acceptance.csv.
+    """
+    with WorkerPool(workers) as pool, summary.timed("sampling_s"):
+        results = run_plans(model, [plan for _, plan in variants.values()], pool)
+    rows = []
+    for (name, (phase, _)), result in zip(variants.items(), results):
+        chains, ensemble = result.chain_results, result.ensemble
+        summary.timings[phase] = result.chain_seconds
+        summary.acceptance[name] = result.acceptance_rate
+        header = [f"x{i}" for i in range(ensemble.dim)] + ["weight"]
+        summary.write_csv(f"samples_{name}.csv", header,
+                          ([*row, w] for row, w in zip(ensemble.members.tolist(),
+                                                       ensemble.weights.tolist())))
+        rows.extend(
+            (name, c.stream_id, c.component, c.proposals_made, c.proposals_accepted,
+             c.acceptance_rate, c.divergences)
+            for c in chains
+        )
+    return dict(zip(variants, results)), rows
 
 
 def run_oned_benchmark(config, out_dir):
@@ -433,23 +468,8 @@ def run_oned_benchmark(config, out_dir):
     with summary.timed("em_fit_s"):
         model, selection, _ = prepare_oned_model(config)
 
-    prior_mean, _ = mixture_moments(model.prior)
-    n = config["n_samples"]
-    acceptance_rows = []
-    # Serial chains sample the full posterior from the prior mean.
-    for name, stream, mechanism in (
-        ("serial_gaussian", STREAM_SERIAL_GAUSSIAN, serial_gaussian_mechanism(config)),
-        ("serial_hmc", STREAM_SERIAL_HMC, serial_hmc_mechanism(model, config)),
-    ):
-        with summary.timed(f"{name}_s"):
-            cfg = ChainConfig(n, prior_mean, RngStream(config["seed"], stream),
-                              burn_in=config["burn_in"], stride=config["stride"])
-            chain = run_chain(model, cfg, mechanism)
-        _record_sampling(summary, acceptance_rows, name, [chain],
-                         chain.samples, np.full(n, 1.0 / n))
-
-    results = _sample_parallel(summary, acceptance_rows, model, n, config,
-                               ("gaussian", "hmc"), "parallel")
+    variants = {name: (f"{name}_s", plan) for name, plan in oned_plans(model, config).items()}
+    results, acceptance_rows = _run_sampling(summary, model, variants, config["workers"])
 
     # The exact posterior's density and bin masses against the pooled samples.
     posterior = linear_mixture_posterior(model)
@@ -462,7 +482,7 @@ def run_oned_benchmark(config, out_dir):
     lo, hi = config["histogram_range"]
     edges = np.linspace(lo, hi, config["histogram_bins"] + 1)
     ref_masses = mixture_bin_masses(posterior, edges)
-    ensemble = results["hmc"].ensemble
+    ensemble = results["parallel_hmc"].ensemble
     sample_masses = weighted_histogram(ensemble.members[:, 0], ensemble.weights, edges)
     summary.write_csv("histogram_parallel_hmc.csv",
                       ("bin_left", "bin_right", "mass_sampled", "mass_reference"),
@@ -605,12 +625,15 @@ def run_deblur_experiment(config, out_dir):
         setup["observed"],
         SpdMatrix.spherical(rows * cols, setup["noise_std"] ** 2),
     )
-    acceptance_rows = []
-    results = _sample_parallel(summary, acceptance_rows, model, config["n_ens"], config,
-                               ("hmc", "gaussian"), "sampling")
+    variants = {
+        f"parallel_{mechanism}": (f"sampling_{mechanism}_s",
+                                  multichain_plan(model, config["n_ens"], mechanism, config))
+        for mechanism in ("hmc", "gaussian")
+    }
+    results, acceptance_rows = _run_sampling(summary, model, variants, config["workers"])
     summary.write_csv("acceptance.csv", ACCEPTANCE_HEADER, acceptance_rows)
 
-    ensemble = results["hmc"].ensemble
+    ensemble = results["parallel_hmc"].ensemble
     posterior_mean = ensemble.mean()
     posterior_median = np.median(ensemble.members, axis=0)
     summary.write_image("posterior_mean.pgm", rows, cols, posterior_mean)
@@ -625,7 +648,9 @@ def run_deblur_experiment(config, out_dir):
         "posterior_mean": relative_error(posterior_mean, x_true),
         "posterior_median": relative_error(posterior_median, x_true),
         "tikhonov": relative_error(tikhonov_solution, x_true),
-        "gaussian_posterior_mean": relative_error(results["gaussian"].ensemble.mean(), x_true),
+        "gaussian_posterior_mean": relative_error(
+            results["parallel_gaussian"].ensemble.mean(), x_true
+        ),
     }
     return summary.finish()
 

@@ -107,6 +107,8 @@ class GaussianMixture:
         self.covariances = np.broadcast_to(covs, weights.shape + covs.shape[1:])
         self.structure = structure
         self._factors = np.broadcast_to(factors, self.covariances.shape)
+        # Variance storage: the precisions 1 / sigma^2, computed once.
+        self._precisions = 1.0 / self.covariances if covs.ndim == 2 else None
         self._log_weights = np.log(weights)
         self._logdets = np.broadcast_to(2.0 * np.sum(np.log(pivots), axis=1), weights.shape)
         # Per-component terms of the kernel: log tau_k - 0.5 log|Sigma_k|.
@@ -133,9 +135,13 @@ class GaussianMixture:
             return self.covariances
         return np.diagonal(self.covariances, axis1=1, axis2=2)
 
-    def _dense_mahalanobis(self, x):
-        """mahalanobis_sq of (k, dim, dim) storage, and the whitened
-        deviations L_k^{-1} (x - mu_k) it came from: (dim,) or (dim, n) each."""
+    def _mahalanobis_parts(self, x):
+        """mahalanobis_sq of x, and the deviations it came from: x - mu_k
+        (..., k, dim) for variance storage, for dense storage the whitened
+        L_k^{-1} (x - mu_k), one (dim,) or (dim, n) array per component."""
+        if self.covariances.ndim == 2:
+            dev = x[..., None, :] - self.means
+            return np.einsum("...kd,kd,...kd->...k", dev, self._precisions, dev), dev
         whitened = [
             solve_triangular(lower, (x - mu).T, lower=True)
             for lower, mu in zip(self._factors, self.means)
@@ -151,10 +157,7 @@ class GaussianMixture:
         ``x`` is one float state (dim,) or a batch (n, dim); the result is
         (n_c,) or (n, n_c) accordingly.
         """
-        if self.covariances.ndim == 2:
-            dev = x[..., None, :] - self.means
-            return np.einsum("...kd,kd,...kd->...k", dev, 1.0 / self.covariances, dev)
-        return self._dense_mahalanobis(x)[0]
+        return self._mahalanobis_parts(x)[0]
 
     def component_log_densities(self, x):
         """log N(x; mu_k, Sigma_k) for each component, vectorized over rows.
@@ -188,35 +191,44 @@ class GaussianMixture:
     # sum_k tau_k |Sigma_k|^{-1/2} exp(-0.5 maha_k(x)): the density without
     # its (2 pi)^{-dim/2} factor, which is all a posterior potential needs.
 
+    def _kernel_terms(self, x):
+        """The kernel's terms at x over the largest, their sum, the largest
+        log term, and the deviations of the Mahalanobis step."""
+        maha, dev = self._mahalanobis_parts(x)
+        logs = self._kernel_consts - 0.5 * maha
+        peak = logs.max()
+        terms = np.exp(logs - peak)
+        return terms, terms.sum(), peak, dev
+
+    def _pullback(self, resp, dev):
+        if self.covariances.ndim == 2:
+            return resp @ (self._precisions * dev)
+        # Dense storage back-substitutes the whitened deviations.
+        return sum(
+            w * solve_triangular(lower, v, lower=True, trans="T")
+            for w, lower, v in zip(resp, self._factors, dev)
+        )
+
     def log_kernel(self, x):
         """Log of the mixture kernel at x, by log-sum-exp."""
-        logs = self._kernel_consts - 0.5 * self.mahalanobis_sq(x)
-        m = logs.max()
-        return m + np.log(np.exp(logs - m).sum())
-
-    def _kernel_weights(self, maha):
-        logs = self._kernel_consts - 0.5 * maha
-        shifted = np.exp(logs - logs.max())
-        return shifted / shifted.sum()
+        _, total, peak, _ = self._kernel_terms(x)
+        return peak + np.log(total)
 
     def kernel_responsibilities(self, x):
         """Normalized kernel terms w_k(x); they sum to 1."""
-        return self._kernel_weights(self.mahalanobis_sq(x))
+        terms, total, _, _ = self._kernel_terms(x)
+        return terms / total
 
     def kernel_pullback(self, x):
-        """sum_k w_k(x) Sigma_k^{-1} (x - mu_k), the gradient of -log_kernel.
-        Dense storage back-substitutes the Mahalanobis step's L_k^{-1} (x - mu_k)."""
-        if self.covariances.ndim == 2:
-            precision = 1.0 / self.covariances
-            dev = x[None, :] - self.means
-            resp = self._kernel_weights(np.einsum("...kd,kd,...kd->...k", dev, precision, dev))
-            return resp @ (precision * dev)
-        maha, whitened = self._dense_mahalanobis(x)
-        resp = self._kernel_weights(maha)
-        return sum(
-            w * solve_triangular(lower, v, lower=True, trans="T")
-            for w, lower, v in zip(resp, self._factors, whitened)
-        )
+        """sum_k w_k(x) Sigma_k^{-1} (x - mu_k), the gradient of -log_kernel."""
+        terms, total, _, dev = self._kernel_terms(x)
+        return self._pullback(terms / total, dev)
+
+    def log_kernel_and_pullback(self, x):
+        """``log_kernel(x)`` and ``kernel_pullback(x)`` from one Mahalanobis
+        step, each bit-equal to its own call."""
+        terms, total, peak, dev = self._kernel_terms(x)
+        return peak + np.log(total), self._pullback(terms / total, dev)
 
     def sample(self, rng):
         """One draw: a categorical component pick followed by an MVN draw."""

@@ -3,10 +3,11 @@
 Chains are planned deterministically from (model, seed): budgets by
 component weight times the likelihood of the component mean, initial states
 at the component means, proposal tuning from the local component statistics,
-and one random stream per chain keyed by its component index. Chains are
-placed on workers largest budget first; the placement never changes the
-gathered ensemble, because streams are per chain and the gather runs in chain
-order.
+and one random stream per chain keyed by its component index. A serial
+baseline is a plan of one chain. ``run_plans`` runs the chains of several
+plans in one call on one worker pool, placed largest predicted cost first;
+the placement never changes the gathered ensembles, because streams are per
+chain and each plan's gather runs in chain order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cost_model import CostModelInput, predict_cost
+from .cost_model import CostModelInput, predict_cost, step_cost
 from .errors import BudgetInfeasibleWarning, ChainFailed, OversubscribedWarning
 from .gmm import Ensemble
 from .linalg_rng import RngStream, SpdMatrix
@@ -47,8 +48,6 @@ class ChainPlan:
 @dataclass
 class SchedulerPlan:
     chains: list
-    workers: int
-    assignment: np.ndarray  # worker index per chain
     burn_in: int
     stride: int
     seed: int
@@ -75,7 +74,12 @@ class McmcResult:
     proposals_made: int
     proposals_accepted: int
     divergences: int
-    wall_time: float
+    wall_time: float  # elapsed wall of the run that ran this plan's chains
+
+    @property
+    def chain_seconds(self):
+        """Seconds this plan's chains ran, each timed where it ran."""
+        return sum(r.wall_s for r in self.chain_results)
 
 
 def component_log_scores(model):
@@ -157,7 +161,6 @@ def build_plan(
     mechanism,
     seed,
     *,
-    workers=1,
     burn_in=100,
     stride=5,
     proposal_scale=None,
@@ -170,9 +173,8 @@ def build_plan(
 
     ``mechanism`` is "gaussian" or "hmc". ``budgets`` is "likelihood"
     (component weight times likelihood of the mean) or "uniform" (equal
-    split, the idealized division the cost model assumes). The plan is
-    independent of ``workers`` except for the chain-to-worker assignment,
-    which is ``balanced_assignment`` of the budgets.
+    split, the idealized division the cost model assumes). The plan holds
+    no placement: ``run_plans`` places chains on the pool that runs them.
     """
     prior = model.prior
     n_c = prior.n_components
@@ -205,14 +207,27 @@ def build_plan(
                 log_weight=float(log_scores[i]),
             )
         )
-    return SchedulerPlan(
-        chains=chains,
-        workers=int(workers),
-        assignment=balanced_assignment(counts, workers),
-        burn_in=int(burn_in),
-        stride=int(stride),
-        seed=int(seed),
-    )
+    return SchedulerPlan(chains=chains, burn_in=int(burn_in), stride=int(stride), seed=int(seed))
+
+
+def single_chain_plan(initial_state, mechanism, n_samples, stream_id, *, burn_in, stride, seed):
+    """One chain of the whole budget on stream ``stream_id``, outside any
+    mixture component (-1) and with log weight 0, so its samples pool to
+    equal weights 1/n."""
+    chain = ChainPlan(-1, int(n_samples), np.array(initial_state, dtype=float), mechanism,
+                      int(stream_id), 0.0)
+    return SchedulerPlan(chains=[chain], burn_in=int(burn_in), stride=int(stride), seed=int(seed))
+
+
+def chain_cost(model, chain, burn_in, stride):
+    """Predicted cost of one chain: its steps times ``cost_model.step_cost``
+    of its mechanism on the model."""
+    mechanism = chain.mechanism
+    if isinstance(mechanism, HmcParams):
+        unit = step_cost(model.dim, model.prior.structure, "hmc", mechanism.n_steps)
+    else:
+        unit = step_cost(model.dim, model.prior.structure, "diagonal")
+    return (burn_in + stride * chain.budget) * unit
 
 
 def _execute_chain(model, chain, burn_in, stride, seed):
@@ -224,19 +239,22 @@ def _execute_chain(model, chain, burn_in, stride, seed):
             burn_in=burn_in,
             stride=stride,
         )
+        start = time.perf_counter()
         result = run_chain(model, config, chain.mechanism)
+        result.wall_s = time.perf_counter() - start
         result.component = chain.component
         return result
     except Exception as exc:  # a failed chain must never abort its siblings
         return ChainFailure(chain.component, chain.stream_id, repr(exc))
 
 
-def _execute_worker_batch(model, chains, burn_in, stride, seed):
-    return [_execute_chain(model, c, burn_in, stride, seed) for c in chains]
+def _execute_worker_batch(model, tasks):
+    return [_execute_chain(model, *task) for task in tasks]
 
 
 class WorkerPool:
-    """Fixed pool of workers executing whole per-worker chain batches.
+    """Fixed pool of workers executing whole per-worker chain batches: lists
+    of (chain, burn_in, stride, seed) tasks.
 
     A pool of size 1 runs its batches in the calling process; a larger pool
     forks OS processes where available. The gathered output is identical
@@ -262,16 +280,10 @@ class WorkerPool:
             for f in futures:
                 f.result()
 
-    def run_batches(self, model, batches, burn_in, stride, seed):
+    def run_batches(self, model, batches):
         if self._executor is None:
-            return [
-                _execute_worker_batch(model, batch, burn_in, stride, seed)
-                for batch in batches
-            ]
-        futures = [
-            self._executor.submit(_execute_worker_batch, model, batch, burn_in, stride, seed)
-            for batch in batches
-        ]
+            return [_execute_worker_batch(model, batch) for batch in batches]
+        futures = [self._executor.submit(_execute_worker_batch, model, batch) for batch in batches]
         return [f.result() for f in futures]
 
     def close(self):
@@ -286,71 +298,89 @@ class WorkerPool:
         self.close()
 
 
-def run_mc_mcmc(model, plan, pool=None):
-    """Execute all planned chains and gather a weighted posterior ensemble.
+def _failure_text(failure):
+    # A serial chain belongs to no component; its stream names it.
+    if failure.component >= 0:
+        return f"chain of component {failure.component} failed: {failure.error}"
+    return f"chain of stream {failure.stream_id} failed: {failure.error}"
 
-    Zero-budget chains are skipped. Samples are pooled in chain order, each
-    carrying an importance weight proportional to its component's pooling
-    weight divided by the chain budget, normalized over the pool. Every chain
-    runs even when a sibling raises; afterwards any failure raises
-    ``ChainFailed`` naming each failed component and its error, because a
-    pool missing a component's samples is a biased posterior. The pooled
-    ensemble is bit-identical for any worker count.
+
+def _pool_plan(chains, results, wall):
+    """One plan's McmcResult: samples pooled in chain order, each carrying an
+    importance weight proportional to its component's pooling weight divided
+    by the chain budget, normalized over the pool."""
+    samples = []
+    log_weights = []
+    made = accepted = divergences = 0
+    for chain, result in zip(chains, results):
+        samples.append(result.samples)
+        log_weights.append(np.full(result.n_samples, chain.log_weight - math.log(chain.budget)))
+        made += result.proposals_made
+        accepted += result.proposals_accepted
+        divergences += result.divergences
+    logw = np.concatenate(log_weights)
+    logw -= np.max(logw)
+    weights = np.exp(logw)
+    weights /= np.sum(weights)
+    return McmcResult(
+        ensemble=Ensemble(np.concatenate(samples, axis=0), weights),
+        chain_results=results,
+        acceptance_rate=(accepted / made) if made else 0.0,
+        proposals_made=made,
+        proposals_accepted=accepted,
+        divergences=divergences,
+        wall_time=wall,
+    )
+
+
+def run_plans(model, plans, pool):
+    """Execute the chains of every plan in one call on ``pool``, and gather
+    one weighted ensemble per plan: a McmcResult each, in plan order.
+
+    Zero-budget chains are skipped. The chains of all plans are placed
+    together, largest predicted cost (``chain_cost``) first on the least
+    loaded of the pool's workers. Every chain runs even when a sibling
+    raises; afterwards any failure raises ``ChainFailed`` naming each failed
+    chain and its error, because a pool missing a chain's samples is a
+    biased posterior. Each ensemble is bit-identical for any pool size and
+    for any other plans run alongside; each result's ``wall_time`` is the
+    elapsed wall of the whole call.
     """
-    own_pool = pool is None
-    if own_pool:
-        pool = WorkerPool(1)
-    try:
-        active = []
-        batches = [[] for _ in range(plan.workers)]
-        for i, chain in enumerate(plan.chains):
+    owners, jobs = [], []  # plan index and (chain, burn_in, stride, seed) per chain
+    for k, plan in enumerate(plans):
+        for chain in plan.chains:
             if chain.budget > 0:
-                active.append(chain)
-                batches[plan.assignment[i]].append(chain)
-        batches = [b for b in batches if b]
+                owners.append(k)
+                jobs.append((chain, plan.burn_in, plan.stride, plan.seed))
+    assignment = balanced_assignment([chain_cost(model, *job[:3]) for job in jobs], pool.size)
+    placed = [np.flatnonzero(assignment == w) for w in range(pool.size)]
+    placed = [indices for indices in placed if indices.size]
 
-        start = time.perf_counter()
-        batch_results = pool.run_batches(model, batches, plan.burn_in, plan.stride, plan.seed)
-        wall = time.perf_counter() - start
+    start = time.perf_counter()
+    outputs = pool.run_batches(model, [[jobs[i] for i in indices] for indices in placed])
+    wall = time.perf_counter() - start
 
-        by_component = {}
-        for batch in batch_results:
-            for result in batch:
-                by_component[result.component] = result
-        ordered = [by_component[c.component] for c in active]
-        failures = [r for r in ordered if isinstance(r, ChainFailure)]
-        if failures:
-            raise ChainFailed(
-                "; ".join(f"chain of component {f.component} failed: {f.error}" for f in failures)
-            )
+    results = [None] * len(jobs)
+    for indices, output in zip(placed, outputs):
+        for i, result in zip(indices, output):
+            results[i] = result
+    failures = [r for r in results if isinstance(r, ChainFailure)]
+    if failures:
+        raise ChainFailed("; ".join(map(_failure_text, failures)))
+    pooled = []
+    for k in range(len(plans)):
+        mine = [i for i, owner in enumerate(owners) if owner == k]
+        pooled.append(_pool_plan([jobs[i][0] for i in mine], [results[i] for i in mine], wall))
+    return pooled
 
-        samples = []
-        log_weights = []
-        made = accepted = divergences = 0
-        for chain, result in zip(active, ordered):
-            samples.append(result.samples)
-            log_weights.append(
-                np.full(result.n_samples, chain.log_weight - math.log(chain.budget))
-            )
-            made += result.proposals_made
-            accepted += result.proposals_accepted
-            divergences += result.divergences
-        logw = np.concatenate(log_weights)
-        logw -= np.max(logw)
-        weights = np.exp(logw)
-        weights /= np.sum(weights)
-        return McmcResult(
-            ensemble=Ensemble(np.concatenate(samples, axis=0), weights),
-            chain_results=ordered,
-            acceptance_rate=(accepted / made) if made else 0.0,
-            proposals_made=made,
-            proposals_accepted=accepted,
-            divergences=divergences,
-            wall_time=wall,
-        )
-    finally:
-        if own_pool:
-            pool.close()
+
+def run_mc_mcmc(model, plan, pool=None):
+    """Execute one plan's chains and gather its weighted posterior ensemble:
+    ``run_plans`` of the one plan, on a one-worker pool when none is given."""
+    if pool is not None:
+        return run_plans(model, [plan], pool)[0]
+    with WorkerPool(1) as own:
+        return run_plans(model, [plan], own)[0]
 
 
 @dataclass
@@ -423,7 +453,6 @@ def benchmark_speedup(
             n_ens,
             mechanism,
             seed,
-            workers=p,
             burn_in=burn_in,
             stride=stride,
             budgets="uniform",

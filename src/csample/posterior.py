@@ -1,11 +1,11 @@
 """The target distribution: Gaussian likelihood times GMM prior.
 
 The sampler-facing surface is the potential J(x) (the posterior negative
-log-kernel) and its gradient. The model holds only the likelihood half: R,
-the misfit and its adjoint. The prior half (kernel
-log-sum-exp, responsibilities, pullback) is the mixture's own, computed
-from the factors and log determinants it caches once and shares read-only
-with every chain worker. The observation-error inverse is never formed:
+log-kernel) and its gradient, apart or fused (``potential_and_grad``). The
+model holds only the likelihood half: R, the misfit and its adjoint. The
+prior half (kernel log-sum-exp, responsibilities, pullback) is the
+mixture's own, computed from the factors and log determinants it caches
+once and shares read-only with every chain worker. The observation-error inverse is never formed:
 solves go through the Cholesky factor that R caches. For a linear operator the
 posterior is itself a Gaussian mixture: ``linear_mixture_posterior``.
 """
@@ -88,6 +88,16 @@ class PosteriorModel:
         _, rinv_residual, _ = self._misfit_terms(x)
         grad = self.operator.adjoint_jacobian_apply(x, rinv_residual)
         return grad + self.prior.kernel_pullback(x)
+
+    def potential_and_grad(self, x):
+        """J(x) and its gradient from one misfit and one Mahalanobis step,
+        each bit-equal to ``neg_log_posterior`` and
+        ``grad_neg_log_posterior`` at x."""
+        x = self._check_state(x)
+        _, rinv_residual, misfit = self._misfit_terms(x)
+        log_kernel, pullback = self.prior.log_kernel_and_pullback(x)
+        grad = self.operator.adjoint_jacobian_apply(x, rinv_residual)
+        return 0.5 * misfit - log_kernel, grad + pullback
 
 
 def linear_mixture_posterior(model):

@@ -81,6 +81,7 @@ class ChainResult:
     divergences: int = 0
     component: int = -1
     stream_id: int = -1
+    wall_s: float = 0.0  # the chain's own run time where it ran
 
     @property
     def acceptance_rate(self):
@@ -104,6 +105,7 @@ class HmcStep(NamedTuple):
     accepted: bool
     potential: float
     divergent: bool
+    grad: np.ndarray  # gradient of J at ``state``
 
 
 def mh_step(model, x, proposal, rng, potential=None):
@@ -125,27 +127,37 @@ def mh_step(model, x, proposal, rng, potential=None):
     return MhStep(x, False, potential)
 
 
-def leapfrog(model, x, p, mass, step_size, n_steps):
-    """Leapfrog integration of (x, p) under H = 0.5 p^T M^-1 p + J(x)."""
+def leapfrog(model, x, p, mass, step_size, n_steps, grad):
+    """Leapfrog integration of (x, p) under H = 0.5 p^T M^-1 p + J(x).
+
+    ``grad`` is the gradient of J at x, carried from the step that reached
+    x. The flight evaluates the gradient n_steps - 1 times and ends with
+    one fused ``potential_and_grad``. Returns the end state and momentum,
+    and J and its gradient there.
+    """
     x = np.array(x, dtype=float)
     p = np.array(p, dtype=float)
-    p -= 0.5 * step_size * model.grad_neg_log_posterior(x)
+    p -= 0.5 * step_size * grad
     for i in range(n_steps):
         x += step_size * mass.solve(p)
         if i < n_steps - 1:
             p -= step_size * model.grad_neg_log_posterior(x)
-    p -= 0.5 * step_size * model.grad_neg_log_posterior(x)
-    return x, p
+    potential, grad = model.potential_and_grad(x)
+    p -= 0.5 * step_size * grad
+    return x, p, potential, grad
 
 
-def hmc_step(model, x, params, rng, potential=None):
+def hmc_step(model, x, params, rng, potential=None, grad=None):
     """One HMC transition: momentum refresh, leapfrog flight, accept test.
 
     Accepts with probability min(1, exp(-dH)). A non-finite or huge |dH|
     marks the trajectory divergent: the step is rejected and flagged.
+    ``potential`` and ``grad`` carry J and its gradient at x from the last
+    step, which returns both for its own state; they are computed when
+    omitted.
     """
-    if potential is None:
-        potential = model.neg_log_posterior(x)
+    if potential is None or grad is None:
+        potential, grad = model.potential_and_grad(x)
     n_steps = params.n_steps
     if params.jitter_steps:
         n_steps = 1 + int(rng.uniform() * params.n_steps)
@@ -154,16 +166,17 @@ def hmc_step(model, x, params, rng, potential=None):
     h0 = potential + 0.5 * params.mass.maha_sq(p0)
     # Overflow in an exploding trajectory is handled by the divergence guard.
     with np.errstate(over="ignore", invalid="ignore"):
-        x_new, p_new = leapfrog(model, x, p0, params.mass, params.step_size, n_steps)
-        potential_new = model.neg_log_posterior(x_new)
+        x_new, p_new, potential_new, grad_new = leapfrog(
+            model, x, p0, params.mass, params.step_size, n_steps, grad
+        )
         h1 = potential_new + 0.5 * params.mass.maha_sq(p_new)
     delta = h1 - h0
     if not np.isfinite(delta) or abs(delta) > DIVERGENCE_THRESHOLD:
-        return HmcStep(x, False, potential, True)
+        return HmcStep(x, False, potential, True, grad)
     a = min(1.0, np.exp(min(0.0, -delta)))
     if a > rng.uniform():
-        return HmcStep(x_new, True, potential_new, False)
-    return HmcStep(x, False, potential, False)
+        return HmcStep(x_new, True, potential_new, False, grad_new)
+    return HmcStep(x, False, potential, False, grad)
 
 
 def run_chain(model, config, mechanism):
@@ -176,7 +189,10 @@ def run_chain(model, config, mechanism):
     x = config.initial_state.copy()
     rng = config.rng
     gaussian = isinstance(mechanism, GaussianProposal)
-    potential = model.neg_log_posterior(x)
+    if gaussian:
+        potential = model.neg_log_posterior(x)
+    else:
+        potential, grad = model.potential_and_grad(x)
     samples = np.empty((config.n_samples, x.size))
     accepted = 0
     divergences = 0
@@ -185,7 +201,9 @@ def run_chain(model, config, mechanism):
         if gaussian:
             x, ok, potential = mh_step(model, x, mechanism, rng, potential)
         else:
-            x, ok, potential, divergent = hmc_step(model, x, mechanism, rng, potential)
+            x, ok, potential, divergent, grad = hmc_step(
+                model, x, mechanism, rng, potential, grad
+            )
             divergences += divergent
         accepted += ok
         if step > config.burn_in and (step - config.burn_in) % config.stride == 0:

@@ -74,14 +74,14 @@ def oned_pipeline():
     timings["serial_hmc"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    plan_g = build_plan(model, n, "gaussian", seed, workers=cfg["workers"],
+    plan_g = build_plan(model, n, "gaussian", seed,
                         burn_in=cfg["burn_in"], stride=cfg["stride"],
                         proposal_scale=cfg["parallel_proposal_scale"])
     parallel_g = run_mc_mcmc(model, plan_g)
     timings["parallel_gaussian"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    plan_h = build_plan(model, n, "hmc", seed, workers=cfg["workers"],
+    plan_h = build_plan(model, n, "hmc", seed,
                         burn_in=cfg["burn_in"], stride=cfg["stride"],
                         hmc_trajectory=cfg["hmc_trajectory"],
                         hmc_steps=cfg["hmc_steps"], hmc_jitter=cfg["hmc_jitter"])
@@ -342,7 +342,7 @@ class TestCriterion7Determinism:
         baseline = None
         for p in (1, 3, 7):
             plan = build_plan(
-                model, 600, "hmc", cfg["seed"], workers=p,
+                model, 600, "hmc", cfg["seed"],
                 burn_in=cfg["burn_in"], stride=cfg["stride"],
                 hmc_trajectory=cfg["hmc_trajectory"], hmc_steps=cfg["hmc_steps"],
                 hmc_jitter=cfg["hmc_jitter"],

@@ -383,9 +383,12 @@ class TestCli:
             ("oned", "workers", 0),
             ("deblur", "n_ens", 0),
             ("deblur", "n_ens", "30"),
+            ("tikhonov", "alpha_grid", [1e-6, 1e2, 0]),
+            ("oned", "candidate_components", [1]),
         ],
         ids=["n_samples", "hmc_steps", "stride", "burn_in", "candidate_components",
-             "workers", "n_ens", "n_ens_string"],
+             "workers", "n_ens", "n_ens_string", "alpha_grid_count",
+             "candidate_components_shape"],
     )
     def test_out_of_range_exit_code(self, tmp_path, capsys, kind, key, value):
         cfg_path = tmp_path / "cfg.json"
@@ -423,4 +426,25 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert f"chain of component {stream} failed" in err
+        assert "injected fault" in err
+
+    def test_failed_serial_chain_exit_code(self, tmp_path, capsys, monkeypatch):
+        from csample import mc_scheduler
+        from csample.experiments import STREAM_SERIAL_HMC
+
+        original = mc_scheduler.run_chain
+
+        def failing_run_chain(model, chain_config, mechanism):
+            if chain_config.rng.stream_id == STREAM_SERIAL_HMC:
+                raise FloatingPointError("injected fault")
+            return original(model, chain_config, mechanism)
+
+        monkeypatch.setattr(mc_scheduler, "run_chain", failing_run_chain)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_oned_config(n_ens_prior=200,
+                                                         candidate_components=[2, 4])))
+        code = cli_main(["oned", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"chain of stream {STREAM_SERIAL_HMC} failed" in err
         assert "injected fault" in err

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from csample.cost_model import CostModelInput, predict_cost
 from csample.errors import BudgetInfeasibleWarning, ChainFailed, OversubscribedWarning
 from csample.forward_models import IdentityOperator
 from csample.gmm import GaussianMixture
-from csample.linalg_rng import SpdMatrix
+from csample.linalg_rng import RngStream, SpdMatrix
 from csample.mc_scheduler import (
     WorkerPool,
     allocate_budgets,
@@ -13,12 +15,14 @@ from csample.mc_scheduler import (
     benchmark_speedup,
     build_plan,
     component_log_scores,
+    chain_cost,
     round_robin_assignment,
     run_mc_mcmc,
+    run_plans,
     tune_hmc,
 )
 from csample.posterior import PosteriorModel
-from csample.samplers import GaussianProposal, HmcParams
+from csample.samplers import ChainConfig, GaussianProposal, HmcParams, run_chain
 
 
 def mixture_1d(weights, means, variances):
@@ -133,15 +137,13 @@ class TestAssignment:
 
 class TestBuildPlan:
     def test_plan_shape(self, bench_model):
-        plan = build_plan(bench_model, 200, "gaussian", seed=5, workers=3)
+        plan = build_plan(bench_model, 200, "gaussian", seed=5)
         assert len(plan.chains) == bench_model.prior.n_components
         assert plan.n_samples == 200
         for i, chain in enumerate(plan.chains):
             assert chain.stream_id == i
             assert np.array_equal(chain.initial_state, bench_model.prior.means[i])
             assert isinstance(chain.mechanism, GaussianProposal)
-        budgets = [c.budget for c in plan.chains]
-        assert np.array_equal(plan.assignment, balanced_assignment(budgets, 3))
 
     def test_uniform_budgets(self, bench_model):
         plan = build_plan(bench_model, 100, "hmc", seed=5, budgets="uniform")
@@ -175,20 +177,19 @@ class TestBuildPlan:
         assert [c.budget for c in plan.chains] == allocate_budgets(scores, 150).tolist()
 
     def test_plan_independent_of_workers(self, bench_model):
-        a = build_plan(bench_model, 150, "gaussian", seed=9, workers=1)
-        b = build_plan(bench_model, 150, "gaussian", seed=9, workers=7)
-        for ca, cb in zip(a.chains, b.chains):
-            assert ca.budget == cb.budget
-            assert np.array_equal(ca.initial_state, cb.initial_state)
+        # Placement belongs to the pool that runs the plan: a plan holds no
+        # worker count and no assignment.
+        plan = build_plan(bench_model, 150, "gaussian", seed=9)
+        assert [f.name for f in fields(plan)] == ["chains", "burn_in", "stride", "seed"]
+        with pytest.raises(TypeError):
+            build_plan(bench_model, 150, "gaussian", seed=9, workers=7)
 
 
 class TestRunMcMcmc:
     def test_gather_deterministic_across_pools(self, bench_model):
         results = {}
         for workers in (1, 2):
-            plan = build_plan(
-                bench_model, 120, "gaussian", seed=33, workers=workers, burn_in=20, stride=2
-            )
+            plan = build_plan(bench_model, 120, "gaussian", seed=33, burn_in=20, stride=2)
             with WorkerPool(workers) as pool:
                 results[workers] = run_mc_mcmc(bench_model, plan, pool=pool)
         base = results[1].ensemble
@@ -266,6 +267,108 @@ class TestRunMcMcmc:
         result = run_mc_mcmc(model, plan)
         assert result.ensemble.size == sum(c.budget for c in plan.chains)
         assert len(result.chain_results) == 2
+
+
+class RecordingPool(WorkerPool):
+    """A WorkerPool that keeps the batches it was handed."""
+
+    def run_batches(self, model, batches):
+        self.batches = batches
+        return super().run_batches(model, batches)
+
+
+def small_oned_plans(model):
+    from csample.experiments import default_config, oned_plans
+
+    cfg = default_config("oned")
+    cfg.update(n_samples=150, burn_in=20, stride=2, hmc_steps=8)
+    return oned_plans(model, cfg)
+
+
+@pytest.fixture(scope="module")
+def oned_runs():
+    """A 1-D model, oned's four plans on it, and each plan run alone."""
+    from conftest import FIT_1D, make_mixture_1d
+
+    model = PosteriorModel(make_mixture_1d(FIT_1D), IdentityOperator(1), [-1.0],
+                           SpdMatrix.from_diagonal([2.2]))
+    plans = small_oned_plans(model)
+    alone = {name: run_mc_mcmc(model, plan) for name, plan in plans.items()}
+    return model, plans, alone
+
+
+class TestRunPlans:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_ensembles_equal_each_plan_run_alone(self, oned_runs, workers):
+        model, plans, alone = oned_runs
+        with WorkerPool(workers) as pool:
+            results = run_plans(model, list(plans.values()), pool)
+        for name, result in zip(plans, results):
+            assert result.ensemble.members.tobytes() == alone[name].ensemble.members.tobytes()
+            assert result.ensemble.weights.tobytes() == alone[name].ensemble.weights.tobytes()
+            assert result.acceptance_rate == alone[name].acceptance_rate
+            assert result.chain_seconds > 0.0
+
+    def test_serial_plan_equals_its_chain_run_directly(self, oned_runs):
+        model, plans, alone = oned_runs
+        plan = plans["serial_hmc"]
+        chain = plan.chains[0]
+        direct = run_chain(model, ChainConfig(chain.budget, chain.initial_state,
+                                              RngStream(plan.seed, chain.stream_id),
+                                              burn_in=plan.burn_in, stride=plan.stride),
+                           chain.mechanism)
+        n = plan.n_samples
+        assert alone["serial_hmc"].ensemble.members.tobytes() == direct.samples.tobytes()
+        assert alone["serial_hmc"].ensemble.weights.tobytes() == np.full(n, 1.0 / n).tobytes()
+        assert [c.component for c in alone["serial_hmc"].chain_results] == [-1]
+
+    def test_serial_and_largest_hmc_chain_on_different_workers(self, oned_runs):
+        model, plans, _ = oned_runs
+        serial = plans["serial_hmc"].chains[0]
+        largest = max(plans["parallel_hmc"].chains, key=lambda c: c.budget)
+        with RecordingPool(2) as pool:
+            run_plans(model, list(plans.values()), pool)
+        worker_of = {id(job[0]): w for w, batch in enumerate(pool.batches) for job in batch}
+        assert len(pool.batches) == 2
+        assert worker_of[id(serial)] != worker_of[id(largest)]
+        # The placement is balanced_assignment of the chains' predicted costs.
+        jobs = [job for batch in pool.batches for job in batch]
+        loads = [sum(chain_cost(model, *job[:3]) for job in batch) for batch in pool.batches]
+        heaviest = max(chain_cost(model, *job[:3]) for job in jobs)
+        assert max(loads) - min(loads) <= heaviest
+
+    def test_chain_cost_follows_the_cost_model(self, oned_runs):
+        model, plans, _ = oned_runs
+        serial = plans["serial_hmc"]
+        hmc = serial.chains[0]
+        steps = serial.burn_in + serial.stride * hmc.budget
+        assert chain_cost(model, hmc, serial.burn_in, serial.stride) == steps * 8
+        gaussian = plans["serial_gaussian"].chains[0]
+        assert chain_cost(model, gaussian, serial.burn_in, serial.stride) == steps
+
+    def test_failed_chain_named_after_every_chain_ran(self, oned_runs, monkeypatch):
+        from csample import mc_scheduler
+
+        model, plans, _ = oned_runs
+        ran = []
+        original = mc_scheduler.run_chain
+
+        def failing_run_chain(model, chain_config, mechanism):
+            ran.append(chain_config.rng.stream_id)
+            # The serial HMC chain, and component 3's chain of the HMC plan.
+            if chain_config.rng.stream_id in (20001, 3) and isinstance(mechanism, HmcParams):
+                raise FloatingPointError("injected fault")
+            return original(model, chain_config, mechanism)
+
+        monkeypatch.setattr(mc_scheduler, "run_chain", failing_run_chain)
+        with WorkerPool(1) as pool, pytest.raises(ChainFailed) as exc:
+            run_plans(model, list(plans.values()), pool)
+        message = str(exc.value)
+        assert "chain of stream 20001 failed: FloatingPointError('injected fault')" in message
+        assert message.count("chain of component 3 failed") == 1
+        assert "stream 20000" not in message
+        everything = [c.stream_id for plan in plans.values() for c in plan.chains if c.budget]
+        assert sorted(ran) == sorted(everything)
 
 
 class TestBenchmark:

@@ -379,3 +379,40 @@ class TestLinearMixturePosterior:
         )
         with pytest.raises(ValueError, match="nonlinear"):
             linear_mixture_posterior(model)
+
+
+class TestPotentialAndGrad:
+    """The fused call is bit-equal to J and its gradient taken apart."""
+
+    @staticmethod
+    def assert_bit_equal(model, points):
+        for x in points:
+            potential, grad = model.potential_and_grad(x)
+            assert np.float64(potential).tobytes() == np.float64(
+                model.neg_log_posterior(x)).tobytes()
+            assert grad.tobytes() == model.grad_neg_log_posterior(x).tobytes()
+
+    def test_oned_model_variance_storage(self, bench_model):
+        assert bench_model.prior.covariances.ndim == 2
+        self.assert_bit_equal(bench_model, [np.array([x]) for x in (-80.0, -3.0, 0.1, 2.5, 40.0)])
+
+    def test_full_covariance_mixture(self, full_model):
+        assert full_model.prior.covariances.ndim == 3
+        self.assert_bit_equal(full_model, states_between_means(full_model))
+
+    def test_blur_16(self, blur_model):
+        rng = np.random.default_rng(7)
+        points = blur_model.prior.means + 0.02 * rng.standard_normal((2, blur_model.dim))
+        self.assert_bit_equal(blur_model, points)
+
+    def test_shares_the_misfit(self, full_model):
+        calls = []
+        original = full_model.operator.apply
+
+        def counting(x):
+            calls.append(x)
+            return original(x)
+
+        full_model.operator.apply = counting
+        full_model.potential_and_grad(states_between_means(full_model)[0])
+        assert len(calls) == 1

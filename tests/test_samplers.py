@@ -47,6 +47,9 @@ class QuadraticPotential:
     def grad_neg_log_posterior(self, x):
         return np.asarray(x, dtype=float)
 
+    def potential_and_grad(self, x):
+        return self.neg_log_posterior(x), self.grad_neg_log_posterior(x)
+
 
 def gaussian_model_1d(mean=0.0, var=1.0):
     prior = GaussianMixture([1.0], [[mean]], [SpdMatrix.from_diagonal([var])])
@@ -114,7 +117,9 @@ class TestLeapfrog:
         model = QuadraticPotential()
         mass = SpdMatrix.identity(1)
         for h in (0.3, 0.1, 0.05):
-            x, p = leapfrog(model, np.array([1.0]), np.array([0.0]), mass, h, 1)
+            x0 = np.array([1.0])
+            g0 = model.grad_neg_log_posterior(x0)
+            x, p, _, _ = leapfrog(model, x0, np.array([0.0]), mass, h, 1, g0)
             assert x[0] == pytest.approx(1.0 - h * h / 2.0, abs=1e-15)
             assert p[0] == pytest.approx(-h + h**3 / 4.0, abs=1e-15)
 
@@ -124,8 +129,9 @@ class TestLeapfrog:
         rng = RngStream(5, 0)
         x0 = rng.standard_normal(3)
         p0 = rng.standard_normal(3)
-        x1, p1 = leapfrog(model, x0, p0, mass, 0.15, 25)
-        x2, p2 = leapfrog(model, x1, -p1, mass, 0.15, 25)
+        g0 = model.grad_neg_log_posterior(x0)
+        x1, p1, _, g1 = leapfrog(model, x0, p0, mass, 0.15, 25, g0)
+        x2, p2, _, _ = leapfrog(model, x1, -p1, mass, 0.15, 25, g1)
         assert np.allclose(x2, x0, atol=1e-10)
         assert np.allclose(-p2, p0, atol=1e-10)
 
@@ -137,7 +143,7 @@ class TestHmcStep:
         rng = RngStream(2, 0)
         x = np.array([0.7])
         for _ in range(100):
-            x, accepted, _, divergent = hmc_step(model, x, params, rng)
+            x, accepted, _, divergent, _ = hmc_step(model, x, params, rng)
             assert accepted and not divergent
 
     def test_divergence_flagged_and_rejected(self):
@@ -154,6 +160,70 @@ class TestHmcStep:
             HmcParams(SpdMatrix.identity(1), -0.1, 10)
         with pytest.raises(ValueError):
             HmcParams(SpdMatrix.identity(1), 0.1, 0)
+
+
+class CountingModel:
+    """Delegates to a model and counts each method call by name."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = {}
+
+    def __getattr__(self, name):
+        method = getattr(self.model, name)
+
+        def counted(*args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args)
+
+        return counted
+
+    def gradient_evaluations(self):
+        return self.calls.get("grad_neg_log_posterior", 0) + self.calls.get("potential_and_grad", 0)
+
+
+def two_mode_model():
+    prior = GaussianMixture([0.4, 0.6], [[-1.0, 0.5], [1.5, 0.0]],
+                            np.array([[0.3, 0.5], [0.6, 0.2]]), structure="diagonal")
+    return PosteriorModel(prior, IdentityOperator(2), [0.2, 0.1],
+                          SpdMatrix.from_diagonal([0.8, 0.8]))
+
+
+class TestCarriedGradient:
+    def test_n_evaluations_per_step(self):
+        model = CountingModel(two_mode_model())
+        params = HmcParams(SpdMatrix.identity(2), 0.1, 7)
+        rng = RngStream(8, 0)
+        x = np.array([0.3, -0.2])
+        potential, grad = model.potential_and_grad(x)
+        for _ in range(5):
+            model.calls.clear()
+            x, _, potential, _, grad = hmc_step(model, x, params, rng, potential, grad)
+            assert model.gradient_evaluations() == 7
+            assert model.calls.get("potential_and_grad") == 1
+            assert "neg_log_posterior" not in model.calls
+
+    def test_chain_makes_one_more_for_its_start(self):
+        model = CountingModel(two_mode_model())
+        cfg = ChainConfig(12, [0.3, -0.2], RngStream(8, 1), burn_in=3, stride=2)
+        run_chain(model, cfg, HmcParams(SpdMatrix.identity(2), 0.1, 7))
+        assert model.gradient_evaluations() == 1 + 7 * cfg.total_steps
+        assert "neg_log_posterior" not in model.calls
+
+    def test_carrying_changes_no_bit(self):
+        # Each step recomputing J and its gradient at its start state gives
+        # the same chain as run_chain, which carries them.
+        model = two_mode_model()
+        params = HmcParams(SpdMatrix.from_diagonal([2.0, 0.5]), 0.15, 9, jitter_steps=True)
+        cfg = ChainConfig(40, [0.3, -0.2], RngStream(8, 2), burn_in=0, stride=1)
+        carried = run_chain(model, cfg, params).samples
+        rng = RngStream(8, 2)
+        x = np.array([0.3, -0.2])
+        fresh = []
+        for _ in range(40):
+            x = hmc_step(model, x, params, rng).state
+            fresh.append(x)
+        assert carried.tobytes() == np.array(fresh).tobytes()
 
 
 class TestRunChain:
