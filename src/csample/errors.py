@@ -15,6 +15,11 @@ class NotPositiveDefinite(ValueError):
         self.pivot_index = int(pivot_index)
         super().__init__(message or f"matrix is not positive definite (pivot {pivot_index})")
 
+    def __reduce__(self):
+        # A worker returns it pickled; the default would pass the message
+        # alone as the pivot index.
+        return NotPositiveDefinite, (self.pivot_index, *self.args)
+
 
 class DegenerateComponent(RuntimeError):
     """A mixture component collapsed onto fewer than two effective points."""

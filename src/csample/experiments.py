@@ -320,32 +320,37 @@ def benchmark_prior_mixture():
     )
 
 
-def fit_prior_mixture(members, config):
+def fit_prior_mixture(members, config, pool=None):
     """EM + AIC over the config's candidate component counts and covariance
-    structure, on the EM stream of the config's seed."""
+    structure, on the EM stream of the config's seed; the fits run on
+    ``pool``, in this process when None."""
     lo, hi = config["candidate_components"]
     return select_model_aic(
         members,
         range(int(lo), int(hi) + 1),
         structure=config["gmm_structure"],
         rng=RngStream(config["seed"], STREAM_EM),
+        pool=pool,
     )
 
 
 def _record_selection(summary, selection):
-    """Selected count and AIC table into the summary, the mixture as gmm.json."""
+    """Selected count, AIC table and the fits' own seconds (``em_fit_work_s``)
+    into the summary, and the mixture as gmm.json."""
     summary.n_c_selected = selection.n_components
     summary.aic = selection.table
+    summary.timings["em_fit_work_s"] = selection.work_s
     doc = selection.mixture.to_json_dict()
     summary.write("gmm.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def prepare_oned_model(config):
-    """Generate the prior ensemble, fit the GMM by EM + AIC, and assemble
-    the posterior model of the 1-D benchmark."""
+def prepare_oned_model(config, pool=None):
+    """Generate the prior ensemble, fit the GMM by EM + AIC on ``pool`` (in
+    this process when None), and assemble the posterior model of the 1-D
+    benchmark."""
     stream = RngStream(config["seed"], STREAM_PRIOR_ENSEMBLE)
     ensemble = benchmark_prior_mixture().sample_n(stream, config["n_ens_prior"])
-    selection = fit_prior_mixture(ensemble, config)
+    selection = fit_prior_mixture(ensemble, config, pool)
     mixture = selection.mixture
     model = PosteriorModel(
         mixture,
@@ -432,9 +437,9 @@ def oned_plans(model, config):
     }
 
 
-def _run_sampling(summary, model, variants, workers):
-    """Run every sampling variant's plan in one ``run_plans`` call on a pool
-    of ``workers``, its elapsed wall timed as ``sampling_s``.
+def _run_sampling(summary, model, variants, pool):
+    """Run every sampling variant's plan in one ``run_plans`` call on
+    ``pool``, its elapsed wall timed as ``sampling_s``.
 
     ``variants`` maps each variant's name to its phase key and plan. Each
     variant goes into the run record: the seconds its chains ran as its
@@ -442,7 +447,7 @@ def _run_sampling(summary, model, variants, workers):
     chains) and samples_{name}.csv. Returns the McmcResult of each variant
     by name, and the rows of acceptance.csv.
     """
-    with WorkerPool(workers) as pool, summary.timed("sampling_s"):
+    with summary.timed("sampling_s"):
         results = run_plans(model, [plan for _, plan in variants.values()], pool)
     rows = []
     for (name, (phase, _)), result in zip(variants.items(), results):
@@ -465,11 +470,13 @@ def run_oned_benchmark(config, out_dir):
     """The 1-D benchmark end to end: serial and multi-chain sampling with
     both mechanisms, and the histogram against the exact posterior."""
     summary = RunSummary("oned", config["seed"], out_dir)
-    with summary.timed("em_fit_s"):
-        model, selection, _ = prepare_oned_model(config)
-
-    variants = {name: (f"{name}_s", plan) for name, plan in oned_plans(model, config).items()}
-    results, acceptance_rows = _run_sampling(summary, model, variants, config["workers"])
+    # One pool serves the EM fits and every chain.
+    with WorkerPool(config["workers"]) as pool:
+        with summary.timed("em_fit_s"):
+            model, selection, _ = prepare_oned_model(config, pool)
+        variants = {name: (f"{name}_s", plan)
+                    for name, plan in oned_plans(model, config).items()}
+        results, acceptance_rows = _run_sampling(summary, model, variants, pool)
 
     # The exact posterior's density and bin masses against the pooled samples.
     posterior = linear_mixture_posterior(model)
@@ -615,6 +622,8 @@ def run_deblur_experiment(config, out_dir):
     rows, cols = truth.rows, truth.cols
     _write_input_images(setup, summary)
 
+    # Its few small fits take milliseconds in process, less than the pool's
+    # workers would add.
     with summary.timed("em_fit_s"):
         selection = fit_prior_mixture(setup["prior_members"], config)
     _record_selection(summary, selection)
@@ -630,7 +639,8 @@ def run_deblur_experiment(config, out_dir):
                                   multichain_plan(model, config["n_ens"], mechanism, config))
         for mechanism in ("hmc", "gaussian")
     }
-    results, acceptance_rows = _run_sampling(summary, model, variants, config["workers"])
+    with WorkerPool(config["workers"]) as pool:
+        results, acceptance_rows = _run_sampling(summary, model, variants, pool)
     summary.write_csv("acceptance.csv", ACCEPTANCE_HEADER, acceptance_rows)
 
     ensemble = results["parallel_hmc"].ensemble
@@ -662,6 +672,7 @@ def run_speedup_benchmark(config, out_dir):
         model, selection, _ = prepare_oned_model(config)
     # bench writes no gmm.json.
     summary.n_c_selected, summary.aic = selection.n_components, selection.table
+    summary.timings["em_fit_work_s"] = selection.work_s
 
     with summary.timed("benchmark_s"):
         rows = benchmark_speedup(

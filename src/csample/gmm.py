@@ -7,11 +7,14 @@ mixture arithmetic: Mahalanobis distances, densities and the posterior's
 prior kernel (log-sum-exp, responsibilities and pullback) all come from the
 arrays cached here. The EM M-step writes those arrays directly. Fitting
 canonicalizes the data ordering before seeding, which makes the whole
-EM/AIC pipeline invariant to permutations of the input ensemble.
+EM/AIC pipeline invariant to permutations of the input ensemble. The caller
+seeds every EM restart, and the restarts run as tasks on a worker pool
+(``_fit_restarts``).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +22,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import DegenerateComponent, DimensionMismatch
 from .linalg_rng import RngStream, cholesky_stack, symmetrized
+from .pool import WorkerPool
 
 WEIGHT_TOLERANCE = 1e-12
 
@@ -214,11 +218,6 @@ class GaussianMixture:
         _, total, peak, _ = self._kernel_terms(x)
         return peak + np.log(total)
 
-    def kernel_responsibilities(self, x):
-        """Normalized kernel terms w_k(x); they sum to 1."""
-        terms, total, _, _ = self._kernel_terms(x)
-        return terms / total
-
     def kernel_pullback(self, x):
         """sum_k w_k(x) Sigma_k^{-1} (x - mu_k), the gradient of -log_kernel."""
         terms, total, _, dev = self._kernel_terms(x)
@@ -316,13 +315,13 @@ class EmFit:
     converged: bool = True
 
 
-def _as_members(data):
-    if isinstance(data, Ensemble):
-        return data.members
-    points = np.asarray(data, dtype=float)
+def _sorted_members(data):
+    """The data as (n, dim) points in lexicographic row order, which makes
+    every fit invariant to permutations of the ensemble."""
+    points = data.members if isinstance(data, Ensemble) else np.asarray(data, dtype=float)
     if points.ndim == 1:
         points = points.reshape(-1, 1)
-    return points
+    return points[np.lexsort(points.T[::-1])]
 
 
 def _quantile_centers(points, k):
@@ -414,8 +413,12 @@ def _starved_components(resp, repairs_left):
     return weak
 
 
-def _em_single(points, n_components, structure, rng, max_iter, rel_tol, seeding="kmeans++"):
-    n, dim = points.shape
+def _seed_centers(points, n_components, rng, seeding):
+    """The initial centers of one fit, drawn from ``rng``: quantile or
+    k-means++ centers, and any component that starts with fewer than two
+    points reseated on a random data point. Raises DegenerateComponent when
+    three reseeding rounds leave a component starved."""
+    n = points.shape[0]
     if seeding == "quantile":
         centers = _quantile_centers(points, n_components)
     else:
@@ -429,7 +432,14 @@ def _em_single(points, n_components, structure, rng, max_iter, rel_tol, seeding=
         for j in weak:
             centers[j] = points[int(rng.uniform() * n) % n]
         resp = _nearest_center_assignment(points, centers)
+    return centers
 
+
+def _em_single(points, centers, structure, rng, max_iter, rel_tol):
+    """One EM fit from seeded ``centers``, whose nearest-center assignment
+    gives the first responsibilities. A component that starves mid-fit is
+    reseated by draws from ``rng``, the fit's own stream."""
+    resp = _nearest_center_assignment(points, centers)
     floor = _data_floor(points)
     weights, means, covs = _m_step(points, resp, structure, floor)
     mixture = GaussianMixture(weights, means, covs, structure=structure)
@@ -478,54 +488,109 @@ def _em_single(points, n_components, structure, rng, max_iter, rel_tol, seeding=
     return EmFit(mixture, loglik, trace, n_iter, converged)
 
 
+def _fit_task(points, centers, structure, rng, max_iter, rel_tol):
+    """One fit as a pool task, timed where it runs: the EmFit, or the
+    exception that ended the fit, and the fit's seconds."""
+    start = time.perf_counter()
+    try:
+        outcome = _em_single(points, centers, structure, rng, max_iter, rel_tol)
+    except Exception as exc:  # a failed fit must never abort its siblings
+        outcome = exc
+    return outcome, time.perf_counter() - start
+
+
+def _check_fittable(n_points, n_components, structure):
+    if n_components < 1:
+        raise ValueError("n_components must be at least 1")
+    if n_points < n_components:
+        raise ValueError(f"need at least {n_components} points, got {n_points}")
+    if structure not in GMM_STRUCTURES:
+        raise ValueError(f"unknown covariance structure {structure!r}")
+
+
+def _fit_restarts(points, candidates, structure, rng, pool, *, max_iter=500, rel_tol=1e-8,
+                  restarts=5):
+    """Every restart of every candidate component count, run on ``pool``.
+
+    Every fit is seeded here, in the calling process, from ``rng`` in order:
+    candidates ascending, then restarts ascending. Of several restarts the first seeds
+    at quantiles, the rest by k-means++. Each fit then runs as a task of
+    cost n_c, and a component that starves mid-fit is reseated from the
+    fit's own stream, ``rng.child(n_c, restart)``. So no fit moves another's
+    seeding, and the outcomes are the same on any pool.
+
+    Returns, per candidate, each restart's outcome in order (an EmFit or the
+    exception that ended it; a candidate the data cannot fit holds only its
+    ValueError), and the summed seconds of the fits.
+    """
+    n_attempts = max(1, restarts)
+    outcomes, tasks, slots = {}, [], []
+    for n_c in candidates:
+        try:
+            _check_fittable(points.shape[0], n_c, structure)
+        except ValueError as exc:
+            outcomes[n_c] = [exc]
+            continue
+        outcomes[n_c] = [None] * n_attempts
+        for restart in range(n_attempts):
+            seeding = "quantile" if restart == 0 and n_attempts > 1 else "kmeans++"
+            try:
+                centers = _seed_centers(points, n_c, rng, seeding)
+            except DegenerateComponent as exc:
+                outcomes[n_c][restart] = exc
+                continue
+            tasks.append((centers, structure, rng.child(n_c, restart), max_iter, rel_tol))
+            slots.append((n_c, restart))
+    if pool is None:
+        pool = WorkerPool(1)  # runs the tasks in this process; nothing to close
+    results = pool.run(_fit_task, points, tasks, [len(task[0]) for task in tasks])
+    for (n_c, restart), (outcome, _) in zip(slots, results):
+        outcomes[n_c][restart] = outcome
+    return outcomes, sum(seconds for _, seconds in results)
+
+
+def _best_restart(outcomes):
+    """The kept fit of one candidate: the first restart of the highest
+    log-likelihood. Restarts that ended in DegenerateComponent are skipped;
+    any other exception is raised, as is the last DegenerateComponent when
+    no restart fitted."""
+    best = last_error = None
+    for outcome in outcomes:
+        if isinstance(outcome, DegenerateComponent):
+            last_error = outcome
+        elif isinstance(outcome, Exception):
+            raise outcome
+        elif best is None or outcome.log_likelihood > best.log_likelihood:
+            best = outcome
+    if best is None:
+        raise last_error
+    return best
+
+
 def em_fit(data, n_components, structure="full", rng=None, *, max_iter=500,
            rel_tol=1e-8, restarts=5):
     """Fit a mixture by expectation-maximization with random restarts.
 
     The data ordering is canonicalized (lexicographic sort) before seeding,
-    so fits are invariant to permutations of the ensemble. The reported
-    ``loglik_trace`` covers the final uninterrupted ascent (a degenerate
-    component reseed starts a new segment) and is non-decreasing: an M-step
-    that would lower the observed log-likelihood (possible only through the
-    covariance floor, at round-off scale) is rejected in favor of the
-    previous iterate. The best restart by final log-likelihood is returned;
-    exhausting ``max_iter`` comes back with ``converged=False``.
+    so fits are invariant to permutations of the ensemble. The restarts are
+    seeded from ``rng`` by the rule of ``select_model_aic`` and run in this
+    process. The reported ``loglik_trace`` covers
+    the final uninterrupted ascent (a degenerate component reseed starts a
+    new segment) and is non-decreasing: an M-step that would lower the
+    observed log-likelihood (possible only through the covariance floor, at
+    round-off scale) is rejected in favor of the previous iterate. The best
+    restart by final log-likelihood is returned; exhausting ``max_iter``
+    comes back with ``converged=False``.
 
     Raises DegenerateComponent when a component cannot keep at least two
     effective points even after reseeding attempts (in every restart).
     """
-    points = _as_members(data)
-    n, dim = points.shape
-    if n_components < 1:
-        raise ValueError("n_components must be at least 1")
-    if n < n_components:
-        raise ValueError(f"need at least {n_components} points, got {n}")
-    if structure not in GMM_STRUCTURES:
-        raise ValueError(f"unknown covariance structure {structure!r}")
+    points = _sorted_members(data)
     if rng is None:
         rng = RngStream(0)
-    order = np.lexsort(points.T[::-1])
-    points = points[order]
-
-    best = None
-    last_error = None
-    n_attempts = max(1, restarts)
-    for attempt in range(n_attempts):
-        # The first attempt seeds deterministically at quantiles; the rest
-        # use randomized k-means++ spreads.
-        seeding = "quantile" if attempt == 0 and n_attempts > 1 else "kmeans++"
-        try:
-            fit = _em_single(
-                points, n_components, structure, rng, max_iter, rel_tol, seeding=seeding
-            )
-        except DegenerateComponent as exc:
-            last_error = exc
-            continue
-        if best is None or fit.log_likelihood > best.log_likelihood:
-            best = fit
-    if best is None:
-        raise last_error
-    return best
+    outcomes, _ = _fit_restarts(points, [n_components], structure, rng, None,
+                                max_iter=max_iter, rel_tol=rel_tol, restarts=restarts)
+    return _best_restart(outcomes[n_components])
 
 
 @dataclass
@@ -537,33 +602,42 @@ class AicSelection:
     # One row per candidate that fitted: {n_c, aic, log_likelihood, n_iter,
     # converged}, the last two from the kept restart.
     table: list
+    work_s: float = 0.0  # seconds of every fit, each timed where it ran
 
     @property
     def mixture(self):
         return self.fit.mixture
 
 
-def select_model_aic(data, candidates, structure="full", rng=None, **em_kwargs):
+def select_model_aic(data, candidates, structure="full", rng=None, pool=None, **em_kwargs):
     """Fit each candidate component count and keep the AIC minimizer.
 
     AIC = 2k - 2 loglik with k the free-parameter count of the structure.
     Ties break toward the smaller component count. Candidates whose fits
     degenerate are skipped; if every candidate fails the last error
     propagates.
+
+    Every restart of every candidate is seeded from ``rng`` in order
+    (candidates ascending, then restarts), and the fits run as tasks on
+    ``pool``, in this process when None. A mid-fit reseed draws from the
+    fit's own stream ``rng.child(n_c, restart)``, so the selection is the
+    same for any pool. A restart that ends in DegenerateComponent is
+    skipped; any other ValueError skips its candidate.
     """
-    points = _as_members(data)
+    points = _sorted_members(data)
     candidates = sorted(set(int(c) for c in candidates))
     if not candidates:
         raise ValueError("candidate range must be non-empty")
     if rng is None:
         rng = RngStream(0)
+    outcomes, work_s = _fit_restarts(points, candidates, structure, rng, pool, **em_kwargs)
     dim = points.shape[1]
     best = None
     table = []
     last_error = None
     for n_c in candidates:
         try:
-            fit = em_fit(points, n_c, structure=structure, rng=rng, **em_kwargs)
+            fit = _best_restart(outcomes[n_c])
         except (DegenerateComponent, ValueError) as exc:
             last_error = exc
             continue
@@ -575,4 +649,4 @@ def select_model_aic(data, candidates, structure="full", rng=None, **em_kwargs):
             best, best_fit = table[-1], fit
     if best is None:
         raise last_error if last_error is not None else RuntimeError("no candidates fit")
-    return AicSelection(best_fit, best["n_c"], table)
+    return AicSelection(best_fit, best["n_c"], table, work_s)

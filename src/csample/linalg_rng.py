@@ -189,19 +189,27 @@ class RngStream:
     stream reproduces it bit for bit, and streams with distinct keys are
     statistically independent. Chain workers each own exactly one stream, so
     adding or removing workers never perturbs any other chain's draws.
-    Normal variates come from the generator's ziggurat sampler.
+    ``child(*indices)`` derives a stream keyed by (seed, stream_id,
+    *indices), which no draw from its parent affects. Normal variates come
+    from the generator's ziggurat sampler.
     """
 
-    __slots__ = ("seed", "stream_id", "_gen")
+    __slots__ = ("seed", "stream_id", "key", "_gen")
 
-    def __init__(self, seed, stream_id=0):
+    def __init__(self, seed, stream_id=0, indices=()):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be non-negative")
+        if self.stream_id < 0 or any(int(i) < 0 for i in indices):
+            raise ValueError("stream_id and child indices must be non-negative")
+        self.key = (self.stream_id, *(int(i) for i in indices))
         entropy = self.seed & 0xFFFFFFFFFFFFFFFF
-        ss = np.random.SeedSequence(entropy=entropy, spawn_key=(self.stream_id,))
+        ss = np.random.SeedSequence(entropy=entropy, spawn_key=self.key)
         self._gen = np.random.Generator(np.random.PCG64(ss))
+
+    def child(self, *indices):
+        """The fresh stream keyed by this stream's key extended by
+        ``indices``; it is the same however far this stream has drawn."""
+        return RngStream(self.seed, self.stream_id, self.key[1:] + indices)
 
     def standard_normal(self, n):
         if n < 1:

@@ -16,7 +16,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +24,7 @@ from .cost_model import CostModelInput, predict_cost, step_cost
 from .errors import BudgetInfeasibleWarning, ChainFailed, OversubscribedWarning
 from .gmm import Ensemble
 from .linalg_rng import RngStream, SpdMatrix
+from .pool import WorkerPool, balanced_assignment  # noqa: F401 (re-exported)
 from .samplers import ChainConfig, GaussianProposal, HmcParams, run_chain
 
 # Standard random-walk scaling; experiment configs override it where a
@@ -142,19 +142,6 @@ def round_robin_assignment(n_chains, workers):
     return np.arange(n_chains) % workers
 
 
-def balanced_assignment(budgets, workers):
-    """Longest-processing-time-first: largest budgets go to the least
-    loaded worker."""
-    budgets = np.asarray(budgets)
-    assignment = np.zeros(budgets.size, dtype=int)
-    loads = np.zeros(workers)
-    for idx in np.argsort(-budgets, kind="stable"):
-        w = int(np.argmin(loads))
-        assignment[idx] = w
-        loads[w] += budgets[idx]
-    return assignment
-
-
 def build_plan(
     model,
     n_ens,
@@ -248,56 +235,6 @@ def _execute_chain(model, chain, burn_in, stride, seed):
         return ChainFailure(chain.component, chain.stream_id, repr(exc))
 
 
-def _execute_worker_batch(model, tasks):
-    return [_execute_chain(model, *task) for task in tasks]
-
-
-class WorkerPool:
-    """Fixed pool of workers executing whole per-worker chain batches: lists
-    of (chain, burn_in, stride, seed) tasks.
-
-    A pool of size 1 runs its batches in the calling process; a larger pool
-    forks OS processes where available. The gathered output is identical
-    across worker counts.
-    """
-
-    def __init__(self, size):
-        self.size = max(1, int(size))
-        self._executor = None
-        if self.size > 1:
-            import multiprocessing
-
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:
-                ctx = multiprocessing.get_context()
-            self._executor = ProcessPoolExecutor(max_workers=self.size, mp_context=ctx)
-
-    def warm_up(self):
-        """Spin workers up before timing anything."""
-        if self._executor is not None:
-            futures = [self._executor.submit(int, i) for i in range(self.size)]
-            for f in futures:
-                f.result()
-
-    def run_batches(self, model, batches):
-        if self._executor is None:
-            return [_execute_worker_batch(model, batch) for batch in batches]
-        futures = [self._executor.submit(_execute_worker_batch, model, batch) for batch in batches]
-        return [f.result() for f in futures]
-
-    def close(self):
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
 def _failure_text(failure):
     # A serial chain belongs to no component; its stream names it.
     if failure.component >= 0:
@@ -352,18 +289,11 @@ def run_plans(model, plans, pool):
             if chain.budget > 0:
                 owners.append(k)
                 jobs.append((chain, plan.burn_in, plan.stride, plan.seed))
-    assignment = balanced_assignment([chain_cost(model, *job[:3]) for job in jobs], pool.size)
-    placed = [np.flatnonzero(assignment == w) for w in range(pool.size)]
-    placed = [indices for indices in placed if indices.size]
-
+    costs = [chain_cost(model, *job[:3]) for job in jobs]
     start = time.perf_counter()
-    outputs = pool.run_batches(model, [[jobs[i] for i in indices] for indices in placed])
+    results = pool.run(_execute_chain, model, jobs, costs)
     wall = time.perf_counter() - start
 
-    results = [None] * len(jobs)
-    for indices, output in zip(placed, outputs):
-        for i, result in zip(indices, output):
-            results[i] = result
     failures = [r for r in results if isinstance(r, ChainFailure)]
     if failures:
         raise ChainFailed("; ".join(map(_failure_text, failures)))
@@ -408,8 +338,11 @@ def benchmark_speedup(
 ):
     """Measure wall time of run_mc_mcmc over worker counts with fixed seeds.
 
-    Budgets are uniform, the split the cost model assumes. Pools are created
-    and warmed before timing; the wall time is the best of ``repetitions``.
+    Budgets are uniform, the split the cost model assumes. Each of the
+    ``repetitions`` times every worker count in ascending order, with p = 1
+    timed again before each larger count, each time on a pool created and
+    warmed before timing and closed after it, so at most one pool is open at
+    a time. A count's wall time is the best of its timings.
     Measured speedup is wall(1) / wall(p). Predicted columns come from the
     cost model's integral-work variant for the same run (``n_ens`` samples of
     ``model.dim`` variables, ``burn_in``, ``stride``, the mechanism's
@@ -444,42 +377,34 @@ def benchmark_speedup(
         traj_steps=plan_kwargs.get("hmc_steps", DEFAULT_HMC_STEPS) if hmc else 1,
         proposal="hmc" if hmc else "diagonal",
     )
+    plan = build_plan(model, n_ens, mechanism, seed, burn_in=burn_in, stride=stride,
+                      budgets="uniform", **plan_kwargs)
+    workers = sorted(set(p_values) | {1})
+    best = dict.fromkeys(workers, math.inf)
+    # Outside load comes and goes, so every repetition times every p, and the
+    # p = 1 baseline, which divides every speedup, again before each other p.
+    order = [q for p in workers[1:] for q in (1, p)] or [1]
+    for _ in range(max(1, repetitions)):
+        for p in order:
+            with WorkerPool(p) as pool:
+                pool.warm_up()
+                best[p] = min(best[p], run_mc_mcmc(model, plan, pool=pool).wall_time)
+    pred_baseline = predict_cost(prediction_input).parallel_cost_integral
     rows = []
-    baseline = None
-    pred_baseline = None
-    for p in sorted(set(p_values) | {1}):
-        plan = build_plan(
-            model,
-            n_ens,
-            mechanism,
-            seed,
-            burn_in=burn_in,
-            stride=stride,
-            budgets="uniform",
-            **plan_kwargs,
-        )
-        with WorkerPool(p) as pool:
-            pool.warm_up()
-            best = math.inf
-            for _ in range(max(1, repetitions)):
-                result = run_mc_mcmc(model, plan, pool=pool)
-                best = min(best, result.wall_time)
-        if p == 1:
-            baseline = best
-        report = predict_cost(replace(prediction_input, workers=p))
-        if p == 1:
-            pred_baseline = report.parallel_cost_integral
-        pred_speedup = pred_baseline / report.parallel_cost_integral
-        if p in p_values:
-            rows.append(
-                BenchmarkRow(
-                    workers=p,
-                    wall_s=best,
-                    speedup=baseline / best,
-                    efficiency=baseline / best / p,
-                    pred_speedup=pred_speedup,
-                    pred_efficiency=pred_speedup / p,
-                    oversubscribed=p > available,
-                )
+    for p in workers:
+        if p not in p_values:
+            continue
+        pred_speedup = (pred_baseline
+                        / predict_cost(replace(prediction_input, workers=p)).parallel_cost_integral)
+        rows.append(
+            BenchmarkRow(
+                workers=p,
+                wall_s=best[p],
+                speedup=best[1] / best[p],
+                efficiency=best[1] / best[p] / p,
+                pred_speedup=pred_speedup,
+                pred_efficiency=pred_speedup / p,
+                oversubscribed=p > available,
             )
+        )
     return rows

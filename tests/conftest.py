@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,13 @@ def record_criterion(number, passed, detail):
     if passed is None:
         status = "SKIP"
     ACCEPTANCE_LINES.append(f"criterion {number:2d}: {status} - {detail}")
+
+
+def selection_bytes(selection):
+    """An AIC selection's table and mixture as summary.json and gmm.json
+    write them."""
+    return (json.dumps(selection.table, indent=2, sort_keys=True),
+            json.dumps(selection.mixture.to_json_dict(), indent=2, sort_keys=True))
 
 
 def pytest_terminal_summary(terminalreporter):

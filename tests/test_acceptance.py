@@ -10,11 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import record_criterion, selection_bytes
 
 from csample.cost_model import CostModelInput, predict_cost
 from csample.experiments import (
     default_config,
+    fit_prior_mixture,
     mixture_bin_masses,
     prepare_oned_model,
     run_deblur_experiment,
@@ -48,7 +49,8 @@ def oned_pipeline():
     cfg = default_config("oned")
     timings = {}
     t0 = time.perf_counter()
-    model, selection, _ = prepare_oned_model(cfg)
+    with WorkerPool(2) as pool:
+        model, selection, ensemble = prepare_oned_model(cfg, pool)
     timings["em"] = time.perf_counter() - t0
 
     prior_mean = model.prior.weights @ model.prior.means
@@ -96,6 +98,7 @@ def oned_pipeline():
         "config": cfg,
         "model": model,
         "selection": selection,
+        "ensemble": ensemble,
         "serial_gaussian": serial_g,
         "serial_hmc": serial_h,
         "parallel_gaussian": parallel_g,
@@ -361,6 +364,15 @@ class TestCriterion7Determinism:
             7, True, "pooled ensembles byte-identical for p in {1, 3, 7}"
         )
 
+    def test_aic_selection_identical_across_worker_counts(self, oned_pipeline):
+        # The fixture fitted the shipped ensemble on a pool of two workers.
+        cfg = oned_pipeline["config"]
+        expected = selection_bytes(oned_pipeline["selection"])
+        for p in (1, 3):
+            with WorkerPool(p) as pool:
+                selection = fit_prior_mixture(oned_pipeline["ensemble"], cfg, pool)
+            assert selection_bytes(selection) == expected, f"AIC selection differs at p={p}"
+
 
 class TestCriterion8DeblurComparison:
     def test_posterior_mean_beats_tuned_tikhonov(self, tmp_path_factory):
@@ -406,12 +418,14 @@ class TestCriterion9EmAic:
 
         truth = benchmark_prior_mixture()
         hits = 0
-        for trial in range(10):
-            data = truth.sample_n(RngStream(3000 + trial, 0), 1000)
-            sel = select_model_aic(
-                data, range(1, 11), structure="full", rng=RngStream(3000 + trial, 1)
-            )
-            hits += 5 <= sel.n_components <= 9
+        with WorkerPool(2) as pool:
+            for trial in range(10):
+                data = truth.sample_n(RngStream(3000 + trial, 0), 1000)
+                sel = select_model_aic(
+                    data, range(1, 11), structure="full", rng=RngStream(3000 + trial, 1),
+                    pool=pool,
+                )
+                hits += 5 <= sel.n_components <= 9
         ok = violations == 0 and hits >= 8
         record_criterion(
             9, ok, f"EM ascent violations {violations}/100 (need 0); AIC picks "

@@ -183,6 +183,17 @@ class TestOnedRun:
             bytes_b = (tmp_path / "b" / name).read_bytes()
             assert bytes_a == bytes_b, f"{name} differs between identical runs"
 
+    def test_pooled_fit_equals_in_process_fit_and_records_its_work(self, tmp_path):
+        pooled = run_oned_benchmark(small_oned_config(workers=2), tmp_path / "pooled")
+        alone = run_oned_benchmark(small_oned_config(workers=1), tmp_path / "alone")
+        for name in ("gmm.json", "samples_parallel_hmc.csv"):
+            assert (tmp_path / "pooled" / name).read_bytes() == (
+                tmp_path / "alone" / name).read_bytes()
+        assert pooled.aic == alone.aic
+        assert pooled.timings["em_fit_work_s"] > 0.0
+        # One worker runs every fit in process, inside the phase's wall.
+        assert 0.0 < alone.timings["em_fit_work_s"] <= alone.timings["em_fit_s"]
+
     def test_summary_recomputable_from_artifacts(self, tmp_path):
         cfg = small_oned_config()
         summary = run_oned_benchmark(cfg, tmp_path)
@@ -298,6 +309,7 @@ class TestEmFitRun:
         summary = run_em_fit(cfg, tmp_path)
         doc = json.loads((tmp_path / "gmm.json").read_text())
         assert set(doc) == {"structure", "weights", "means", "covariances"}
+        assert summary.timings["em_fit_work_s"] > 0.0
         assert summary.n_c_selected == 2
 
     def test_missing_data_rejected(self, tmp_path):

@@ -3,8 +3,9 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import FIT_1D
+from conftest import FIT_1D, selection_bytes
 
+from csample import gmm
 from csample.errors import DegenerateComponent, DimensionMismatch, NotPositiveDefinite
 from csample.gmm import (
     Ensemble,
@@ -14,6 +15,7 @@ from csample.gmm import (
     select_model_aic,
 )
 from csample.linalg_rng import RngStream, SpdMatrix, sample_mvn
+from csample.pool import WorkerPool
 
 
 def naive_logpdf_1d(weights, means, variances, x):
@@ -237,6 +239,104 @@ class TestModelSelection:
         best = min(row["aic"] for row in sel.table)
         near_seven = min(row["aic"] for row in sel.table if 5 <= row["n_c"] <= 9)
         assert near_seven <= best + 2.0
+
+
+class CountingStream(RngStream):
+    """An RngStream that counts the uniforms drawn from it and from each of
+    its children, by stream key."""
+
+    __slots__ = ("draws",)
+
+    def __init__(self, seed, stream_id=0, indices=(), draws=None):
+        super().__init__(seed, stream_id, indices)
+        self.draws = {} if draws is None else draws
+
+    def uniform(self, n=None):
+        self.draws[self.key] = self.draws.get(self.key, 0) + 1
+        return super().uniform(n)
+
+    def child(self, *indices):
+        return CountingStream(self.seed, self.stream_id, self.key[1:] + indices, self.draws)
+
+
+def three_clusters(seed):
+    """60 points in three clusters of unequal size and spread: too few for
+    four to six components, whose fits reseed starved components mid-fit."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.normal(-3.0, 0.5, 25), rng.normal(2.0, 1.0, 25),
+                           rng.normal(6.0, 0.2, 10)])[:, None]
+
+
+def recorded_em_single(seeded, fit):
+    """An _em_single that records each fit's centers by (n_c, restart) and
+    hands the call to ``fit``."""
+
+    def em_single(points, centers, structure, rng, max_iter, rel_tol):
+        seeded[rng.key[1:]] = centers.copy()
+        return fit(points, centers, structure, rng, max_iter, rel_tol)
+
+    return em_single
+
+
+class TestPooledFits:
+    def test_selection_identical_for_any_pool(self):
+        data = three_clusters(1)
+        stream = CountingStream(1, 1)
+        reference = select_model_aic(data, range(1, 7), rng=stream)
+        # Fits reseeded mid-fit from their own streams, and every restart of
+        # n_c = 6 ended in DegenerateComponent inside its fit.
+        assert any(len(key) == 3 for key in stream.draws)
+        assert [row["n_c"] for row in reference.table] == [1, 2, 3, 4, 5]
+        for p in (1, 2, 3):
+            with WorkerPool(p) as pool:
+                pooled = select_model_aic(data, range(1, 7), rng=RngStream(1, 1), pool=pool)
+            assert selection_bytes(pooled) == selection_bytes(reference), f"differs at p={p}"
+
+    def test_midfit_reseed_leaves_later_seeding_unchanged(self, monkeypatch):
+        data = three_clusters(5)
+        seeded = {}
+        monkeypatch.setattr(gmm, "_em_single", recorded_em_single(seeded, gmm._em_single))
+        stream = CountingStream(5, 1)
+        select_model_aic(data, range(1, 7), rng=stream)
+        # Only fit (n_c 4, restart 2) reseeds; it draws from its own stream.
+        assert sorted(key[1:] for key in stream.draws if len(key) == 3) == [(4, 2)]
+        fitted = dict(seeded)
+
+        def no_fit(points, centers, structure, rng, max_iter, rel_tol):
+            raise DegenerateComponent("not fitted")
+
+        seeded.clear()
+        monkeypatch.setattr(gmm, "_em_single", recorded_em_single(seeded, no_fit))
+        bare = CountingStream(5, 1)
+        with pytest.raises(DegenerateComponent):
+            select_model_aic(data, range(1, 7), rng=bare)
+        # Every fit, (4, 3) after the reseeding one included, was seeded as if
+        # no fit had drawn at all.
+        assert bare.draws == {(1,): stream.draws[(1,)]}
+        assert seeded.keys() == fitted.keys()
+        for key, centers in fitted.items():
+            assert np.array_equal(seeded[key], centers), key
+
+    def test_failed_fits_in_workers_skipped_as_in_process(self, monkeypatch):
+        data = three_clusters(5)
+        real = gmm._em_single
+
+        def faulty(points, centers, structure, rng, max_iter, rel_tol):
+            if rng.key[1:] == (2, 0):
+                raise DegenerateComponent("injected")
+            if rng.key[1:] == (3, 1):
+                raise NotPositiveDefinite(0)
+            return real(points, centers, structure, rng, max_iter, rel_tol)
+
+        # The pool forks its workers after the patch, so they run it too.
+        monkeypatch.setattr(gmm, "_em_single", faulty)
+        in_process = select_model_aic(data, range(1, 5), rng=RngStream(5, 1))
+        with WorkerPool(2) as pool:
+            pooled = select_model_aic(data, range(1, 5), rng=RngStream(5, 1), pool=pool)
+        # A degenerate restart is skipped; a ValueError skips its candidate.
+        assert [row["n_c"] for row in in_process.table] == [1, 2, 4]
+        assert selection_bytes(pooled) == selection_bytes(in_process)
+        assert pooled.work_s > 0.0 and in_process.work_s > 0.0
 
 
 class TestResponsibilities:

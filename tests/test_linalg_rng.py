@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -42,6 +44,9 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite) as exc:
             SpdMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]]).solve(np.ones(2))
         assert exc.value.pivot_index == 1
+        # Pool workers return the error pickled; it must arrive whole.
+        copy = pickle.loads(pickle.dumps(exc.value))
+        assert (copy.pivot_index, str(copy)) == (1, str(exc.value))
 
     def test_diagonal_zero_reports_pivot(self):
         with pytest.raises(NotPositiveDefinite) as exc:
@@ -119,6 +124,20 @@ class TestRngStream:
         n = 10**5
         draws = RngStream(42, 0).standard_normal(n)
         assert abs(np.mean(draws)) <= 4.0 / np.sqrt(n)
+
+    def test_child_is_keyed_and_independent_of_parent_draws(self):
+        parent = RngStream(9, 4)
+        fresh = parent.child(2, 3).uniform(5)
+        parent.uniform(17)
+        assert np.array_equal(parent.child(2, 3).uniform(5), fresh)
+        assert np.array_equal(RngStream(9, 4, (2, 3)).uniform(5), fresh)
+        assert parent.child(2, 3).key == (4, 2, 3)
+        assert not np.array_equal(parent.child(3, 2).uniform(5), fresh)
+        assert not np.array_equal(RngStream(9, 4).uniform(5), fresh)
+        # A pickled child, as a pool worker receives it, draws the same.
+        assert np.array_equal(pickle.loads(pickle.dumps(parent.child(2, 3))).uniform(5), fresh)
+        with pytest.raises(ValueError):
+            parent.child(-1)
 
     def test_uniform_in_unit_interval(self):
         u = RngStream(3, 0).uniform(1000)

@@ -272,9 +272,28 @@ class TestRunMcMcmc:
 class RecordingPool(WorkerPool):
     """A WorkerPool that keeps the batches it was handed."""
 
-    def run_batches(self, model, batches):
+    def run_batches(self, fn, shared, batches):
         self.batches = batches
-        return super().run_batches(model, batches)
+        return super().run_batches(fn, shared, batches)
+
+
+def offset(shared, value):
+    """A pool task: the value offset by the shared argument."""
+    return shared + value
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_in_task_order_placed_by_cost(self, workers):
+        costs = [1, 1, 5, 1, 4, 1, 1]
+        with RecordingPool(workers) as pool:
+            results = pool.run(offset, 100, [(v,) for v in range(7)], costs)
+        assert results == [100 + v for v in range(7)]
+        batch_of = {task: b for b, batch in enumerate(pool.batches) for (task,) in batch}
+        assert len(pool.batches) == workers and sorted(batch_of) == list(range(7))
+        if workers > 1:
+            # The two costliest tasks go to different workers.
+            assert batch_of[2] != batch_of[4]
 
 
 def small_oned_plans(model):
@@ -434,6 +453,30 @@ class TestBenchmark:
         )
         n_c = bench_model.prior.n_components
         assert rows[1].pred_speedup == n_c / np.ceil(n_c / 2)
+
+    @pytest.mark.filterwarnings("ignore::csample.errors.OversubscribedWarning")
+    def test_repetitions_interleave_worker_counts(self, bench_model, monkeypatch):
+        from csample import mc_scheduler
+
+        events = []
+
+        class LoggedPool(WorkerPool):
+            def __init__(self, size):
+                super().__init__(size)
+                events.append(("open", self.size))
+
+            def close(self):
+                events.append(("close", self.size))
+                super().close()
+
+        monkeypatch.setattr(mc_scheduler, "WorkerPool", LoggedPool)
+        rows = benchmark_speedup(bench_model, 30, "gaussian", [3, 1, 2], seed=15,
+                                 repetitions=2, burn_in=5, stride=1)
+        # Each repetition times every p, and p = 1 again before each larger
+        # p, with one pool open at a time.
+        cycle = [event for p in (1, 2, 1, 3) for event in (("open", p), ("close", p))]
+        assert events == cycle * 2
+        assert [row.workers for row in rows] == [1, 2, 3]
 
     def test_oversubscription_flagged(self, bench_model):
         import os

@@ -186,7 +186,7 @@ class TestFullCovariancePosterior:
     def test_gradient_matches_finite_differences(self, model):
         assert model.prior.covariances.shape == (3, 4, 4)
         for x in states_between_means(model):
-            resp = model.prior.kernel_responsibilities(x)
+            resp = model.prior.responsibilities(x)
             assert np.sum(resp > 1e-3) >= 2
             grad = model.grad_neg_log_posterior(x)
             fd = finite_difference_gradient(model.neg_log_posterior, x, 1e-6)
@@ -235,13 +235,13 @@ class TestFullCovariancePosterior:
 class TestResponsibilities:
     def test_sum_to_one_even_far_out(self, bench_model):
         for x in (-80.0, -1.0, 40.0):
-            w = bench_model.prior.kernel_responsibilities(np.array([x]))
+            w = bench_model.prior.responsibilities(np.array([x]))
             assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
             assert np.all(w >= 0.0)
 
     def test_matches_prior_mixture_when_variances_shared(self):
-        # Kernel responsibilities and density responsibilities agree when
-        # all components share one covariance (the 2 pi terms cancel).
+        # Kernel responsibilities and density responsibilities agree: the
+        # 2 pi terms cancel.
         cov = SpdMatrix.from_diagonal([0.4])
         prior = GaussianMixture(
             [0.3, 0.7], [[-1.0], [2.0]], [cov, cov], structure="diagonal"
@@ -249,10 +249,13 @@ class TestResponsibilities:
         model = PosteriorModel(
             prior, IdentityOperator(1), [0.0], SpdMatrix.identity(1)
         )
+        # The kernel's pullback weighs each component by exactly those
+        # responsibilities.
         for x in (-1.5, 0.2, 3.0):
+            resp = prior.responsibilities([x])
             assert np.allclose(
-                model.prior.kernel_responsibilities(np.array([x])),
-                prior.responsibilities([x]),
+                model.prior.kernel_pullback(np.array([x])),
+                resp @ ((x - prior.means) / 0.4),
                 atol=1e-13,
             )
 
@@ -356,12 +359,12 @@ class TestLinearMixturePosterior:
     def test_1d_weights_and_bin_masses_match_quadrature(self, bench_model):
         posterior = linear_mixture_posterior(bench_model)
         # Trapezoid quadrature of exp(-J), split over the prior components
-        # by their kernel responsibilities.
+        # by their responsibilities.
         grid = np.linspace(-15.0, 15.0, 12001)
         potentials = np.array([bench_model.neg_log_posterior([x]) for x in grid])
         kernel = np.exp(potentials.min() - potentials)
         density = kernel / np.trapezoid(kernel, grid)
-        resp = np.array([bench_model.prior.kernel_responsibilities(np.array([x])) for x in grid])
+        resp = np.array([bench_model.prior.responsibilities(np.array([x])) for x in grid])
         weights = np.trapezoid(density[:, None] * resp, grid, axis=0)
         assert np.allclose(posterior.weights, weights, rtol=0.0, atol=1e-5)
 
