@@ -10,6 +10,8 @@ them is O(order), with no call into LAPACK or the triangular solver.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf
@@ -194,22 +196,35 @@ class RngStream:
     from the generator's ziggurat sampler.
     """
 
-    __slots__ = ("seed", "stream_id", "key", "_gen")
+    __slots__ = ("seed", "stream_id", "_key", "_gen")
 
-    def __init__(self, seed, stream_id=0, indices=()):
+    def __init__(self, seed, stream_id=0):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        if self.stream_id < 0 or any(int(i) < 0 for i in indices):
-            raise ValueError("stream_id and child indices must be non-negative")
-        self.key = (self.stream_id, *(int(i) for i in indices))
+        if self.stream_id < 0:
+            raise ValueError("stream_id must be non-negative")
+        self._start((self.stream_id,))
+
+    def _start(self, key):
+        self._key = key
         entropy = self.seed & 0xFFFFFFFFFFFFFFFF
-        ss = np.random.SeedSequence(entropy=entropy, spawn_key=self.key)
+        ss = np.random.SeedSequence(entropy=entropy, spawn_key=key)
         self._gen = np.random.Generator(np.random.PCG64(ss))
+
+    @property
+    def key(self):
+        """The spawn key: (stream_id, *indices of each ``child`` call)."""
+        return self._key
 
     def child(self, *indices):
         """The fresh stream keyed by this stream's key extended by
         ``indices``; it is the same however far this stream has drawn."""
-        return RngStream(self.seed, self.stream_id, self.key[1:] + indices)
+        key = self._key + tuple(int(i) for i in indices)
+        if min(key) < 0:
+            raise ValueError("child indices must be non-negative")
+        child = copy.copy(self)  # a subclass's own slots come along
+        child._start(key)
+        return child
 
     def standard_normal(self, n):
         if n < 1:

@@ -339,10 +339,10 @@ def benchmark_speedup(
     """Measure wall time of run_mc_mcmc over worker counts with fixed seeds.
 
     Budgets are uniform, the split the cost model assumes. Each of the
-    ``repetitions`` times every worker count in ascending order, with p = 1
-    timed again before each larger count, each time on a pool created and
-    warmed before timing and closed after it, so at most one pool is open at
-    a time. A count's wall time is the best of its timings.
+    ``repetitions`` times every worker count once, in ascending order, each
+    time on a pool created and warmed before timing and closed after it, so
+    at most one pool is open at a time. A count's wall time is the best of
+    its ``repetitions`` timings.
     Measured speedup is wall(1) / wall(p). Predicted columns come from the
     cost model's integral-work variant for the same run (``n_ens`` samples of
     ``model.dim`` variables, ``burn_in``, ``stride``, the mechanism's
@@ -381,11 +381,9 @@ def benchmark_speedup(
                       budgets="uniform", **plan_kwargs)
     workers = sorted(set(p_values) | {1})
     best = dict.fromkeys(workers, math.inf)
-    # Outside load comes and goes, so every repetition times every p, and the
-    # p = 1 baseline, which divides every speedup, again before each other p.
-    order = [q for p in workers[1:] for q in (1, p)] or [1]
+    # Outside load comes and goes, so every repetition times every p.
     for _ in range(max(1, repetitions)):
-        for p in order:
+        for p in workers:
             with WorkerPool(p) as pool:
                 pool.warm_up()
                 best[p] = min(best[p], run_mc_mcmc(model, plan, pool=pool).wall_time)

@@ -243,20 +243,17 @@ class TestModelSelection:
 
 class CountingStream(RngStream):
     """An RngStream that counts the uniforms drawn from it and from each of
-    its children, by stream key."""
+    its children (copies that share the tally), by stream key."""
 
     __slots__ = ("draws",)
 
-    def __init__(self, seed, stream_id=0, indices=(), draws=None):
-        super().__init__(seed, stream_id, indices)
-        self.draws = {} if draws is None else draws
+    def __init__(self, seed, stream_id=0):
+        super().__init__(seed, stream_id)
+        self.draws = {}
 
     def uniform(self, n=None):
         self.draws[self.key] = self.draws.get(self.key, 0) + 1
         return super().uniform(n)
-
-    def child(self, *indices):
-        return CountingStream(self.seed, self.stream_id, self.key[1:] + indices, self.draws)
 
 
 def three_clusters(seed):

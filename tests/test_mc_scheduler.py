@@ -472,9 +472,8 @@ class TestBenchmark:
         monkeypatch.setattr(mc_scheduler, "WorkerPool", LoggedPool)
         rows = benchmark_speedup(bench_model, 30, "gaussian", [3, 1, 2], seed=15,
                                  repetitions=2, burn_in=5, stride=1)
-        # Each repetition times every p, and p = 1 again before each larger
-        # p, with one pool open at a time.
-        cycle = [event for p in (1, 2, 1, 3) for event in (("open", p), ("close", p))]
+        # Each repetition times every p once, with one pool open at a time.
+        cycle = [event for p in (1, 2, 3) for event in (("open", p), ("close", p))]
         assert events == cycle * 2
         assert [row.workers for row in rows] == [1, 2, 3]
 

@@ -234,10 +234,20 @@ class TestFullCovariancePosterior:
 
 class TestResponsibilities:
     def test_sum_to_one_even_far_out(self, bench_model):
+        # The kernel's weights stay normalized far out: its log stays finite
+        # and its pullback weighs each component by the density
+        # responsibilities, which sum to one.
+        prior = bench_model.prior
         for x in (-80.0, -1.0, 40.0):
-            w = bench_model.prior.responsibilities(np.array([x]))
+            point = np.array([x])
+            w = prior.responsibilities(point)
             assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
             assert np.all(w >= 0.0)
+            assert np.isfinite(prior.log_kernel(point))
+            pullback = prior.kernel_pullback(point)
+            assert np.all(np.isfinite(pullback))
+            assert np.allclose(pullback, w @ ((point - prior.means) / prior.covariances),
+                               rtol=1e-12, atol=1e-12)
 
     def test_matches_prior_mixture_when_variances_shared(self):
         # Kernel responsibilities and density responsibilities agree: the
