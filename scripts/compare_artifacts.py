@@ -9,8 +9,8 @@ one thread and the tree's own ``src/`` on the path:
 - ``oned``, ``deblur`` and ``em-fit`` on the benchmark's seed-2024 configs
   (``perfbench.workloads.write_config``, two workers);
 - ``tikhonov`` on PARENT_TREE's shipped ``configs/tikhonov.json``, and
-  again with ``boundary: "periodic"``, which takes the conjugate-gradient
-  solver instead of the closed form;
+  again with ``boundary: "periodic"``, which takes the Gauss-Newton solver
+  instead of the closed form;
 - ``bench`` on a small seed-2024 config (``BENCH_CONFIG``) that sets only
   keys every tree accepts.
 

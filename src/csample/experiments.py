@@ -555,10 +555,11 @@ def observe_deblur_problem(config):
 
 def prepare_deblur_problem(config):
     """The observed deblurring problem plus the synthetic prior ensemble:
-    the blurred image perturbed with standard deviation ``prior_spread``
-    times the mean intensity."""
+    the blurred image, before any saturation, perturbed with standard
+    deviation ``prior_spread`` times the mean intensity."""
     setup = observe_deblur_problem(config)
-    blurred = setup["blurred"]
+    op = setup["operator"]
+    blurred = (op.inner if config["saturation"] else op).apply(setup["truth"].intensities)
     dim = blurred.size
     seed = config["seed"]
     spread_std = config["prior_spread"] * setup["mean_intensity"]

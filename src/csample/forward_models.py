@@ -43,6 +43,10 @@ class ForwardOperator:
         """[dH(x)]^T v; for linear operators this is independent of x."""
         raise NotImplementedError
 
+    def jacobian_apply(self, x, v):
+        """dH(x) v; a linear operator applies itself, a nonlinear one overrides this."""
+        return self.apply(v)
+
     def _check_state(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.in_dim,):
@@ -184,6 +188,10 @@ class SaturationWrapper(ForwardOperator):
         z = self.inner.apply(x)
         scaled = self._check_obs(v) / (1.0 + np.abs(z)) ** 2
         return self.inner.adjoint_jacobian_apply(x, scaled)
+
+    def jacobian_apply(self, x, v):
+        z = self.inner.apply(x)
+        return self.inner.jacobian_apply(x, v) / (1.0 + np.abs(z)) ** 2
 
 
 def materialize_jacobian(op):

@@ -342,15 +342,15 @@ def benchmark_speedup(
     ``repetitions`` times every worker count once, in ascending order, each
     time on a pool created and warmed before timing and closed after it, so
     at most one pool is open at a time. A count's wall time is the best of
-    its ``repetitions`` timings.
-    Measured speedup is wall(1) / wall(p). Predicted columns come from the
-    cost model's integral-work variant for the same run (``n_ens`` samples of
-    ``model.dim`` variables, ``burn_in``, ``stride``, the mechanism's
-    leapfrog steps) with each p's worker count and the model's component
-    count, normalized by its own p = 1 value so prediction and measurement
-    share the multi-chain baseline (the
-    serial-chain baseline differs by the per-chain burn-in, which the cost
-    model reports as overhead). Requesting more workers than logical
+    its ``repetitions`` timings; its speedup is the median of wall(1) / wall(p)
+    within each repetition, so load that comes and goes between repetitions
+    cancels. Predicted columns come from the cost model's integral-work
+    variant for the same run (``n_ens`` samples of ``model.dim`` variables,
+    ``burn_in``, ``stride``, the mechanism's leapfrog steps) with each p's
+    worker count and the model's component count, normalized by its own
+    p = 1 value so prediction and measurement share the multi-chain baseline
+    (the serial-chain baseline differs by the per-chain burn-in, which the
+    cost model reports as overhead). Requesting more workers than logical
     processors flags the rows and warns.
     """
     p_values = list(p_values)
@@ -380,13 +380,12 @@ def benchmark_speedup(
     plan = build_plan(model, n_ens, mechanism, seed, burn_in=burn_in, stride=stride,
                       budgets="uniform", **plan_kwargs)
     workers = sorted(set(p_values) | {1})
-    best = dict.fromkeys(workers, math.inf)
-    # Outside load comes and goes, so every repetition times every p.
+    walls = {p: [] for p in workers}
     for _ in range(max(1, repetitions)):
         for p in workers:
             with WorkerPool(p) as pool:
                 pool.warm_up()
-                best[p] = min(best[p], run_mc_mcmc(model, plan, pool=pool).wall_time)
+                walls[p].append(run_mc_mcmc(model, plan, pool=pool).wall_time)
     pred_baseline = predict_cost(prediction_input).parallel_cost_integral
     rows = []
     for p in workers:
@@ -394,12 +393,13 @@ def benchmark_speedup(
             continue
         pred_speedup = (pred_baseline
                         / predict_cost(replace(prediction_input, workers=p)).parallel_cost_integral)
+        speedup = float(np.median(np.divide(walls[1], walls[p])))
         rows.append(
             BenchmarkRow(
                 workers=p,
-                wall_s=best[p],
-                speedup=best[1] / best[p],
-                efficiency=best[1] / best[p] / p,
+                wall_s=min(walls[p]),
+                speedup=speedup,
+                efficiency=speedup / p,
                 pred_speedup=pred_speedup,
                 pred_efficiency=pred_speedup / p,
                 oversubscribed=p > available,

@@ -5,7 +5,7 @@ The objective is T(x) = ||H(x) - y||^2_{R^-1} + alpha ||x||^2_C with gradient
 pair mutually consistent. The contract of every solver is the gradient norm
 at the returned point.
 
-Three solvers, chosen from the problem's structure:
+Two solvers, chosen from the problem's structure:
 
 - Closed form, when H is a reflect-boundary Gaussian blur (not saturated),
   R = sigma^2 I, and C is c I or the grid Laplacian. The orthonormal 2-D
@@ -13,10 +13,9 @@ Three solvers, chosen from the problem's structure:
   Laplacian alike (Ng, Chan & Tang, SIAM J. Sci. Comput. 1999), so the
   minimizer is x_hat = (b_hat / sigma^2) y_hat / (b_hat^2 / sigma^2 +
   alpha c_hat) in that basis, with no iterations.
-- Matrix-free conjugate gradients on the normal equations for every other
-  linear problem (dense matrices, periodic blur, non-spherical R).
-- Polak-Ribiere conjugate gradients with a backtracking line search for
-  nonlinear operators.
+- Gauss-Newton for every other problem (dense matrices, periodic or
+  saturated blur, non-spherical R). Its inner CG is preconditioned by the
+  same DCT solve wherever a blur, R = sigma^2 I and such a C make one.
 """
 
 from __future__ import annotations
@@ -27,10 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCurveWarning, DimensionMismatch, SolverConvergenceWarning
-from .forward_models import GaussianBlurOperator
+from .forward_models import GaussianBlurOperator, SaturationWrapper
 from .linalg_rng import SpdMatrix
 
 DEFAULT_ALPHA_GRID = np.logspace(-6.0, 2.0, 30)
+GRAD_TOL_REL = 1e-8
+STALL_STEPS = 3  # Gauss-Newton steps in a row that do not lower |grad|
 
 
 @dataclass(frozen=True)
@@ -122,66 +123,6 @@ class TikhonovSolution:
     converged: bool
 
 
-def _normal_matvec(problem, v):
-    hv = problem.operator.apply(v)
-    out = problem.operator.adjoint_jacobian_apply(v, problem.obs_cov.solve(hv))
-    return 2.0 * (out + problem.alpha * problem.reg_matrix.matvec(v))
-
-
-def _solve_linear_cg(problem, x0, tol, max_iter):
-    # Minimize the quadratic by CG on grad(x) = A x - b = 0, matrix-free.
-    x = x0.copy()
-    _, grad = tikhonov_objective(problem, x)
-    r = -grad
-    d = r.copy()
-    rs = float(r @ r)
-    iterations = 0
-    while np.sqrt(rs) > tol and iterations < max_iter:
-        ad = _normal_matvec(problem, d)
-        dad = float(d @ ad)
-        if dad <= 0.0:
-            break
-        step = rs / dad
-        x += step * d
-        r -= step * ad
-        rs_new = float(r @ r)
-        d = r + (rs_new / rs) * d
-        rs = rs_new
-        iterations += 1
-    return TikhonovSolution(x, float(np.sqrt(rs)), iterations, np.sqrt(rs) <= tol)
-
-
-def _solve_nonlinear_cg(problem, x0, tol, max_iter):
-    # Polak-Ribiere+ with backtracking Armijo line search and periodic restart.
-    x = x0.copy()
-    value, grad = tikhonov_objective(problem, x)
-    d = -grad
-    iterations = 0
-    while np.linalg.norm(grad) > tol and iterations < max_iter:
-        slope = float(grad @ d)
-        if slope >= 0.0:
-            d = -grad
-            slope = float(grad @ d)
-        step = 1.0
-        for _ in range(60):
-            candidate = x + step * d
-            new_value, new_grad = tikhonov_objective(problem, candidate)
-            if new_value <= value + 1e-4 * step * slope:
-                break
-            step *= 0.5
-        else:
-            break
-        beta = float(new_grad @ (new_grad - grad)) / max(float(grad @ grad), 1e-300)
-        beta = max(0.0, beta)
-        x, value = candidate, new_value
-        d = -new_grad + beta * d
-        grad = new_grad
-        iterations += 1
-        if iterations % (2 * x.size) == 0:
-            d = -grad
-    return TikhonovSolution(x, float(np.linalg.norm(grad)), iterations, np.linalg.norm(grad) <= tol)
-
-
 def _dct_matrix(n):
     """Orthonormal DCT-II matrix; row k is the k-th cosine basis vector."""
     k = np.arange(n)[:, None]
@@ -199,38 +140,84 @@ def _scalar_multiple_of_identity(matrix):
     return float(diag[0]) if np.all(diag == diag[0]) else None
 
 
-def _solve_spectral(problem):
-    """The exact minimizer on the 2-D DCT-II basis, or None when the problem
-    is not diagonal there (see the module docstring)."""
-    op = problem.operator
-    if not isinstance(op, GaussianBlurOperator) or op.boundary != "reflect":
-        return None
+def _dct_diagonalization(problem):
+    """(blur, d_r, d_c, b_hat, c_hat, sigma^2): the blur unwrapped from any
+    saturation, the DCT-II matrices of its axes, and the eigenvalues of the
+    blur (exact for the reflect boundary) and of C on the 2-D DCT-II basis.
+    None when R is not sigma^2 I, C is not diagonal there, or there is no blur.
+    """
+    op, reg = problem.operator, problem.reg_matrix
+    blur = op.inner if isinstance(op, SaturationWrapper) else op
     variance = _scalar_multiple_of_identity(problem.obs_cov)
-    if variance is None:
+    c_hat = (reg.dct_eigenvalues() if isinstance(reg, GridLaplacian)
+             else _scalar_multiple_of_identity(reg))
+    if not isinstance(blur, GaussianBlurOperator) or variance is None or c_hat is None:
         return None
-    if isinstance(problem.reg_matrix, GridLaplacian):
-        c_hat = problem.reg_matrix.dct_eigenvalues()
-    else:
-        c_hat = _scalar_multiple_of_identity(problem.reg_matrix)
-        if c_hat is None:
-            return None
-    d_r, d_c = _dct_matrix(op.rows), _dct_matrix(op.cols)
-    b_r = np.einsum("ij,jk,ik->i", d_r, op.row_matrix, d_r)
-    b_c = np.einsum("ij,jk,ik->i", d_c, op.col_matrix, d_c)
-    b_hat = b_r[:, None] * b_c[None, :]
-    y_hat = d_r @ problem.y.reshape(op.rows, op.cols) @ d_c.T
-    x_hat = (b_hat / variance) * y_hat / (b_hat**2 / variance + problem.alpha * c_hat)
+    d_r, d_c = _dct_matrix(blur.rows), _dct_matrix(blur.cols)
+    b_r = np.einsum("ij,jk,ik->i", d_r, blur.row_matrix, d_r)
+    b_c = np.einsum("ij,jk,ik->i", d_c, blur.col_matrix, d_c)
+    return blur, d_r, d_c, b_r[:, None] * b_c[None, :], c_hat, variance
+
+
+def _dct_solve(problem, diagonalization, v, scale=1.0):
+    """(B^T B / sigma^2 + alpha C)^-1 D^T (scale * D v): the solve on the DCT
+    basis D, with ``scale`` weighting the coefficients of v."""
+    blur, d_r, d_c, b_hat, c_hat, variance = diagonalization
+    v_hat = d_r @ v.reshape(blur.rows, blur.cols) @ d_c.T
+    x_hat = scale * v_hat / (b_hat**2 / variance + problem.alpha * c_hat)
     return (d_r.T @ x_hat @ d_c).reshape(-1)
 
 
-def solve_tikhonov(problem, x0=None, *, grad_tol_rel=1e-8, max_iter=None):
+def _solve_gauss_newton(problem, x, value, grad, tol, max_iter, precondition):
+    """Gauss-Newton with Armijo backtracking (Nocedal & Wright, ch. 7, 10).
+
+    Each step runs CG from p = 0 on (J^T R^-1 J + alpha C) p = -grad / 2,
+    preconditioned by ``precondition`` (which returns a new array), until the
+    step's linearized gradient, -2 r for CG residual r, meets tol: a linear
+    problem converges in one step. ``iterations`` counts CG iterations.
+    """
+    op, obs_cov, reg = problem.operator, problem.obs_cov, problem.reg_matrix
+    grad_norm = float(np.linalg.norm(grad))
+    iterations = stalls = 0
+    while grad_norm > tol and iterations < max_iter and stalls < STALL_STEPS:
+        p, r = np.zeros_like(x), -0.5 * grad
+        d = precondition(r)
+        rz = float(r @ d)
+        while 2.0 * np.linalg.norm(r) > tol and iterations < max_iter:
+            ad = op.adjoint_jacobian_apply(x, obs_cov.solve(op.jacobian_apply(x, d)))
+            ad += problem.alpha * reg.matvec(d)
+            dad = float(d @ ad)
+            if dad <= 0.0:
+                break
+            p += (rz / dad) * d
+            r -= (rz / dad) * ad
+            z = precondition(r)
+            rz, rz_old = float(r @ z), rz
+            d = z + (rz / rz_old) * d
+            iterations += 1
+        slope = float(grad @ p)
+        for step in 0.5 ** np.arange(60.0):  # Armijo backtracking
+            candidate = x + step * p
+            new_value, new_grad = tikhonov_objective(problem, candidate)
+            if new_value <= value + 1e-4 * step * slope:
+                break
+        else:
+            break
+        new_norm = float(np.linalg.norm(new_grad))
+        stalls = stalls + 1 if new_norm >= grad_norm else 0
+        x, value, grad, grad_norm = candidate, new_value, new_grad, new_norm
+    return TikhonovSolution(x, grad_norm, iterations, grad_norm <= tol)
+
+
+def solve_tikhonov(problem, x0=None, *, max_iter=None):
     """Minimize the Tikhonov objective from x0.
 
-    Converges when the gradient norm falls to grad_tol_rel times
-    max(1, ||grad(x0)||). Exhausting the iteration budget returns the best
-    iterate with ``converged=False``. Problems that are diagonal on the DCT
-    basis are solved in closed form with ``iterations=0``; their gradient
-    norm and ``converged`` flag are still measured at the returned point.
+    Converges when the gradient norm, measured at the returned point, falls to
+    GRAD_TOL_REL times max(1, ||grad(x0)||). Problems diagonal on the DCT
+    basis are solved in closed form with ``iterations=0``. Gauss-Newton stops
+    with ``converged=False`` at its last iterate when its CG iterations reach
+    ``max_iter`` (default max(200, 10 n)), its line search fails, or
+    STALL_STEPS steps in a row do not lower the gradient norm.
     """
     n = problem.operator.in_dim
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
@@ -238,17 +225,21 @@ def solve_tikhonov(problem, x0=None, *, grad_tol_rel=1e-8, max_iter=None):
         raise DimensionMismatch(f"x0 length {x0.size} != {n}")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    _, grad0 = tikhonov_objective(problem, x0)
-    tol = grad_tol_rel * max(1.0, float(np.linalg.norm(grad0)))
-    x = _solve_spectral(problem)
-    if x is not None:
+    value, grad = tikhonov_objective(problem, x0)
+    tol = GRAD_TOL_REL * max(1.0, float(np.linalg.norm(grad)))
+    max_iter = max(200, 10 * n) if max_iter is None else max_iter
+    diagonalization = _dct_diagonalization(problem)
+    if diagonalization is None:
+        return _solve_gauss_newton(problem, x0, value, grad, tol, max_iter, np.copy)
+    blur, _, _, b_hat, _, variance = diagonalization
+    if blur is problem.operator and blur.boundary == "reflect":
+        x = _dct_solve(problem, diagonalization, problem.y, b_hat / variance)
         grad_norm = float(np.linalg.norm(tikhonov_objective(problem, x)[1]))
         return TikhonovSolution(x, grad_norm, 0, grad_norm <= tol)
-    if max_iter is None:
-        max_iter = max(200, 10 * n)
-    if problem.operator.linear:
-        return _solve_linear_cg(problem, x0, tol, max_iter)
-    return _solve_nonlinear_cg(problem, x0, tol, max_iter)
+    # Elsewhere the same solve, applied to r, preconditions Gauss-Newton; it
+    # ignores the saturation's slope and the periodic blur's wrap.
+    return _solve_gauss_newton(problem, x0, value, grad, tol, max_iter,
+                               lambda r: _dct_solve(problem, diagonalization, r))
 
 
 @dataclass

@@ -1,11 +1,14 @@
 import csv
 import json
+import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from csample.cli import main as cli_main
-from csample.errors import ConfigError, ZeroReference
+from csample.errors import ConfigError, SolverConvergenceWarning, ZeroReference
 from csample.experiments import (
     RunSummary,
     benchmark_prior_mixture,
@@ -294,6 +297,17 @@ class TestTikhonovRun:
         assert (tmp_path / "lcurve.csv").exists()
         assert json.loads((tmp_path / "summary.json").read_text())["aic"] is None
 
+    def test_periodic_lcurve_converges(self, tmp_path):
+        # The periodic blur has no closed form; Gauss-Newton, preconditioned
+        # by the reflect-boundary DCT solve, converges at every grid alpha.
+        cfg = default_config("tikhonov")
+        cfg["boundary"] = "periodic"
+        run_tikhonov_experiment(cfg, tmp_path)
+        with open(tmp_path / "lcurve.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 30
+        assert [r["converged"] for r in rows] == ["1"] * 30
+
 
 class TestEmFitRun:
     def test_fit_from_csv(self, tmp_path):
@@ -353,6 +367,36 @@ class TestCli:
         cfg_path.write_text(json.dumps({"image": str(tmp_path / "missing.pgm")}))
         code = cli_main(["tikhonov", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 4
+
+    def test_saturated_deblur_end_to_end(self, tmp_path):
+        # The shipped deblur config with the saturated operator: the
+        # Tikhonov baseline takes Gauss-Newton at every grid alpha.
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "deblur.json"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**json.loads(shipped.read_text()), "saturation": True}))
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["deblur", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 0
+        assert time.perf_counter() - start < 60.0
+        with open(out / "lcurve.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 30
+        assert all(r["converged"] in ("0", "1") for r in rows)
+        unconverged = [float(r["alpha"]) for r in rows if r["converged"] == "0"]
+        messages = [str(w.message) for w in caught
+                    if issubclass(w.category, SolverConvergenceWarning)]
+        if unconverged:
+            assert len(messages) == 1
+            assert f"{len(unconverged)} of 30" in messages[0]
+            for alpha in unconverged:
+                assert f"{alpha:.6g}" in messages[0]
+        else:
+            assert not messages
+        errors = json.loads((out / "summary.json").read_text())["relative_errors"]
+        assert errors["posterior_mean"] < errors["tikhonov"]
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # Nine identical points cannot support five components: the EM fit

@@ -206,11 +206,20 @@ class TestAdjoint:
         d = rng.standard_normal(16)
         v = rng.standard_normal(16)
         eps = 1e-6
-        lhs = ((op.apply(x + eps * d) - op.apply(x - eps * d)) / (2 * eps)) @ v
+        directional = (op.apply(x + eps * d) - op.apply(x - eps * d)) / (2 * eps)
         rhs = d @ op.adjoint_jacobian_apply(x, v)
-        assert lhs == pytest.approx(rhs, rel=1e-6)
+        assert directional @ v == pytest.approx(rhs, rel=1e-6)
+        assert np.allclose(op.jacobian_apply(x, d), directional, atol=1e-8)
+        assert op.jacobian_apply(x, d) @ v == pytest.approx(rhs, rel=1e-12)
         with pytest.raises(ValueError, match="nonlinear"):
             materialize_jacobian(op)
+
+    def test_linear_jacobian_applies_the_operator(self):
+        rng = np.random.default_rng(7)
+        for op in (IdentityOperator(6), MatrixOperator(rng.standard_normal((4, 6))),
+                   GaussianBlurOperator(2, 3, width=3, sigma=1.0, boundary="periodic")):
+            x, v = rng.standard_normal(6), rng.standard_normal(6)
+            assert np.array_equal(op.jacobian_apply(x, v), op.apply(v))
 
 
 class TestJacobianStructure:

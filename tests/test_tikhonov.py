@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from csample import tikhonov
 from csample.errors import DegenerateCurveWarning, SolverConvergenceWarning
 from csample.forward_models import (
     GaussianBlurOperator,
@@ -112,7 +113,7 @@ class TestSolve:
         prob = TikhonovProblem(
             op, [0.1, -0.2, 0.3], SpdMatrix.identity(3), SpdMatrix.identity(3), 0.5
         )
-        sol = solve_tikhonov(prob, np.zeros(3), grad_tol_rel=1e-8)
+        sol = solve_tikhonov(prob, np.zeros(3))
         assert sol.converged
         _, grad = tikhonov_objective(prob, sol.x)
         assert np.linalg.norm(grad) <= 1e-6
@@ -131,6 +132,27 @@ class TestSolve:
         )
         sol = solve_tikhonov(prob, y)
         assert np.linalg.norm(op.apply(sol.x) - y) < np.linalg.norm(op.apply(y) - y)
+
+    def test_linear_problem_converges_in_one_step(self, monkeypatch):
+        # One objective call at x0 and one for the accepted full step. CG on
+        # eight unknowns needs about eight iterations; a preconditioner that
+        # aliased the CG direction would run on to the cap.
+        rng = np.random.default_rng(11)
+        prob = TikhonovProblem(
+            MatrixOperator(rng.standard_normal((8, 8))), rng.standard_normal(8),
+            SpdMatrix.identity(8), SpdMatrix.identity(8), 1e-2,
+        )
+        calls = []
+
+        def counted(problem, x):
+            calls.append(x)
+            return tikhonov_objective(problem, x)
+
+        monkeypatch.setattr(tikhonov, "tikhonov_objective", counted)
+        sol = solve_tikhonov(prob)
+        assert sol.converged
+        assert len(calls) == 2
+        assert sol.iterations <= 2 * 8
 
     def test_max_iterations_flagged(self):
         sol = solve_tikhonov(simple_problem(alpha=1.0), np.array([50.0, -30.0]), max_iter=1)
@@ -313,7 +335,7 @@ class TestSpectralSolve:
     @pytest.mark.parametrize(
         "case", ["periodic", "saturated", "matrix", "diagonal_r", "diagonal_c"]
     )
-    def test_other_problems_take_cg(self, case):
+    def test_other_problems_take_gauss_newton(self, case):
         prob = blur_problem(alpha=0.5)
         n = prob.operator.in_dim
         if case == "periodic":
@@ -339,8 +361,8 @@ class TestSpectralSolve:
         assert sol.iterations > 0
         assert sol.converged
         if case != "saturated":
-            # CG stops on a 1e-8 relative gradient; x inherits that times
-            # the condition number.
+            # Gauss-Newton stops on a 1e-8 relative gradient; x inherits
+            # that times the condition number.
             expected = dense_tikhonov_solution(prob)
             assert np.linalg.norm(sol.x - expected) <= 1e-4 * np.linalg.norm(expected)
 
