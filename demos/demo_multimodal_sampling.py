@@ -12,15 +12,13 @@ import numpy as np
 from csample.experiments import (
     default_config,
     mixture_bin_masses,
+    oned_plans,
     prepare_oned_model,
-    serial_gaussian_mechanism,
     total_variation,
     weighted_histogram,
 )
-from csample.linalg_rng import RngStream
-from csample.mc_scheduler import build_plan, run_mc_mcmc
+from csample.mc_scheduler import WorkerPool, run_plans
 from csample.posterior import linear_mixture_posterior
-from csample.samplers import ChainConfig, run_chain
 
 cfg = default_config("oned")
 cfg.update(n_samples=2000, n_ens_prior=600)
@@ -31,23 +29,13 @@ print(f"  selected {selection.n_components} components")
 print(f"  weights: {np.round(model.prior.weights, 3)}")
 print(f"  means:   {np.round(model.prior.means.ravel(), 2)}")
 
-prior_mean = model.prior.weights @ model.prior.means
-serial = run_chain(
-    model,
-    ChainConfig(cfg["n_samples"], prior_mean, RngStream(cfg["seed"], 20000),
-                burn_in=cfg["burn_in"], stride=cfg["stride"]),
-    serial_gaussian_mechanism(cfg),
-)
+# The serial chain starts at the prior mean; the multi-chain plan runs one
+# HMC chain per component. One worker runs both in this process.
+plans = oned_plans(model, cfg)
+print(f"multi-chain plan: budgets {[c.budget for c in plans['parallel_hmc'].chains]}")
+serial, result = run_plans(model, [plans["serial_gaussian"], plans["parallel_hmc"]],
+                           WorkerPool(1))
 print(f"serial Gaussian chain: acceptance {serial.acceptance_rate:.1%}")
-
-plan = build_plan(
-    model, cfg["n_samples"], "hmc", cfg["seed"],
-    burn_in=cfg["burn_in"], stride=cfg["stride"],
-    hmc_trajectory=cfg["hmc_trajectory"], hmc_steps=cfg["hmc_steps"],
-    hmc_jitter=cfg["hmc_jitter"],
-)
-print(f"multi-chain plan: budgets {[c.budget for c in plan.chains]}")
-result = run_mc_mcmc(model, plan)
 print(f"multi-chain HMC: acceptance {result.acceptance_rate:.1%}")
 
 edges = np.linspace(-10, 10, 51)

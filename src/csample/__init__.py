@@ -29,22 +29,20 @@ from .forward_models import (
     read_pgm,
     write_pgm,
 )
-from .gmm import Ensemble, GaussianMixture, em_fit, select_model_aic
+from .gmm import Ensemble, GaussianMixture, select_model_aic
 from .linalg_rng import RngStream, SpdMatrix, sample_mvn
 from .mc_scheduler import (
-    ChainPlan,
     SchedulerPlan,
     WorkerPool,
     allocate_budgets,
     benchmark_speedup,
     build_plan,
-    run_mc_mcmc,
     run_plans,
     single_chain_plan,
 )
 from .posterior import PosteriorModel, linear_mixture_posterior
 from .samplers import (
-    ChainConfig,
+    ChainPlan,
     ChainResult,
     GaussianProposal,
     HmcParams,
@@ -65,7 +63,6 @@ from .tikhonov import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainConfig",
     "ChainPlan",
     "ChainResult",
     "ConfigError",
@@ -98,7 +95,6 @@ __all__ = [
     "build_plan",
     "chain_diagnostics",
     "discrete_laplacian",
-    "em_fit",
     "gaussian_kernel1d",
     "hmc_step",
     "lcurve_select_alpha",
@@ -108,7 +104,6 @@ __all__ = [
     "predict_cost",
     "read_pgm",
     "run_chain",
-    "run_mc_mcmc",
     "run_plans",
     "sample_mvn",
     "select_model_aic",

@@ -22,7 +22,7 @@ from .errors import (
     NotPositiveDefinite,
     ZeroReference,
 )
-from .experiments import EXPERIMENT_KINDS, RUNNERS, load_config
+from .experiments import EXPERIMENT_KINDS, RUNNERS, default_config, load_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,7 +53,8 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=f"out_{kind.replace('-', '_')}",
                        help="output directory")
-        p.add_argument("--procs", type=int, default=None, help="worker count")
+        if {"workers", "p_values"} & set(default_config(kind)):  # only where there is a pool
+            p.add_argument("--procs", type=int, default=None, help="worker count")
     return parser
 
 
@@ -62,7 +63,7 @@ def main(argv=None):
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.procs is not None:
+    if getattr(args, "procs", None) is not None:
         # bench scans worker counts; elsewhere --procs sets the pool size.
         if args.command == "bench":
             overrides["p_values"] = sorted({1, args.procs})

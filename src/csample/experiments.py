@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, ZeroReference
 from .forward_models import (
+    BOUNDARY_RULES,
     GaussianBlurOperator,
     IdentityOperator,
     ImageGrid,
@@ -28,17 +29,19 @@ from .forward_models import (
     read_pgm,
     write_pgm,
 )
-from .gmm import GaussianMixture, select_model_aic
+from .gmm import GMM_STRUCTURES, GaussianMixture, select_model_aic
 from .linalg_rng import RngStream, SpdMatrix
 from .mc_scheduler import (
+    MECHANISMS,
     WorkerPool,
     benchmark_speedup,
     build_plan,
     run_plans,
     single_chain_plan,
+    tune_gaussian_proposal,
+    tune_hmc,
 )
 from .posterior import PosteriorModel, linear_mixture_posterior
-from .samplers import GaussianProposal, HmcParams
 from .tikhonov import TikhonovProblem, discrete_laplacian, lcurve_select_alpha
 
 # The synthetic prior generator of the 1-D benchmark: weights, means,
@@ -166,6 +169,32 @@ _LOWER_BOUNDS = {
     "hmc_steps": 1,
     "workers": 1,
     "burn_in": 0,
+    "repetitions": 1,
+    "histogram_bins": 1,
+    "prior_pool": 1,
+}
+
+# The allowed values of each config key that picks a code path.
+_CHOICES = {
+    "gmm_structure": GMM_STRUCTURES,
+    "boundary": BOUNDARY_RULES,
+    "mechanism": MECHANISMS,
+    "reg_matrix": ("identity", "laplacian"),
+}
+
+# Keys with a rule beyond a lower bound: a test of the value, and the rule.
+_RULES = {
+    "blur_width": (lambda v: isinstance(v, int) and v >= 1 and v % 2 == 1,
+                   "an odd integer of at least 1"),
+    "p_values": (lambda v: _is_list_of(v, None, int) and v and min(v) >= 1,
+                 "a non-empty list of integers of at least 1"),
+    "candidate_components": (lambda v: _is_list_of(v, 2, int) and 1 <= v[0] <= v[1],
+                             "two integers [lo, hi] with 1 <= lo <= hi"),
+    "histogram_range": (lambda v: _is_list_of(v, 2, (int, float)) and v[0] < v[1],
+                        "[lo, hi] with lo < hi"),
+    "alpha_grid": (lambda v: (_is_list_of(v, 3, (int, float)) and 0 < v[0] < v[1]
+                              and isinstance(v[2], int) and v[2] >= 2),
+                   "[lo, hi, count] with 0 < lo < hi and an integer count of at least 2"),
 }
 
 
@@ -178,7 +207,8 @@ def default_config(kind):
 def load_config(kind, path=None, overrides=None):
     """Merge defaults, an optional JSON config file, and CLI overrides.
 
-    Unknown keys are rejected; a "kind" key in the file must match.
+    Unknown keys are rejected; a "kind" key in the file must match. A value
+    that breaks its key's rule above raises ConfigError naming the key.
     """
     config = default_config(kind)
     if path is not None:
@@ -206,26 +236,21 @@ def load_config(kind, path=None, overrides=None):
         if key in config and not (isinstance(config[key], int) and config[key] >= least):
             raise ConfigError(f"{key} must be an integer of at least {least}, "
                               f"got {config[key]!r}")
-    if "candidate_components" in config:
-        pair = config["candidate_components"]
-        if not (_is_list_of(pair, 2, int) and 1 <= pair[0] <= pair[1]):
-            raise ConfigError(
-                f"candidate_components must be two integers [lo, hi] with 1 <= lo <= hi, "
-                f"got {pair!r}"
-            )
-    if "alpha_grid" in config:
-        grid = config["alpha_grid"]
-        if not (_is_list_of(grid, 3, (int, float)) and 0 < grid[0] < grid[1]
-                and isinstance(grid[2], int) and grid[2] >= 2):
-            raise ConfigError(
-                f"alpha_grid must be [lo, hi, count] with 0 < lo < hi and an integer "
-                f"count of at least 2, got {grid!r}"
-            )
+    for key, allowed in _CHOICES.items():
+        if key in config and config[key] not in allowed:
+            raise ConfigError(f"{key} must be one of {allowed}, got {config[key]!r}")
+    for key, (valid, rule) in _RULES.items():
+        if key in config and not valid(config[key]):
+            raise ConfigError(f"{key} must be {rule}, got {config[key]!r}")
+    if "prior_pool" in config and config["n_ens"] > config["prior_pool"]:
+        raise ConfigError(f"n_ens ({config['n_ens']}) must not exceed prior_pool "
+                          f"({config['prior_pool']})")
     return config
 
 
 def _is_list_of(value, length, types):
-    return (isinstance(value, list) and len(value) == length
+    """A list of ``length`` (any length when None) values of ``types``."""
+    return (isinstance(value, list) and length in (None, len(value))
             and all(isinstance(v, types) for v in value))
 
 
@@ -371,18 +396,13 @@ def mixture_moments(mixture):
 
 
 def serial_gaussian_mechanism(config):
-    return GaussianProposal(SpdMatrix.from_diagonal([config["serial_proposal_variance"]]))
+    return tune_gaussian_proposal(np.array([config["serial_proposal_variance"]]), 1.0)
 
 
 def serial_hmc_mechanism(model, config):
     _, total_var = mixture_moments(model.prior)
-    mass = SpdMatrix.from_diagonal(1.0 / total_var)
-    return HmcParams(
-        mass,
-        config["serial_hmc_trajectory"] / config["hmc_steps"],
-        config["hmc_steps"],
-        jitter_steps=config["hmc_jitter"],
-    )
+    return tune_hmc(total_var, config["serial_hmc_trajectory"], config["hmc_steps"],
+                    jitter=config["hmc_jitter"])
 
 
 def mixture_bin_masses(mixture, edges):
@@ -525,12 +545,9 @@ def _blur_operator(config, rows, cols):
 
 
 def _regularization_matrix(config, rows, cols):
-    kind = config["reg_matrix"]
-    if kind == "identity":
+    if config["reg_matrix"] == "identity":
         return SpdMatrix.identity(rows * cols)
-    if kind == "laplacian":
-        return discrete_laplacian(rows, cols, epsilon=config["reg_epsilon"])
-    raise ConfigError(f"unknown reg_matrix {kind!r}; expected identity or laplacian")
+    return discrete_laplacian(rows, cols, epsilon=config["reg_epsilon"])
 
 
 def observe_deblur_problem(config):

@@ -306,7 +306,10 @@ def free_parameter_count(structure, n_components, dim):
 
 @dataclass
 class EmFit:
-    """Result of one EM fit: the mixture plus convergence bookkeeping."""
+    """Result of one EM fit: the mixture plus convergence bookkeeping.
+    ``loglik_trace`` is the final ascent since any reseed, non-decreasing:
+    an M-step that would lower it (only the covariance floor can, at
+    round-off scale) is rejected for the previous iterate."""
 
     mixture: GaussianMixture
     log_likelihood: float
@@ -567,32 +570,6 @@ def _best_restart(outcomes):
     return best
 
 
-def em_fit(data, n_components, structure="full", rng=None, *, max_iter=500,
-           rel_tol=1e-8, restarts=5):
-    """Fit a mixture by expectation-maximization with random restarts.
-
-    The data ordering is canonicalized (lexicographic sort) before seeding,
-    so fits are invariant to permutations of the ensemble. The restarts are
-    seeded from ``rng`` by the rule of ``select_model_aic`` and run in this
-    process. The reported ``loglik_trace`` covers
-    the final uninterrupted ascent (a degenerate component reseed starts a
-    new segment) and is non-decreasing: an M-step that would lower the
-    observed log-likelihood (possible only through the covariance floor, at
-    round-off scale) is rejected in favor of the previous iterate. The best
-    restart by final log-likelihood is returned; exhausting ``max_iter``
-    comes back with ``converged=False``.
-
-    Raises DegenerateComponent when a component cannot keep at least two
-    effective points even after reseeding attempts (in every restart).
-    """
-    points = _sorted_members(data)
-    if rng is None:
-        rng = RngStream(0)
-    outcomes, _ = _fit_restarts(points, [n_components], structure, rng, None,
-                                max_iter=max_iter, rel_tol=rel_tol, restarts=restarts)
-    return _best_restart(outcomes[n_components])
-
-
 @dataclass
 class AicSelection:
     """Best fit across candidate component counts plus the scored table."""
@@ -610,7 +587,8 @@ class AicSelection:
 
 
 def select_model_aic(data, candidates, structure="full", rng=None, pool=None, **em_kwargs):
-    """Fit each candidate component count and keep the AIC minimizer.
+    """Fit each candidate component count by EM and keep the AIC minimizer;
+    ``select_model_aic(data, [k], ...).fit`` is the best fit of k components.
 
     AIC = 2k - 2 loglik with k the free-parameter count of the structure.
     Ties break toward the smaller component count. Candidates whose fits
@@ -632,9 +610,8 @@ def select_model_aic(data, candidates, structure="full", rng=None, pool=None, **
         rng = RngStream(0)
     outcomes, work_s = _fit_restarts(points, candidates, structure, rng, pool, **em_kwargs)
     dim = points.shape[1]
-    best = None
+    best = last_error = None
     table = []
-    last_error = None
     for n_c in candidates:
         try:
             fit = _best_restart(outcomes[n_c])

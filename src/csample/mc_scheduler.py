@@ -1,13 +1,15 @@
 """Multi-chain MCMC orchestration: one chain per prior mixture component.
 
-Chains are planned deterministically from (model, seed): budgets by
-component weight times the likelihood of the component mean, initial states
-at the component means, proposal tuning from the local component statistics,
-and one random stream per chain keyed by its component index. A serial
-baseline is a plan of one chain. ``run_plans`` runs the chains of several
-plans in one call on one worker pool, placed largest predicted cost first;
-the placement never changes the gathered ensembles, because streams are per
-chain and each plan's gather runs in chain order.
+A plan is a list of ``samplers.ChainPlan`` records plus the burn-in, stride
+and seed its chains share. Chains are planned deterministically from
+(model, seed): budgets by component weight times the likelihood of the
+component mean, initial states at the component means, proposal tuning from
+the local component statistics, and one random stream per chain keyed by its
+component index. A serial baseline is a plan of one chain. ``run_plans`` is
+the one way to run chains: it runs the chains of one or more plans in one
+call on one worker pool, placed largest predicted cost first; the placement
+never changes the gathered ensembles, because streams are per chain and each
+plan's gather runs in chain order.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ import numpy as np
 from .cost_model import CostModelInput, predict_cost, step_cost
 from .errors import BudgetInfeasibleWarning, ChainFailed, OversubscribedWarning
 from .gmm import Ensemble
-from .linalg_rng import RngStream, SpdMatrix
+from .linalg_rng import SpdMatrix
 from .pool import WorkerPool, balanced_assignment  # noqa: F401 (re-exported)
-from .samplers import ChainConfig, GaussianProposal, HmcParams, run_chain
+from .samplers import ChainPlan, GaussianProposal, HmcParams, run_chain
 
 # Standard random-walk scaling; experiment configs override it where a
 # target acceptance rate is being reproduced.
@@ -34,15 +36,7 @@ DEFAULT_PROPOSAL_SCALE_NUMERATOR = 2.38**2
 DEFAULT_HMC_STEPS = 20
 DEFAULT_HMC_TRAJECTORY = 1.0  # in local posterior-std units
 
-
-@dataclass(frozen=True)
-class ChainPlan:
-    component: int
-    budget: int
-    initial_state: np.ndarray
-    mechanism: object  # GaussianProposal | HmcParams
-    stream_id: int
-    log_weight: float  # unnormalized log pooling weight of the component
+MECHANISMS = ("gaussian", "hmc")
 
 
 @dataclass
@@ -71,9 +65,6 @@ class McmcResult:
     ensemble: Ensemble
     chain_results: list  # ChainResult per non-empty chain, in chain order
     acceptance_rate: float
-    proposals_made: int
-    proposals_accepted: int
-    divergences: int
     wall_time: float  # elapsed wall of the run that ran this plan's chains
 
     @property
@@ -165,8 +156,8 @@ def build_plan(
     """
     prior = model.prior
     n_c = prior.n_components
-    if mechanism not in ("gaussian", "hmc"):
-        raise ValueError("mechanism must be 'gaussian' or 'hmc'")
+    if mechanism not in MECHANISMS:
+        raise ValueError(f"mechanism must be one of {MECHANISMS}")
     log_scores = component_log_scores(model)
     if budgets == "likelihood":
         counts = allocate_budgets(log_scores, n_ens)
@@ -184,16 +175,8 @@ def build_plan(
             mech = tune_gaussian_proposal(prior.covariances[i], proposal_scale)
         else:
             mech = tune_hmc(prior.variances[i], hmc_trajectory, hmc_steps, jitter=hmc_jitter)
-        chains.append(
-            ChainPlan(
-                component=i,
-                budget=int(counts[i]),
-                initial_state=np.array(prior.means[i], dtype=float),
-                mechanism=mech,
-                stream_id=i,
-                log_weight=float(log_scores[i]),
-            )
-        )
+        chains.append(ChainPlan(int(counts[i]), prior.means[i], mech, i, component=i,
+                                log_weight=float(log_scores[i])))
     return SchedulerPlan(chains=chains, burn_in=int(burn_in), stride=int(stride), seed=int(seed))
 
 
@@ -201,9 +184,8 @@ def single_chain_plan(initial_state, mechanism, n_samples, stream_id, *, burn_in
     """One chain of the whole budget on stream ``stream_id``, outside any
     mixture component (-1) and with log weight 0, so its samples pool to
     equal weights 1/n."""
-    chain = ChainPlan(-1, int(n_samples), np.array(initial_state, dtype=float), mechanism,
-                      int(stream_id), 0.0)
-    return SchedulerPlan(chains=[chain], burn_in=int(burn_in), stride=int(stride), seed=int(seed))
+    return SchedulerPlan([ChainPlan(int(n_samples), initial_state, mechanism, int(stream_id))],
+                         int(burn_in), int(stride), int(seed))
 
 
 def chain_cost(model, chain, burn_in, stride):
@@ -219,18 +201,7 @@ def chain_cost(model, chain, burn_in, stride):
 
 def _execute_chain(model, chain, burn_in, stride, seed):
     try:
-        config = ChainConfig(
-            n_samples=chain.budget,
-            initial_state=chain.initial_state,
-            rng=RngStream(seed, chain.stream_id),
-            burn_in=burn_in,
-            stride=stride,
-        )
-        start = time.perf_counter()
-        result = run_chain(model, config, chain.mechanism)
-        result.wall_s = time.perf_counter() - start
-        result.component = chain.component
-        return result
+        return run_chain(model, chain, burn_in=burn_in, stride=stride, seed=seed)
     except Exception as exc:  # a failed chain must never abort its siblings
         return ChainFailure(chain.component, chain.stream_id, repr(exc))
 
@@ -248,26 +219,17 @@ def _pool_plan(chains, results, wall):
     by the chain budget, normalized over the pool."""
     samples = []
     log_weights = []
-    made = accepted = divergences = 0
     for chain, result in zip(chains, results):
         samples.append(result.samples)
         log_weights.append(np.full(result.n_samples, chain.log_weight - math.log(chain.budget)))
-        made += result.proposals_made
-        accepted += result.proposals_accepted
-        divergences += result.divergences
     logw = np.concatenate(log_weights)
     logw -= np.max(logw)
     weights = np.exp(logw)
     weights /= np.sum(weights)
-    return McmcResult(
-        ensemble=Ensemble(np.concatenate(samples, axis=0), weights),
-        chain_results=results,
-        acceptance_rate=(accepted / made) if made else 0.0,
-        proposals_made=made,
-        proposals_accepted=accepted,
-        divergences=divergences,
-        wall_time=wall,
-    )
+    made = sum(r.proposals_made for r in results)
+    accepted = sum(r.proposals_accepted for r in results)
+    return McmcResult(Ensemble(np.concatenate(samples, axis=0), weights), results,
+                      (accepted / made) if made else 0.0, wall)
 
 
 def run_plans(model, plans, pool):
@@ -304,15 +266,6 @@ def run_plans(model, plans, pool):
     return pooled
 
 
-def run_mc_mcmc(model, plan, pool=None):
-    """Execute one plan's chains and gather its weighted posterior ensemble:
-    ``run_plans`` of the one plan, on a one-worker pool when none is given."""
-    if pool is not None:
-        return run_plans(model, [plan], pool)[0]
-    with WorkerPool(1) as own:
-        return run_plans(model, [plan], own)[0]
-
-
 @dataclass
 class BenchmarkRow:
     workers: int
@@ -336,7 +289,8 @@ def benchmark_speedup(
     stride=5,
     **plan_kwargs,
 ):
-    """Measure wall time of run_mc_mcmc over worker counts with fixed seeds.
+    """Measure the wall time of one plan's ``run_plans`` over worker counts
+    with fixed seeds.
 
     Budgets are uniform, the split the cost model assumes. Each of the
     ``repetitions`` times every worker count once, in ascending order, each
@@ -385,7 +339,7 @@ def benchmark_speedup(
         for p in workers:
             with WorkerPool(p) as pool:
                 pool.warm_up()
-                walls[p].append(run_mc_mcmc(model, plan, pool=pool).wall_time)
+                walls[p].append(run_plans(model, [plan], pool)[0].wall_time)
     pred_baseline = predict_cost(prediction_input).parallel_cost_integral
     rows = []
     for p in workers:

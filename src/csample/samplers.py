@@ -1,14 +1,17 @@
 """Single-chain samplers over a posterior model: random-walk MH and HMC.
 
-Both steps are pure functions of (model, state, mechanism, stream): replaying
-a stream replays the trajectory bit for bit. A rejected step returns the
-previous state object untouched. HMC trajectories whose energy error exceeds
+``ChainPlan`` is the one description of a chain, from plan to worker.
+``run_chain`` runs one on a stream built afresh from (seed, stream id), so
+a rerun replays it bit for bit. Both steps are pure functions of (model,
+state, mechanism, stream). A rejected step returns the previous state
+object untouched. HMC trajectories whose energy error exceeds
 DIVERGENCE_THRESHOLD are counted as divergent and treated as rejections;
 they never abort the chain.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,28 +52,25 @@ class HmcParams:
             raise ValueError("at least one leapfrog step required")
 
 
-@dataclass
-class ChainConfig:
-    """Budget and bookkeeping for one chain.
+@dataclass(frozen=True)
+class ChainPlan:
+    """One chain: ``budget`` samples from ``initial_state`` under
+    ``mechanism`` (a GaussianProposal or HmcParams) on stream ``stream_id``.
+    ``component`` is its prior mixture component (-1 outside any) and
+    ``log_weight`` the unnormalized log pooling weight of its samples."""
 
-    Total steps executed = burn_in + stride * n_samples; every stride-th
-    post-burn-in state is recorded.
-    """
-
-    n_samples: int
+    budget: int
     initial_state: np.ndarray
-    rng: RngStream
-    burn_in: int = 100
-    stride: int = 5
+    mechanism: object
+    stream_id: int
+    component: int = -1
+    log_weight: float = 0.0
 
     def __post_init__(self):
-        self.initial_state = np.asarray(self.initial_state, dtype=float).reshape(-1)
-        if self.n_samples < 0 or self.burn_in < 0 or self.stride < 1:
-            raise ValueError("invalid chain budget")
-
-    @property
-    def total_steps(self):
-        return self.burn_in + self.stride * self.n_samples
+        state = np.array(self.initial_state, dtype=float).reshape(-1)
+        object.__setattr__(self, "initial_state", state)
+        if self.budget < 0:
+            raise ValueError("chain budget must be non-negative")
 
 
 @dataclass
@@ -179,25 +179,32 @@ def hmc_step(model, x, params, rng, potential=None, grad=None):
     return HmcStep(x, False, potential, False, grad)
 
 
-def run_chain(model, config, mechanism):
-    """Drive one chain for burn_in + stride * n_samples steps.
+def run_chain(model, chain, *, burn_in, stride, seed):
+    """Run ``chain`` (a ChainPlan) for burn_in + stride * budget steps on the
+    stream ``RngStream(seed, chain.stream_id)``, recording every stride-th
+    state after the burn-in.
 
-    ``mechanism`` is either a GaussianProposal or HmcParams. Divergent HMC
-    steps are counted, never raised. The output is a pure function of
-    (model, config, mechanism) including the stream.
+    Divergent HMC steps are counted, never raised. The samples are a pure
+    function of (model, chain, burn_in, stride, seed); the result also
+    carries the chain's component, stream id and its own run time.
     """
-    x = config.initial_state.copy()
-    rng = config.rng
+    if burn_in < 0 or stride < 1:
+        raise ValueError("burn_in must be at least 0 and stride at least 1")
+    start = time.perf_counter()
+    rng = RngStream(seed, chain.stream_id)
+    mechanism = chain.mechanism
+    x = chain.initial_state.copy()
     gaussian = isinstance(mechanism, GaussianProposal)
     if gaussian:
         potential = model.neg_log_posterior(x)
     else:
         potential, grad = model.potential_and_grad(x)
-    samples = np.empty((config.n_samples, x.size))
+    total_steps = burn_in + stride * chain.budget
+    samples = np.empty((chain.budget, x.size))
     accepted = 0
     divergences = 0
     recorded = 0
-    for step in range(1, config.total_steps + 1):
+    for step in range(1, total_steps + 1):
         if gaussian:
             x, ok, potential = mh_step(model, x, mechanism, rng, potential)
         else:
@@ -206,16 +213,11 @@ def run_chain(model, config, mechanism):
             )
             divergences += divergent
         accepted += ok
-        if step > config.burn_in and (step - config.burn_in) % config.stride == 0:
+        if step > burn_in and (step - burn_in) % stride == 0:
             samples[recorded] = x
             recorded += 1
-    return ChainResult(
-        samples=samples,
-        proposals_made=config.total_steps,
-        proposals_accepted=accepted,
-        divergences=divergences,
-        stream_id=rng.stream_id,
-    )
+    return ChainResult(samples, total_steps, accepted, divergences, chain.component,
+                       chain.stream_id, time.perf_counter() - start)
 
 
 @dataclass

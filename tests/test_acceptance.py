@@ -17,10 +17,9 @@ from csample.experiments import (
     default_config,
     fit_prior_mixture,
     mixture_bin_masses,
+    oned_plans,
     prepare_oned_model,
     run_deblur_experiment,
-    serial_gaussian_mechanism,
-    serial_hmc_mechanism,
     total_variation,
     weighted_histogram,
 )
@@ -30,11 +29,11 @@ from csample.forward_models import (
     MatrixOperator,
     blur_jacobian_structure_check,
 )
-from csample.gmm import GaussianMixture, em_fit, select_model_aic
+from csample.gmm import GaussianMixture, select_model_aic
 from csample.linalg_rng import RngStream, SpdMatrix
-from csample.mc_scheduler import WorkerPool, benchmark_speedup, build_plan, run_mc_mcmc
+from csample.mc_scheduler import WorkerPool, benchmark_speedup, build_plan, run_plans
 from csample.posterior import PosteriorModel, linear_mixture_posterior
-from csample.samplers import ChainConfig, GaussianProposal, chain_diagnostics, run_chain
+from csample.samplers import ChainPlan, GaussianProposal, chain_diagnostics, run_chain
 from csample.tikhonov import (
     TikhonovProblem,
     lcurve_select_alpha,
@@ -45,50 +44,19 @@ from csample.tikhonov import (
 @pytest.fixture(scope="session")
 def oned_pipeline():
     """EM-fitted 1-D benchmark model plus the four sampling runs and the
-    exact posterior, with stage timings."""
+    exact posterior, with stage timings. The fit and the four variants' chains
+    share one pool of two workers, as in the ``oned`` run."""
     cfg = default_config("oned")
     timings = {}
     t0 = time.perf_counter()
     with WorkerPool(2) as pool:
         model, selection, ensemble = prepare_oned_model(cfg, pool)
-    timings["em"] = time.perf_counter() - t0
+        timings["em"] = time.perf_counter() - t0
 
-    prior_mean = model.prior.weights @ model.prior.means
-    n = cfg["n_samples"]
-    seed = cfg["seed"]
-
-    t0 = time.perf_counter()
-    serial_g = run_chain(
-        model,
-        ChainConfig(n, prior_mean, RngStream(seed, 20000),
-                    burn_in=cfg["burn_in"], stride=cfg["stride"]),
-        serial_gaussian_mechanism(cfg),
-    )
-    timings["serial_gaussian"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    serial_h = run_chain(
-        model,
-        ChainConfig(n, prior_mean, RngStream(seed, 20001),
-                    burn_in=cfg["burn_in"], stride=cfg["stride"]),
-        serial_hmc_mechanism(model, cfg),
-    )
-    timings["serial_hmc"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    plan_g = build_plan(model, n, "gaussian", seed,
-                        burn_in=cfg["burn_in"], stride=cfg["stride"],
-                        proposal_scale=cfg["parallel_proposal_scale"])
-    parallel_g = run_mc_mcmc(model, plan_g)
-    timings["parallel_gaussian"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    plan_h = build_plan(model, n, "hmc", seed,
-                        burn_in=cfg["burn_in"], stride=cfg["stride"],
-                        hmc_trajectory=cfg["hmc_trajectory"],
-                        hmc_steps=cfg["hmc_steps"], hmc_jitter=cfg["hmc_jitter"])
-    parallel_h = run_mc_mcmc(model, plan_h)
-    timings["parallel_hmc"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        plans = oned_plans(model, cfg)
+        runs = dict(zip(plans, run_plans(model, list(plans.values()), pool)))
+        timings["sampling"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     posterior = linear_mixture_posterior(model)
@@ -99,10 +67,7 @@ def oned_pipeline():
         "model": model,
         "selection": selection,
         "ensemble": ensemble,
-        "serial_gaussian": serial_g,
-        "serial_hmc": serial_h,
-        "parallel_gaussian": parallel_g,
-        "parallel_hmc": parallel_h,
+        **runs,
         "posterior": posterior,
         "timings": timings,
     }
@@ -122,7 +87,7 @@ def make_deblur_model_16(seed=5):
     members = blurred[None, :] + 0.03 * RngStream(seed, 1).standard_normal(
         24 * n * n
     ).reshape(24, n * n)
-    fit = em_fit(members, 2, structure="diagonal", rng=RngStream(seed, 2))
+    fit = select_model_aic(members, [2], structure="diagonal", rng=RngStream(seed, 2)).fit
     model = PosteriorModel(
         fit.mixture, op, observed, SpdMatrix.spherical(n * n, noise_std**2)
     )
@@ -191,8 +156,8 @@ class TestCriterion2ConjugateOracle:
         spread = max(diffs) - min(diffs)
 
         proposal = GaussianProposal(cov_a.scaled(2.38**2 / dim))
-        cfg = ChainConfig(5000, mean_a, RngStream(77, 0), burn_in=500, stride=2)
-        result = run_chain(model, cfg, proposal)
+        chain = ChainPlan(5000, mean_a, proposal, 0)
+        result = run_chain(model, chain, burn_in=500, stride=2, seed=77)
         diag = chain_diagnostics(result)
         se = np.sqrt(np.diag(cov_a.dense())) / np.sqrt(diag.ess)
         err = np.abs(result.samples.mean(axis=0) - mean_a)
@@ -216,7 +181,7 @@ class TestCriterion3DistributionalAccuracy:
         sampled = weighted_histogram(ens.members[:, 0], ens.weights, edges)
         tv = total_variation(sampled, ref)
         t = oned_pipeline["timings"]
-        runtime = t["em"] + t["parallel_hmc"] + t["reference"]
+        runtime = t["em"] + t["sampling"] + t["reference"]
         ok = tv <= 0.08 and ens.size == 5000 and runtime < 120.0
         record_criterion(
             3, ok, f"pooled parallel-HMC vs exact posterior: TV {tv:.4f} (<=0.08) at "
@@ -351,7 +316,7 @@ class TestCriterion7Determinism:
                 hmc_jitter=cfg["hmc_jitter"],
             )
             with WorkerPool(p) as pool:
-                result = run_mc_mcmc(model, plan, pool=pool)
+                result = run_plans(model, [plan], pool)[0]
             payload = (
                 result.ensemble.members.tobytes(),
                 result.ensemble.weights.tobytes(),
@@ -411,7 +376,8 @@ class TestCriterion9EmAic:
             data = np.concatenate(
                 [c + rng.uniform(0.2, 0.8) * rng.standard_normal((40, dim)) for c in centers]
             )
-            fit = em_fit(data, k, structure="diagonal", rng=RngStream(trial), restarts=2)
+            fit = select_model_aic(data, [k], structure="diagonal", rng=RngStream(trial),
+                                   restarts=2).fit
             if np.any(np.diff(fit.loglik_trace) < -1e-10):
                 violations += 1
         from csample.experiments import benchmark_prior_mixture

@@ -441,10 +441,23 @@ class TestCli:
             ("deblur", "n_ens", "30"),
             ("tikhonov", "alpha_grid", [1e-6, 1e2, 0]),
             ("oned", "candidate_components", [1]),
+            ("bench", "p_values", []),
+            ("bench", "p_values", [0]),
+            ("bench", "mechanism", "mala"),
+            ("bench", "repetitions", 0),
+            ("em-fit", "gmm_structure", "banana"),
+            ("tikhonov", "boundary", "zero"),
+            ("deblur", "reg_matrix", "tv"),
+            ("oned", "histogram_bins", 0),
+            ("oned", "histogram_range", [1.0, -1.0]),
+            ("deblur", "n_ens", 60),  # more than the default prior_pool of 50
+            ("tikhonov", "blur_width", 4),
         ],
         ids=["n_samples", "hmc_steps", "stride", "burn_in", "candidate_components",
              "workers", "n_ens", "n_ens_string", "alpha_grid_count",
-             "candidate_components_shape"],
+             "candidate_components_shape", "p_values_empty", "p_values_zero", "mechanism",
+             "repetitions", "gmm_structure", "boundary", "reg_matrix", "histogram_bins",
+             "histogram_range", "n_ens_over_prior_pool", "blur_width"],
     )
     def test_out_of_range_exit_code(self, tmp_path, capsys, kind, key, value):
         cfg_path = tmp_path / "cfg.json"
@@ -452,6 +465,22 @@ class TestCli:
         code = cli_main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # rejected before the run wrote anything
+
+    def test_bench_procs_zero_exit_code(self, tmp_path, capsys):
+        code = cli_main(["bench", "--procs", "0", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "p_values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["tikhonov", "em-fit"])
+    def test_procs_offered_only_with_a_pool(self, tmp_path, capsys, kind):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([kind, "--help"])
+        assert exc.value.code == 0
+        assert "--procs" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            cli_main([kind, "--procs", "2", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
 
     def test_balance_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -470,10 +499,10 @@ class TestCli:
 
         original = mc_scheduler.run_chain
 
-        def failing_run_chain(model, chain_config, mechanism):
-            if chain_config.rng.stream_id == stream:
+        def failing_run_chain(model, chain, **budget):
+            if chain.stream_id == stream:
                 raise FloatingPointError("injected fault")
-            return original(model, chain_config, mechanism)
+            return original(model, chain, **budget)
 
         monkeypatch.setattr(mc_scheduler, "run_chain", failing_run_chain)
         cfg_path = tmp_path / "cfg.json"
@@ -490,10 +519,10 @@ class TestCli:
 
         original = mc_scheduler.run_chain
 
-        def failing_run_chain(model, chain_config, mechanism):
-            if chain_config.rng.stream_id == STREAM_SERIAL_HMC:
+        def failing_run_chain(model, chain, **budget):
+            if chain.stream_id == STREAM_SERIAL_HMC:
                 raise FloatingPointError("injected fault")
-            return original(model, chain_config, mechanism)
+            return original(model, chain, **budget)
 
         monkeypatch.setattr(mc_scheduler, "run_chain", failing_run_chain)
         cfg_path = tmp_path / "cfg.json"

@@ -10,7 +10,6 @@ from csample.errors import DegenerateComponent, DimensionMismatch, NotPositiveDe
 from csample.gmm import (
     Ensemble,
     GaussianMixture,
-    em_fit,
     free_parameter_count,
     select_model_aic,
 )
@@ -128,7 +127,7 @@ class TestEmFit:
     def test_single_component_closed_form(self):
         rng = np.random.default_rng(0)
         data = rng.standard_normal((200, 2)) * [1.5, 0.4] + [3.0, -1.0]
-        fit = em_fit(data, 1, structure="full", rng=RngStream(1))
+        fit = select_model_aic(data, [1], structure="full", rng=RngStream(1)).fit
         assert fit.mixture.means[0] == pytest.approx(data.mean(axis=0), abs=1e-12)
         biased_cov = np.cov(data.T, bias=True)
         # Covariance matches up to the documented relative floor.
@@ -142,19 +141,19 @@ class TestEmFit:
             data = np.concatenate(
                 [c + 0.5 * rng.standard_normal((40, 1)) for c in centers]
             )
-            fit = em_fit(data, 3, structure="diagonal", rng=RngStream(trial))
+            fit = select_model_aic(data, [3], structure="diagonal", rng=RngStream(trial)).fit
             diffs = np.diff(fit.loglik_trace)
             assert np.all(diffs >= -1e-10)
 
     def test_accepts_ensemble(self):
         data = Ensemble(np.linspace(-1, 1, 30).reshape(-1, 1))
-        fit = em_fit(data, 1, rng=RngStream(0))
+        fit = select_model_aic(data, [1], rng=RngStream(0)).fit
         assert fit.mixture.n_components == 1
 
     def test_nonconvergence_flagged(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((100, 1))
-        fit = em_fit(data, 2, rng=RngStream(0), max_iter=2, restarts=1)
+        fit = select_model_aic(data, [2], rng=RngStream(0), max_iter=2, restarts=1).fit
         assert not fit.converged
 
     def test_degenerate_component_raises(self):
@@ -162,11 +161,11 @@ class TestEmFit:
         # hold two effective members.
         data = np.array([[0.0], [0.0], [0.0], [1.0]])
         with pytest.raises((DegenerateComponent, ValueError)):
-            em_fit(data, 3, rng=RngStream(0), restarts=2)
+            select_model_aic(data, [3], rng=RngStream(0), restarts=2)
 
     def test_requires_enough_points(self):
         with pytest.raises(ValueError):
-            em_fit(np.zeros((2, 1)), 5, rng=RngStream(0))
+            select_model_aic(np.zeros((2, 1)), [5], rng=RngStream(0))
 
     def test_structures_fit(self):
         rng = np.random.default_rng(9)
@@ -177,7 +176,7 @@ class TestEmFit:
             ]
         )
         for structure in ("diagonal", "spherical", "tied", "full"):
-            fit = em_fit(data, 2, structure=structure, rng=RngStream(4))
+            fit = select_model_aic(data, [2], structure=structure, rng=RngStream(4)).fit
             assert fit.mixture.structure == structure
             assert sorted(np.round(fit.mixture.means[:, 0])) == [-2.0, 2.0]
 
@@ -422,7 +421,7 @@ class TestStackedStorage:
         data = np.concatenate(
             [rng.standard_normal((60, dim)) - 2.0, rng.standard_normal((60, dim)) + 2.0]
         )
-        fit = em_fit(data, 2, structure="full", rng=RngStream(0))
+        fit = select_model_aic(data, [2], structure="full", rng=RngStream(0)).fit
         assert fit.n_iter > 1
         assert builds == []
 
@@ -474,7 +473,7 @@ class TestSerialization:
                 rng.standard_normal((50, 2)) * 0.4 - [1.5, 0.0],
             ]
         )
-        fit = em_fit(data, 2, structure=structure, rng=RngStream(1))
+        fit = select_model_aic(data, [2], structure=structure, rng=RngStream(1)).fit
         doc = fit.mixture.to_json_dict()
         assert set(doc) == {"structure", "weights", "means", "covariances"}
         back = GaussianMixture.from_json_dict(doc)

@@ -7,7 +7,7 @@ from csample.cost_model import CostModelInput, predict_cost
 from csample.errors import BudgetInfeasibleWarning, ChainFailed, OversubscribedWarning
 from csample.forward_models import IdentityOperator
 from csample.gmm import GaussianMixture
-from csample.linalg_rng import RngStream, SpdMatrix
+from csample.linalg_rng import SpdMatrix
 from csample.mc_scheduler import (
     WorkerPool,
     allocate_budgets,
@@ -17,12 +17,11 @@ from csample.mc_scheduler import (
     component_log_scores,
     chain_cost,
     round_robin_assignment,
-    run_mc_mcmc,
     run_plans,
     tune_hmc,
 )
 from csample.posterior import PosteriorModel
-from csample.samplers import ChainConfig, GaussianProposal, HmcParams, run_chain
+from csample.samplers import GaussianProposal, HmcParams, run_chain
 
 
 def mixture_1d(weights, means, variances):
@@ -191,7 +190,7 @@ class TestRunMcMcmc:
         for workers in (1, 2):
             plan = build_plan(bench_model, 120, "gaussian", seed=33, burn_in=20, stride=2)
             with WorkerPool(workers) as pool:
-                results[workers] = run_mc_mcmc(bench_model, plan, pool=pool)
+                results[workers] = run_plans(bench_model, [plan], pool)[0]
         base = results[1].ensemble
         other = results[2].ensemble
         assert base.members.tobytes() == other.members.tobytes()
@@ -199,7 +198,7 @@ class TestRunMcMcmc:
 
     def test_weights_sum_to_one(self, bench_model):
         plan = build_plan(bench_model, 75, "gaussian", seed=3, burn_in=10, stride=1)
-        result = run_mc_mcmc(bench_model, plan)
+        result = run_plans(bench_model, [plan], WorkerPool(1))[0]
         assert abs(result.ensemble.weights.sum() - 1.0) <= 1e-12
         assert result.ensemble.size == 75
 
@@ -207,7 +206,7 @@ class TestRunMcMcmc:
         # Sample weights within one chain are equal and proportional to
         # exp(log_weight) / budget.
         plan = build_plan(bench_model, 60, "gaussian", seed=4, burn_in=5, stride=1)
-        result = run_mc_mcmc(bench_model, plan)
+        result = run_plans(bench_model, [plan], WorkerPool(1))[0]
         weights = result.ensemble.weights
         offset = 0
         raw = []
@@ -226,10 +225,10 @@ class TestRunMcMcmc:
 
     def test_aggregate_acceptance_arithmetic(self, bench_model):
         plan = build_plan(bench_model, 50, "gaussian", seed=6, burn_in=10, stride=1)
-        result = run_mc_mcmc(bench_model, plan)
+        result = run_plans(bench_model, [plan], WorkerPool(1))[0]
         made = sum(r.proposals_made for r in result.chain_results)
         accepted = sum(r.proposals_accepted for r in result.chain_results)
-        assert result.proposals_made == made
+        assert made == sum(plan.burn_in + plan.stride * c.budget for c in plan.chains)
         assert result.acceptance_rate == accepted / made
 
     def test_failed_chain_isolated(self, bench_model, monkeypatch):
@@ -245,13 +244,13 @@ class TestRunMcMcmc:
         ran = []
         original = mc_scheduler.run_chain
 
-        def recording_run_chain(model, chain_config, mechanism):
-            ran.append(chain_config.rng.stream_id)
-            return original(model, chain_config, mechanism)
+        def recording_run_chain(model, chain, **budget):
+            ran.append(chain.stream_id)
+            return original(model, chain, **budget)
 
         monkeypatch.setattr(mc_scheduler, "run_chain", recording_run_chain)
         with pytest.raises(ChainFailed) as exc:
-            run_mc_mcmc(bench_model, plan)
+            run_plans(bench_model, [plan], WorkerPool(1))
         message = str(exc.value)
         assert "chain of component 2 failed" in message
         assert "chain of component 4 failed" in message
@@ -264,7 +263,7 @@ class TestRunMcMcmc:
         model = model_from(mix, y=0.0, r=1e6)
         plan = build_plan(model, 30, "gaussian", seed=1, burn_in=5, stride=1)
         object.__setattr__(plan.chains[1], "budget", 0)
-        result = run_mc_mcmc(model, plan)
+        result = run_plans(model, [plan], WorkerPool(1))[0]
         assert result.ensemble.size == sum(c.budget for c in plan.chains)
         assert len(result.chain_results) == 2
 
@@ -312,7 +311,7 @@ def oned_runs():
     model = PosteriorModel(make_mixture_1d(FIT_1D), IdentityOperator(1), [-1.0],
                            SpdMatrix.from_diagonal([2.2]))
     plans = small_oned_plans(model)
-    alone = {name: run_mc_mcmc(model, plan) for name, plan in plans.items()}
+    alone = {name: run_plans(model, [plan], WorkerPool(1))[0] for name, plan in plans.items()}
     return model, plans, alone
 
 
@@ -332,10 +331,8 @@ class TestRunPlans:
         model, plans, alone = oned_runs
         plan = plans["serial_hmc"]
         chain = plan.chains[0]
-        direct = run_chain(model, ChainConfig(chain.budget, chain.initial_state,
-                                              RngStream(plan.seed, chain.stream_id),
-                                              burn_in=plan.burn_in, stride=plan.stride),
-                           chain.mechanism)
+        direct = run_chain(model, chain, burn_in=plan.burn_in, stride=plan.stride,
+                           seed=plan.seed)
         n = plan.n_samples
         assert alone["serial_hmc"].ensemble.members.tobytes() == direct.samples.tobytes()
         assert alone["serial_hmc"].ensemble.weights.tobytes() == np.full(n, 1.0 / n).tobytes()
@@ -372,12 +369,12 @@ class TestRunPlans:
         ran = []
         original = mc_scheduler.run_chain
 
-        def failing_run_chain(model, chain_config, mechanism):
-            ran.append(chain_config.rng.stream_id)
+        def failing_run_chain(model, chain, **budget):
+            ran.append(chain.stream_id)
             # The serial HMC chain, and component 3's chain of the HMC plan.
-            if chain_config.rng.stream_id in (20001, 3) and isinstance(mechanism, HmcParams):
+            if chain.stream_id in (20001, 3) and isinstance(chain.mechanism, HmcParams):
                 raise FloatingPointError("injected fault")
-            return original(model, chain_config, mechanism)
+            return original(model, chain, **budget)
 
         monkeypatch.setattr(mc_scheduler, "run_chain", failing_run_chain)
         with WorkerPool(1) as pool, pytest.raises(ChainFailed) as exc:
@@ -499,10 +496,10 @@ class TestBenchmark:
 
         original = mc_scheduler.run_chain
 
-        def exploding_run_chain(model, chain_config, mechanism):
-            if chain_config.rng.stream_id == 2:
+        def exploding_run_chain(model, chain, **budget):
+            if chain.stream_id == 2:
                 raise FloatingPointError("injected fault")
-            return original(model, chain_config, mechanism)
+            return original(model, chain, **budget)
 
         monkeypatch.setattr(mc_scheduler, "run_chain", exploding_run_chain)
         with pytest.raises(ChainFailed, match="chain of component 2 failed.*injected fault"):

@@ -7,7 +7,7 @@ from csample.gmm import GaussianMixture
 from csample.linalg_rng import RngStream, SpdMatrix
 from csample.posterior import PosteriorModel, linear_mixture_posterior
 from csample.samplers import (
-    ChainConfig,
+    ChainPlan,
     ChainResult,
     GaussianProposal,
     HmcParams,
@@ -205,9 +205,10 @@ class TestCarriedGradient:
 
     def test_chain_makes_one_more_for_its_start(self):
         model = CountingModel(two_mode_model())
-        cfg = ChainConfig(12, [0.3, -0.2], RngStream(8, 1), burn_in=3, stride=2)
-        run_chain(model, cfg, HmcParams(SpdMatrix.identity(2), 0.1, 7))
-        assert model.gradient_evaluations() == 1 + 7 * cfg.total_steps
+        chain = ChainPlan(12, [0.3, -0.2], HmcParams(SpdMatrix.identity(2), 0.1, 7), 1)
+        result = run_chain(model, chain, burn_in=3, stride=2, seed=8)
+        assert result.proposals_made == 3 + 2 * 12
+        assert model.gradient_evaluations() == 1 + 7 * result.proposals_made
         assert "neg_log_posterior" not in model.calls
 
     def test_carrying_changes_no_bit(self):
@@ -215,8 +216,8 @@ class TestCarriedGradient:
         # the same chain as run_chain, which carries them.
         model = two_mode_model()
         params = HmcParams(SpdMatrix.from_diagonal([2.0, 0.5]), 0.15, 9, jitter_steps=True)
-        cfg = ChainConfig(40, [0.3, -0.2], RngStream(8, 2), burn_in=0, stride=1)
-        carried = run_chain(model, cfg, params).samples
+        chain = ChainPlan(40, [0.3, -0.2], params, 2)
+        carried = run_chain(model, chain, burn_in=0, stride=1, seed=8).samples
         rng = RngStream(8, 2)
         x = np.array([0.3, -0.2])
         fresh = []
@@ -229,27 +230,56 @@ class TestCarriedGradient:
 class TestRunChain:
     def test_zero_samples(self):
         model = gaussian_model_1d()
-        cfg = ChainConfig(0, [0.0], RngStream(0, 0), burn_in=25, stride=3)
-        result = run_chain(model, cfg, GaussianProposal(SpdMatrix.identity(1)))
+        chain = ChainPlan(0, [0.0], GaussianProposal(SpdMatrix.identity(1)), 0)
+        result = run_chain(model, chain, burn_in=25, stride=3, seed=0)
         assert result.samples.shape == (0, 1)
         assert result.proposals_made == 25
 
     def test_sample_count_and_rate(self):
         model = gaussian_model_1d()
-        cfg = ChainConfig(40, [0.0], RngStream(1, 0), burn_in=10, stride=2)
-        result = run_chain(model, cfg, GaussianProposal(SpdMatrix.from_diagonal([0.5])))
+        chain = ChainPlan(40, [0.0], GaussianProposal(SpdMatrix.from_diagonal([0.5])), 0)
+        result = run_chain(model, chain, burn_in=10, stride=2, seed=1)
         assert result.n_samples == 40
         assert result.proposals_made == 10 + 2 * 40
         assert 0.0 < result.acceptance_rate <= 1.0
         assert result.acceptance_rate == result.proposals_accepted / result.proposals_made
+
+    def test_result_names_its_chain_and_time(self):
+        model = gaussian_model_1d()
+        chain = ChainPlan(20, [0.0], GaussianProposal(SpdMatrix.identity(1)), 17, component=3)
+        result = run_chain(model, chain, burn_in=5, stride=2, seed=4)
+        assert (result.component, result.stream_id) == (3, 17)
+        assert result.wall_s > 0.0
+
+    def test_stream_built_from_seed_and_stream_id(self):
+        # A chain draws from RngStream(seed, stream_id), built afresh per call.
+        model = gaussian_model_1d()
+        mech = GaussianProposal(SpdMatrix.identity(1))
+        rng = RngStream(4, 17)
+        x = np.array([0.0])
+        by_hand = []
+        for _ in range(12):
+            x = mh_step(model, x, mech, rng).state
+            by_hand.append(x)
+        result = run_chain(model, ChainPlan(12, [0.0], mech, 17), burn_in=0, stride=1, seed=4)
+        assert result.samples.tobytes() == np.array(by_hand).tobytes()
+
+    def test_invalid_budget_rejected(self):
+        mech = GaussianProposal(SpdMatrix.identity(1))
+        with pytest.raises(ValueError):
+            ChainPlan(-1, [0.0], mech, 0)
+        for burn_in, stride in ((-1, 1), (0, 0)):
+            with pytest.raises(ValueError):
+                run_chain(gaussian_model_1d(), ChainPlan(3, [0.0], mech, 0),
+                          burn_in=burn_in, stride=stride, seed=0)
 
     def test_deterministic(self):
         model = gaussian_model_1d()
         mech = GaussianProposal(SpdMatrix.from_diagonal([0.7]))
 
         def once():
-            cfg = ChainConfig(25, [1.0], RngStream(7, 2), burn_in=5, stride=2)
-            return run_chain(model, cfg, mech).samples
+            return run_chain(model, ChainPlan(25, [1.0], mech, 2), burn_in=5, stride=2,
+                             seed=7).samples
 
         assert np.array_equal(once(), once())
 
@@ -257,8 +287,7 @@ class TestRunChain:
         model = gaussian_model_1d()
         # A huge proposal forces frequent rejections.
         mech = GaussianProposal(SpdMatrix.from_diagonal([400.0]))
-        cfg = ChainConfig(200, [0.0], RngStream(3, 0), burn_in=0, stride=1)
-        result = run_chain(model, cfg, mech)
+        result = run_chain(model, ChainPlan(200, [0.0], mech, 0), burn_in=0, stride=1, seed=3)
         repeats = np.sum(result.samples[1:] == result.samples[:-1])
         assert repeats > 0  # bitwise-equal duplicates from rejections
 
@@ -278,8 +307,8 @@ class TestRunChain:
         cov_a = SpdMatrix.from_dense(posterior.covariances[0])
 
         proposal = GaussianProposal(cov_a.scaled(2.38**2 / 2.0))
-        cfg = ChainConfig(5000, mean_a + 0.5, RngStream(15, 0), burn_in=200, stride=2)
-        result = run_chain(model, cfg, proposal)
+        chain = ChainPlan(5000, mean_a + 0.5, proposal, 0)
+        result = run_chain(model, chain, burn_in=200, stride=2, seed=15)
         diag = chain_diagnostics(result)
         post_std = np.sqrt(np.diag(cov_a.dense()))
         se = post_std / np.sqrt(diag.ess)
@@ -289,8 +318,7 @@ class TestRunChain:
     def test_hmc_acceptance_near_one_for_tiny_steps(self):
         model = gaussian_model_1d()
         params = HmcParams(SpdMatrix.identity(1), 1e-4, 5)
-        cfg = ChainConfig(50, [0.0], RngStream(2, 1), burn_in=10, stride=1)
-        result = run_chain(model, cfg, params)
+        result = run_chain(model, ChainPlan(50, [0.0], params, 1), burn_in=10, stride=1, seed=2)
         assert result.acceptance_rate == 1.0
         assert result.divergences == 0
 
@@ -303,10 +331,8 @@ class TestRunChain:
         )
         for i, variances in enumerate(fit_mixture_1d.variances):
             params = tune_hmc(variances, trajectory=1.0, n_steps=20)
-            cfg = ChainConfig(
-                100, fit_mixture_1d.means[i], RngStream(5, i), burn_in=50, stride=1
-            )
-            result = run_chain(model, cfg, params)
+            chain = ChainPlan(100, fit_mixture_1d.means[i], params, i)
+            result = run_chain(model, chain, burn_in=50, stride=1, seed=5)
             assert result.divergences == 0
 
 
@@ -316,8 +342,8 @@ class TestDetailedBalance:
         # coarse bins must balance within Monte-Carlo error.
         model = gaussian_model_1d()
         mech = GaussianProposal(SpdMatrix.from_diagonal([1.0]))
-        cfg = ChainConfig(40000, [0.0], RngStream(6, 0), burn_in=500, stride=1)
-        samples = run_chain(model, cfg, mech).samples[:, 0]
+        chain = ChainPlan(40000, [0.0], mech, 0)
+        samples = run_chain(model, chain, burn_in=500, stride=1, seed=6).samples[:, 0]
         bins = np.digitize(samples, [-0.43, 0.43])
         flows = np.zeros((3, 3))
         for a, b in zip(bins[:-1], bins[1:]):
