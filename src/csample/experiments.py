@@ -182,8 +182,17 @@ _CHOICES = {
     "reg_matrix": ("identity", "laplacian"),
 }
 
+
+def _positive_finite(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf
+
+
 # Keys with a rule beyond a lower bound: a test of the value, and the rule.
 _RULES = {
+    **{key: (_positive_finite, "a positive finite number")
+       for key in ("hmc_trajectory", "serial_hmc_trajectory", "serial_proposal_variance",
+                   "parallel_proposal_scale", "observation_variance", "blur_sigma",
+                   "noise_level", "reg_epsilon", "prior_spread")},
     "blur_width": (lambda v: isinstance(v, int) and v >= 1 and v % 2 == 1,
                    "an odd integer of at least 1"),
     "p_values": (lambda v: _is_list_of(v, None, int) and v and min(v) >= 1,

@@ -10,10 +10,20 @@ canonicalizes the data ordering before seeding, which makes the whole
 EM/AIC pipeline invariant to permutations of the input ensemble. The caller
 seeds every EM restart, and the restarts run as tasks on a worker pool
 (``_fit_restarts``).
+
+The per-step contract: the kernel methods (``log_kernel``,
+``kernel_pullback``, ``log_kernel_and_pullback``) take one float (dim,)
+state unchecked, as the posterior's per-step calls pass it; the density
+methods check the dimension of what they are given. One EM iteration
+(``_em_single``) reduces its (n, k) log densities over the short component
+axis only where the order of the sum matters: the max is taken column by
+column, the sum keeps numpy's row order, and the responsibility column sums
+are computed once and shared by the starvation check and the M-step.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -32,11 +42,17 @@ GMM_STRUCTURES = ("diagonal", "spherical", "tied", "full")
 COVARIANCE_FLOOR = 1e-6
 
 
-def _logsumexp(a, axis=None):
-    amax = np.max(a, axis=axis, keepdims=True)
+def _logsumexp(a):
+    """log sum_k exp(a[..., k]), over the last axis of a (k,) or (n, k) array.
+
+    The max is taken column by column: a max is exact in any order, and
+    numpy reduces a short last axis row by row, far more slowly. The sum
+    keeps numpy's own order over that axis, which is pairwise for k >= 8.
+    """
+    amax = functools.reduce(np.maximum, a.T)[..., None]
     amax = np.where(np.isfinite(amax), amax, 0.0)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis, keepdims=True)) + amax
-    return out if axis is None else np.squeeze(out, axis=axis)
+    out = np.log(np.sum(np.exp(a - amax), axis=-1, keepdims=True)) + amax
+    return np.squeeze(out, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -94,9 +110,9 @@ class GaussianMixture:
             raise DimensionMismatch("weights and means disagree on component count")
         if weights.size < 1:
             raise ValueError("at least one component required")
-        if np.any(weights <= 0.0):
+        if (weights <= 0.0).any():
             raise ValueError("all mixture weights must be positive")
-        if abs(float(np.sum(weights)) - 1.0) > WEIGHT_TOLERANCE:
+        if abs(float(weights.sum()) - 1.0) > WEIGHT_TOLERANCE:
             raise ValueError("mixture weights must sum to 1")
         covs = _stacked_covariances(covariances, weights.size, means.shape[1], structure)
         if structure == "tied":
@@ -105,16 +121,23 @@ class GaussianMixture:
             covs = covs[:1]
         factors = cholesky_stack(covs)
         pivots = factors if covs.ndim == 2 else np.diagonal(factors, axis1=1, axis2=2)
+        logdets = 2.0 * np.sum(np.log(pivots), axis=1)
+        # Read-only, one row per component: tied shares its one row by view.
+        stacked = []
+        for a in (covs, factors, logdets):
+            if a.shape[0] == weights.size:
+                a.flags.writeable = False
+            else:
+                a = np.broadcast_to(a, weights.shape + a.shape[1:])
+            stacked.append(a)
 
         self.weights = weights
         self.means = means
-        self.covariances = np.broadcast_to(covs, weights.shape + covs.shape[1:])
+        self.covariances, self._factors, self._logdets = stacked
         self.structure = structure
-        self._factors = np.broadcast_to(factors, self.covariances.shape)
         # Variance storage: the precisions 1 / sigma^2, computed once.
         self._precisions = 1.0 / self.covariances if covs.ndim == 2 else None
         self._log_weights = np.log(weights)
-        self._logdets = np.broadcast_to(2.0 * np.sum(np.log(pivots), axis=1), weights.shape)
         # Per-component terms of the kernel: log tau_k - 0.5 log|Sigma_k|.
         self._kernel_consts = self._log_weights - 0.5 * self._logdets
 
@@ -143,8 +166,8 @@ class GaussianMixture:
         """mahalanobis_sq of x, and the deviations it came from: x - mu_k
         (..., k, dim) for variance storage, for dense storage the whitened
         L_k^{-1} (x - mu_k), one (dim,) or (dim, n) array per component."""
-        if self.covariances.ndim == 2:
-            dev = x[..., None, :] - self.means
+        if self._precisions is not None:
+            dev = (x if x.ndim == 1 else x[..., None, :]) - self.means
             return np.einsum("...kd,kd,...kd->...k", dev, self._precisions, dev), dev
         whitened = [
             solve_triangular(lower, (x - mu).T, lower=True)
@@ -152,7 +175,7 @@ class GaussianMixture:
         ]
         maha = np.empty(x.shape[:-1] + (self.n_components,))
         for k, w in enumerate(whitened):
-            maha[..., k] = w @ w if w.ndim == 1 else np.einsum("i...,i...->...", w, w)
+            maha[..., k] = w.dot(w) if w.ndim == 1 else np.einsum("i...,i...->...", w, w)
         return maha, whitened
 
     def mahalanobis_sq(self, x):
@@ -183,13 +206,13 @@ class GaussianMixture:
     def logpdf(self, x):
         """Log mixture density, stabilized with log-sum-exp: a float for one
         state (dim,), an (n,) array for a batch (n, dim)."""
-        out = _logsumexp(self.joint_log_densities(x), axis=-1)
+        out = _logsumexp(self.joint_log_densities(x))
         return float(out) if out.ndim == 0 else out
 
     def responsibilities(self, x):
         """Posterior component probabilities of x under the mixture."""
         logr = self.joint_log_densities(x)
-        return np.exp(logr - _logsumexp(logr, axis=-1)[..., None])
+        return np.exp(logr - _logsumexp(logr)[..., None])
 
     # -- the kernel of one float state x (dim,) --------------------------
     # sum_k tau_k |Sigma_k|^{-1/2} exp(-0.5 maha_k(x)): the density without
@@ -200,13 +223,14 @@ class GaussianMixture:
         log term, and the deviations of the Mahalanobis step."""
         maha, dev = self._mahalanobis_parts(x)
         logs = self._kernel_consts - 0.5 * maha
-        peak = logs.max()
+        # Exact in any order; Python's max over k floats beats numpy's.
+        peak = max(logs.tolist())
         terms = np.exp(logs - peak)
         return terms, terms.sum(), peak, dev
 
     def _pullback(self, resp, dev):
-        if self.covariances.ndim == 2:
-            return resp @ (self._precisions * dev)
+        if self._precisions is not None:
+            return resp.dot(self._precisions * dev)
         # Dense storage back-substitutes the whitened deviations.
         return sum(
             w * solve_triangular(lower, v, lower=True, trans="T")
@@ -366,11 +390,13 @@ def _data_floor(points):
     return COVARIANCE_FLOOR * max(total, np.finfo(float).tiny) / points.shape[1]
 
 
-def _m_step(points, resp, structure, floor):
+def _m_step(points, resp, mass, structure, floor):
     """Means/covariances maximizing the expected complete-data likelihood,
-    the covariances stacked as (k, dim) variances or (k, dim, dim) matrices."""
+    given the responsibilities and their column sums ``mass``, the
+    covariances stacked as GaussianMixture stores them: (k, dim) variances
+    for the diagonal and spherical structures and for dim = 1, else
+    (k, dim, dim) matrices."""
     n, dim = points.shape
-    mass = resp.sum(axis=0)
     weights = mass / n
     means = (resp.T @ points) / mass[:, None]
     n_c = means.shape[0]
@@ -383,7 +409,7 @@ def _m_step(points, resp, structure, floor):
         pooled += floor * np.eye(dim)
         return weights, means, np.broadcast_to(pooled, (n_c, dim, dim))
     diagonal = structure in ("diagonal", "spherical")
-    covs = np.empty((n_c, dim) if diagonal else (n_c, dim, dim))
+    covs = np.empty((n_c, dim) if diagonal or dim == 1 else (n_c, dim, dim))
     for k in range(n_c):
         dev = points - means[k]
         if diagonal:
@@ -392,8 +418,8 @@ def _m_step(points, resp, structure, floor):
                 var = np.full(dim, float(np.mean(var)))
             covs[k] = var + floor
         else:
-            covs[k] = (resp[:, k : k + 1] * dev).T @ dev / mass[k]
-            covs[k] += floor * np.eye(dim)
+            cov = (resp[:, k : k + 1] * dev).T @ dev / mass[k]
+            covs[k] = cov[0] + floor if dim == 1 else cov + floor * np.eye(dim)
     return weights, means, covs
 
 
@@ -405,10 +431,10 @@ def _nearest_center_assignment(points, centers):
     return resp
 
 
-def _starved_components(resp, repairs_left):
-    """Components holding fewer than two effective points; raises
-    DegenerateComponent if there are any and no repair is left."""
-    mass = resp.sum(axis=0)
+def _starved_components(mass, repairs_left):
+    """Components whose responsibility column sum ``mass`` is below two
+    effective points; raises DegenerateComponent if there are any and no
+    repair is left."""
     weak = np.nonzero(mass < 2.0)[0]
     if weak.size and repairs_left == 0:
         k = weak[0]
@@ -429,7 +455,7 @@ def _seed_centers(points, n_components, rng, seeding):
     # Hard assignment to the nearest seed gives the first responsibilities.
     resp = _nearest_center_assignment(points, centers)
     repair_budget = 3
-    while (weak := _starved_components(resp, repair_budget)).size:
+    while (weak := _starved_components(resp.sum(axis=0), repair_budget)).size:
         repair_budget -= 1
         # Reseat starved components on random data points and reassign.
         for j in weak:
@@ -444,7 +470,7 @@ def _em_single(points, centers, structure, rng, max_iter, rel_tol):
     reseated by draws from ``rng``, the fit's own stream."""
     resp = _nearest_center_assignment(points, centers)
     floor = _data_floor(points)
-    weights, means, covs = _m_step(points, resp, structure, floor)
+    weights, means, covs = _m_step(points, resp, resp.sum(axis=0), structure, floor)
     mixture = GaussianMixture(weights, means, covs, structure=structure)
 
     trace = []
@@ -454,7 +480,7 @@ def _em_single(points, centers, structure, rng, max_iter, rel_tol):
     repair_budget = 3
     for n_iter in range(1, max_iter + 1):
         logr = mixture.joint_log_densities(points)
-        point_ll = _logsumexp(logr, axis=1)
+        point_ll = _logsumexp(logr)
         new_loglik = float(np.sum(point_ll))
         if trace and new_loglik < trace[-1]:
             # The covariance floor perturbs the exact M-step; at the fixed
@@ -470,7 +496,8 @@ def _em_single(points, centers, structure, rng, max_iter, rel_tol):
             break
         loglik = new_loglik
         resp = np.exp(logr - point_ll[:, None])
-        weak = _starved_components(resp, repair_budget)
+        mass = resp.sum(axis=0)
+        weak = _starved_components(mass, repair_budget)
         if weak.size:
             repair_budget -= 1
             for j in weak:
@@ -483,10 +510,11 @@ def _em_single(points, centers, structure, rng, max_iter, rel_tol):
                     resp[idx] = 0.0
                     resp[idx, j] = 1.0
             resp /= resp.sum(axis=1, keepdims=True)
+            mass = resp.sum(axis=0)
             # A reseed starts a fresh ascent segment.
             trace.clear()
         previous = mixture
-        weights, means, covs = _m_step(points, resp, structure, floor)
+        weights, means, covs = _m_step(points, resp, mass, structure, floor)
         mixture = GaussianMixture(weights, means, covs, structure=structure)
     return EmFit(mixture, loglik, trace, n_iter, converged)
 

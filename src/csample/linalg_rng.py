@@ -40,17 +40,20 @@ class SpdMatrix:
     factor L (A = L L^T) is computed on first use and cached, so repeated
     solves and samples reuse one factorization. It is stored as
     ``cholesky_stack`` returns it: the vector of square roots of a diagonal
-    matrix, else a Fortran-ordered matrix. ``solve``, ``maha_sq`` and
+    matrix, else a Fortran-ordered matrix. A diagonal matrix also caches
+    the squares of those roots, as computed, for its solves: they need not
+    equal the stored diagonal bit for bit. ``solve``, ``maha_sq`` and
     ``factor_apply`` sit on the samplers' per-step path and take a float
     vector of length ``order`` unchecked.
     """
 
-    __slots__ = ("order", "_array", "_lower")
+    __slots__ = ("order", "_array", "_lower", "_squares")
 
     def __init__(self, array):
         self.order = array.shape[0]
         self._array = array
         self._lower = None
+        self._squares = None
 
     # -- constructors -------------------------------------------------
 
@@ -107,7 +110,10 @@ class SpdMatrix:
         if self._lower is None:
             if self.order < 1:
                 raise DimensionMismatch("matrix order must be at least 1")
-            self._lower = cholesky_stack(self._array[None])[0]
+            lower = cholesky_stack(self._array[None])[0]
+            if lower.ndim == 1:
+                self._squares = lower * lower
+            self._lower = lower
         return self._lower
 
     def logdet(self):
@@ -123,7 +129,7 @@ class SpdMatrix:
         """A^{-1} v via two triangular solves."""
         lower = self._factor()
         if lower.ndim == 1:
-            return v / (lower * lower)
+            return v / self._squares
         w = solve_triangular(lower, v, lower=True)
         return solve_triangular(lower, w, lower=True, trans="T")
 
@@ -131,7 +137,7 @@ class SpdMatrix:
         """v.T A^{-1} v, as |L^{-1} v|^2."""
         lower = self._factor()
         w = v / lower if lower.ndim == 1 else solve_triangular(lower, v, lower=True)
-        return float(w @ w)
+        return float(w.dot(w))
 
     def factor_apply(self, z):
         """L @ z, the scaling step of multivariate-normal sampling."""
@@ -178,9 +184,9 @@ def cholesky_stack(stack):
 def _check_pivots(pivots, largest):
     """Raise NotPositiveDefinite at the first pivot of a (k, d) stack that is
     at or below RELATIVE_PIVOT_FLOOR times its matrix's largest diagonal."""
-    bad = np.argwhere(pivots <= RELATIVE_PIVOT_FLOOR * largest[:, None])
-    if bad.size:
-        k, i = bad[0]
+    bad = pivots <= RELATIVE_PIVOT_FLOOR * largest[:, None]
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
         raise NotPositiveDefinite(i, f"matrix {k} is not positive definite (pivot {i})")
 
 

@@ -8,6 +8,15 @@ mixture's own, computed from the factors and log determinants it caches
 once and shares read-only with every chain worker. The observation-error inverse is never formed:
 solves go through the Cholesky factor that R caches. For a linear operator the
 posterior is itself a Gaussian mixture: ``linear_mixture_posterior``.
+
+The per-step contract: ``neg_log_posterior``, ``grad_neg_log_posterior`` and
+``potential_and_grad`` take a float (dim,) vector and do not check it. The
+state is checked once per chain, by ``samplers.run_chain`` before its first
+step; the operator's own apply and adjoint still check their arguments. The
+gradient computes no misfit it would discard, and the per-step dot products
+use ``ndarray.dot``, the same BLAS call as ``@`` with less work per call.
+``log_likelihood``, which runs once per component when chains are planned,
+checks its state.
 """
 
 from __future__ import annotations
@@ -64,28 +73,21 @@ class PosteriorModel:
             raise DimensionMismatch(f"state length {x.size} != {self.dim}")
         return x
 
-    def _misfit_terms(self, x):
-        residual = self.operator.apply(x) - self.y
-        rinv_residual = self.obs_cov.solve(residual)
-        return residual, rinv_residual, float(residual @ rinv_residual)
-
     def log_likelihood(self, x):
         """Gaussian log-likelihood of y given x, constants included."""
-        x = self._check_state(x)
-        _, _, maha = self._misfit_terms(x)
-        return self._lik_const - 0.5 * maha
+        residual = self.operator.apply(self._check_state(x)) - self.y
+        return self._lik_const - 0.5 * float(residual @ self.obs_cov.solve(residual))
 
     def neg_log_posterior(self, x):
         """Potential J(x): misfit quadratic minus the log mixture kernel."""
-        x = self._check_state(x)
-        _, _, misfit = self._misfit_terms(x)
+        residual = self.operator.apply(x) - self.y
+        misfit = float(residual.dot(self.obs_cov.solve(residual)))
         return 0.5 * misfit - self.prior.log_kernel(x)
 
     def grad_neg_log_posterior(self, x):
         """Gradient of J: adjoint-weighted misfit plus responsibility-weighted
         prior pullbacks, with responsibilities formed in log space."""
-        x = self._check_state(x)
-        _, rinv_residual, _ = self._misfit_terms(x)
+        rinv_residual = self.obs_cov.solve(self.operator.apply(x) - self.y)
         grad = self.operator.adjoint_jacobian_apply(x, rinv_residual)
         return grad + self.prior.kernel_pullback(x)
 
@@ -93,10 +95,11 @@ class PosteriorModel:
         """J(x) and its gradient from one misfit and one Mahalanobis step,
         each bit-equal to ``neg_log_posterior`` and
         ``grad_neg_log_posterior`` at x."""
-        x = self._check_state(x)
-        _, rinv_residual, misfit = self._misfit_terms(x)
+        residual = self.operator.apply(x) - self.y
+        rinv_residual = self.obs_cov.solve(residual)
         log_kernel, pullback = self.prior.log_kernel_and_pullback(x)
         grad = self.operator.adjoint_jacobian_apply(x, rinv_residual)
+        misfit = float(residual.dot(rinv_residual))
         return 0.5 * misfit - log_kernel, grad + pullback
 
 

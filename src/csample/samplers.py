@@ -7,6 +7,12 @@ state, mechanism, stream). A rejected step returns the previous state
 object untouched. HMC trajectories whose energy error exceeds
 DIVERGENCE_THRESHOLD are counted as divergent and treated as rejections;
 they never abort the chain.
+
+The per-step contract: ``run_chain`` checks the chain's start against the
+model's dimension once, before its first step, and raises
+DimensionMismatch there. From then on every state is a float (dim,)
+vector, and ``mh_step``, ``hmc_step`` and ``leapfrog`` pass it unchecked
+to the model's J and gradient calls and to the mechanism's SpdMatrix.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientSamples
+from .errors import DimensionMismatch, InsufficientSamples
 from .linalg_rng import RngStream, SpdMatrix, sample_mvn
 
 DIVERGENCE_THRESHOLD = 1000.0
@@ -186,10 +192,15 @@ def run_chain(model, chain, *, burn_in, stride, seed):
 
     Divergent HMC steps are counted, never raised. The samples are a pure
     function of (model, chain, burn_in, stride, seed); the result also
-    carries the chain's component, stream id and its own run time.
+    carries the chain's component, stream id and its own run time. A start
+    whose length is not the model's dimension raises DimensionMismatch
+    before the first step: this is the chain's one state check.
     """
     if burn_in < 0 or stride < 1:
         raise ValueError("burn_in must be at least 0 and stride at least 1")
+    if chain.initial_state.size != model.dim:
+        raise DimensionMismatch(f"initial state length {chain.initial_state.size} "
+                                f"!= model dimension {model.dim}")
     start = time.perf_counter()
     rng = RngStream(seed, chain.stream_id)
     mechanism = chain.mechanism

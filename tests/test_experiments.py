@@ -452,12 +452,24 @@ class TestCli:
             ("oned", "histogram_range", [1.0, -1.0]),
             ("deblur", "n_ens", 60),  # more than the default prior_pool of 50
             ("tikhonov", "blur_width", 4),
+            ("oned", "hmc_trajectory", -1),
+            ("oned", "serial_hmc_trajectory", 0),
+            ("oned", "serial_proposal_variance", -2.0),
+            ("deblur", "parallel_proposal_scale", 0.0),
+            ("oned", "observation_variance", -2),
+            ("tikhonov", "blur_sigma", 0),
+            ("deblur", "noise_level", -0.1),
+            ("tikhonov", "reg_epsilon", float("inf")),
+            ("deblur", "prior_spread", "0.08"),
         ],
         ids=["n_samples", "hmc_steps", "stride", "burn_in", "candidate_components",
              "workers", "n_ens", "n_ens_string", "alpha_grid_count",
              "candidate_components_shape", "p_values_empty", "p_values_zero", "mechanism",
              "repetitions", "gmm_structure", "boundary", "reg_matrix", "histogram_bins",
-             "histogram_range", "n_ens_over_prior_pool", "blur_width"],
+             "histogram_range", "n_ens_over_prior_pool", "blur_width", "hmc_trajectory",
+             "serial_hmc_trajectory", "serial_proposal_variance", "parallel_proposal_scale",
+             "observation_variance", "blur_sigma", "noise_level", "reg_epsilon_inf",
+             "prior_spread_string"],
     )
     def test_out_of_range_exit_code(self, tmp_path, capsys, kind, key, value):
         cfg_path = tmp_path / "cfg.json"

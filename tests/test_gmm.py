@@ -361,6 +361,32 @@ class TestResponsibilities:
             assert np.allclose(mix.responsibilities(batch).sum(axis=1), 1.0, atol=1e-12)
 
 
+def _logsumexp_by_row_max(a, axis):
+    """The log-sum-exp formula with numpy's own max over the axis."""
+    amax = np.max(a, axis=axis, keepdims=True)
+    amax = np.where(np.isfinite(amax), amax, 0.0)
+    out = np.log(np.sum(np.exp(a - amax), axis=axis, keepdims=True)) + amax
+    return np.squeeze(out, axis=axis)
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_bit_equal_to_row_max_formula(self, k):
+        rng = np.random.default_rng(k)
+        a = rng.normal(-50.0, 30.0, size=(64, k))
+        a[3] = -np.inf  # a row of zero densities
+        a[5, 0] = -np.inf
+        a[7] = 700.0 + rng.uniform(size=k)  # exp would overflow without the shift
+        with np.errstate(divide="ignore"):
+            got = gmm._logsumexp(a)
+            want = _logsumexp_by_row_max(a, axis=1)
+            single = gmm._logsumexp(a[9])
+        assert got.shape == (64,)
+        assert got.tobytes() == want.tobytes()
+        assert got[3] == -np.inf
+        assert single.shape == () and single.tobytes() == want[9].tobytes()
+
+
 def _stacked_case(structure, dim, n_c=3):
     """A mixture built from one SpdMatrix per component, and those matrices."""
     rng = np.random.default_rng(17)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIT_1D
 
@@ -84,22 +86,23 @@ class TestPotential:
             prior, IdentityOperator(1), [2.0], SpdMatrix.from_diagonal([1.3])
         )
         # Both quadratics vanish at x = y = mu, leaving 0.5 log|Sigma|.
-        assert model.neg_log_posterior([2.0]) == pytest.approx(0.5 * np.log(var), abs=1e-14)
+        expected = 0.5 * np.log(var)
+        assert model.neg_log_posterior(np.array([2.0])) == pytest.approx(expected, abs=1e-14)
 
     def test_matches_direct_summation(self, bench_model):
         for x in (-3.0, 0.0, 2.5):
             oracle = naive_neg_log_posterior_1d(bench_model, x)
-            assert bench_model.neg_log_posterior([x]) == pytest.approx(oracle, abs=1e-10)
+            assert bench_model.neg_log_posterior(np.array([x])) == pytest.approx(oracle, abs=1e-10)
 
     def test_coercive(self, bench_model):
         far = 1e6 * max(abs(m) for m in FIT_1D["means"])
-        j_far = bench_model.neg_log_posterior([far])
-        j_mode = bench_model.neg_log_posterior([FIT_1D["means"][0]])
+        j_far = bench_model.neg_log_posterior(np.array([far]))
+        j_mode = bench_model.neg_log_posterior(np.array([FIT_1D["means"][0]]))
         assert j_far - j_mode > 1e6
 
     def test_kernel_quadrature_finite(self, bench_model):
         grid = np.linspace(-15.0, 15.0, 6001)
-        values = np.exp([-bench_model.neg_log_posterior([x]) for x in grid])
+        values = np.exp([-bench_model.neg_log_posterior(np.array([x])) for x in grid])
         z = np.trapezoid(values, grid)
         assert np.isfinite(z) and z > 0.0
 
@@ -110,7 +113,7 @@ class TestGradient:
         model = PosteriorModel(
             prior, IdentityOperator(2), [1.5, -0.5], SpdMatrix.identity(2)
         )
-        grad = model.grad_neg_log_posterior([1.5, -0.5])
+        grad = model.grad_neg_log_posterior(np.array([1.5, -0.5]))
         assert np.allclose(grad, 0.0, atol=1e-14)
 
     def test_finite_difference_oracle(self, bench_model):
@@ -118,7 +121,7 @@ class TestGradient:
             fd = finite_difference_gradient(
                 lambda v: bench_model.neg_log_posterior(v), np.array([x]), 1e-5
             )
-            grad = bench_model.grad_neg_log_posterior([x])
+            grad = bench_model.grad_neg_log_posterior(np.array([x]))
             assert np.abs(grad - fd) <= 1e-5 * max(1.0, np.abs(grad))
 
     def test_symmetric_mixture_midpoint(self):
@@ -130,7 +133,7 @@ class TestGradient:
         model = PosteriorModel(
             prior, IdentityOperator(1), [0.0], SpdMatrix.from_diagonal([1.0])
         )
-        assert model.grad_neg_log_posterior([0.0]) == pytest.approx([0.0], abs=1e-14)
+        assert model.grad_neg_log_posterior(np.array([0.0])) == pytest.approx([0.0], abs=1e-14)
 
     def test_gradient_matches_fd_on_blur_model(self):
         rng = np.random.default_rng(12)
@@ -371,7 +374,7 @@ class TestLinearMixturePosterior:
         # Trapezoid quadrature of exp(-J), split over the prior components
         # by their responsibilities.
         grid = np.linspace(-15.0, 15.0, 12001)
-        potentials = np.array([bench_model.neg_log_posterior([x]) for x in grid])
+        potentials = np.array([bench_model.neg_log_posterior(np.array([x])) for x in grid])
         kernel = np.exp(potentials.min() - potentials)
         density = kernel / np.trapezoid(kernel, grid)
         resp = np.array([bench_model.prior.responsibilities(np.array([x])) for x in grid])
@@ -417,6 +420,41 @@ class TestPotentialAndGrad:
         rng = np.random.default_rng(7)
         points = blur_model.prior.means + 0.02 * rng.standard_normal((2, blur_model.dim))
         self.assert_bit_equal(blur_model, points)
+
+    # The fixtures are fixed models, so sharing one across examples is safe.
+    property_settings = settings(max_examples=60, deadline=None,
+                                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @property_settings
+    @given(x=st.floats(-60.0, 60.0))
+    def test_property_oned_model(self, x):
+        # The oned model's shape: a full-structure 1-D mixture, which is
+        # stored as variances, under the identity with R = 2.2.
+        prior = GaussianMixture(FIT_1D["weights"], np.array(FIT_1D["means"])[:, None],
+                                np.array(FIT_1D["variances"])[:, None], structure="full")
+        model = PosteriorModel(prior, IdentityOperator(1), [-1.0],
+                               SpdMatrix.from_diagonal([2.2]))
+        assert model.prior.covariances.shape == (7, 1)
+        self.assert_bit_equal(model, [np.array([x])])
+
+    @property_settings
+    @given(x=st.floats(-8.0, 8.0), y=st.floats(-8.0, 8.0))
+    def test_property_2d_full_covariance(self, x, y):
+        covs = np.array([[[1.0, 0.6], [0.6, 0.8]], [[0.3, -0.1], [-0.1, 0.5]],
+                         [[2.0, 0.0], [0.0, 0.2]]])
+        prior = GaussianMixture([0.5, 0.3, 0.2], [[-2.0, 1.0], [0.5, 0.5], [3.0, -1.0]],
+                                covs, structure="full")
+        model = PosteriorModel(prior, MatrixOperator([[1.0, 0.5], [-0.3, 2.0]]), [0.4, -0.2],
+                               SpdMatrix.from_dense([[0.5, 0.1], [0.1, 0.4]]))
+        assert model.prior.covariances.shape == (3, 2, 2)
+        self.assert_bit_equal(model, [np.array([x, y])])
+
+    @property_settings
+    @given(seed=st.integers(0, 2**32 - 1), component=st.integers(0, 1),
+           scale=st.sampled_from([0.0, 0.01, 0.1, 1.0]))
+    def test_property_blur_16(self, blur_model, seed, component, scale):
+        step = np.random.default_rng(seed).standard_normal(blur_model.dim)
+        self.assert_bit_equal(blur_model, [blur_model.prior.means[component] + scale * step])
 
     def test_shares_the_misfit(self, full_model):
         calls = []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from csample.errors import InsufficientSamples
+from csample.errors import DimensionMismatch, InsufficientSamples
 from csample.forward_models import IdentityOperator, MatrixOperator
 from csample.gmm import GaussianMixture
 from csample.linalg_rng import RngStream, SpdMatrix
@@ -171,6 +171,8 @@ class CountingModel:
 
     def __getattr__(self, name):
         method = getattr(self.model, name)
+        if not callable(method):  # attributes such as ``dim`` pass through
+            return method
 
         def counted(*args):
             self.calls[name] = self.calls.get(name, 0) + 1
@@ -228,6 +230,14 @@ class TestCarriedGradient:
 
 
 class TestRunChain:
+    def test_wrong_length_start_raises_before_the_first_step(self):
+        model = CountingModel(gaussian_model_1d())
+        for mech in (GaussianProposal(SpdMatrix.identity(2)),
+                     HmcParams(SpdMatrix.identity(2), 0.1, 5)):
+            with pytest.raises(DimensionMismatch):
+                run_chain(model, ChainPlan(4, [0.0, 1.0], mech, 0), burn_in=0, stride=1, seed=0)
+        assert model.calls == {}  # neither J nor its gradient was evaluated
+
     def test_zero_samples(self):
         model = gaussian_model_1d()
         chain = ChainPlan(0, [0.0], GaussianProposal(SpdMatrix.identity(1)), 0)
