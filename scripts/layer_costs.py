@@ -1,10 +1,11 @@
 """Time one unit of each hot layer of two csample source trees, side by side.
 
-    python scripts/layer_costs.py PARENT_TREE CHANGE_TREE [--rounds N]
+    python scripts/layer_costs.py PARENT_TREE CHANGE_TREE
 
-Each round runs one fresh interpreter per tree, with BLAS on one thread and
-the tree's own ``src/`` on the path; the order of the two trees alternates
-from round to round. Every interpreter builds the same inputs and times:
+Each of ``ROUNDS`` rounds runs one fresh interpreter per tree, with BLAS
+on one thread and the tree's own ``src/`` on the path; the order of the two
+trees alternates from round to round. Every interpreter builds the same
+inputs and times:
 
 - ``oned.*``: the fused ``potential_and_grad``, the gradient and the
   potential J of the shipped ``oned`` model (seed 2024, its EM + AIC fit
@@ -51,6 +52,7 @@ SEED = 2024
 N_SAMPLES = 1000
 STEPS = 2000
 EM_ITERS = 60
+ROUNDS = 12
 
 
 def _digest(*arrays):
@@ -198,18 +200,17 @@ def _run_child(tree):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent")
-    parser.add_argument("change", nargs="?")
-    parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.child:
-        child(args.parent)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["--child"]:  # one timed interpreter, started by _run_child
+        child(argv[1])
         return 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", metavar="PARENT_TREE")
+    parser.add_argument("change", metavar="CHANGE_TREE")
+    args = parser.parse_args(argv)
     trees = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     runs = {"parent": [], "change": []}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(_run_child(trees[side]))
@@ -229,12 +230,11 @@ def main(argv=None):
         row["same_digest"] = len({run[name][1] for side in runs for run in runs[side]}) == 1
         layers[name] = row
     report = {
-        "harness": "python scripts/layer_costs.py PARENT_TREE CHANGE_TREE "
-                   f"--rounds {args.rounds}",
+        "harness": "python scripts/layer_costs.py PARENT_TREE CHANGE_TREE",
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "blas_threads": 1,
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "parent": str(trees["parent"]),
         "change": str(trees["change"]),
         "layers": layers,

@@ -12,9 +12,12 @@ posterior is itself a Gaussian mixture: ``linear_mixture_posterior``.
 The per-step contract: ``neg_log_posterior``, ``grad_neg_log_posterior`` and
 ``potential_and_grad`` take a float (dim,) vector and do not check it. The
 state is checked once per chain, by ``samplers.run_chain`` before its first
-step; the operator's own apply and adjoint still check their arguments. The
-gradient computes no misfit it would discard, and the per-step dot products
-use ``ndarray.dot``, the same BLAS call as ``@`` with less work per call.
+step; the operator's own apply and adjoint still check their arguments.
+``_residuals`` gives every call the residual and R^{-1} times it, and
+``_misfit`` takes their dot product, so the gradient computes no misfit it
+would discard and J, the likelihood and the fused call share one formula.
+The dot product uses ``ndarray.dot``, the same BLAS call as ``@`` with less
+work per call.
 ``log_likelihood``, which runs once per component when chains are planned,
 checks its state.
 """
@@ -73,21 +76,23 @@ class PosteriorModel:
             raise DimensionMismatch(f"state length {x.size} != {self.dim}")
         return x
 
+    def _residuals(self, x):
+        """The residual H(x) - y and R^{-1} times it."""
+        residual = self.operator.apply(x) - self.y
+        return residual, self.obs_cov.solve(residual)
+
     def log_likelihood(self, x):
         """Gaussian log-likelihood of y given x, constants included."""
-        residual = self.operator.apply(self._check_state(x)) - self.y
-        return self._lik_const - 0.5 * float(residual @ self.obs_cov.solve(residual))
+        return self._lik_const - 0.5 * _misfit(*self._residuals(self._check_state(x)))
 
     def neg_log_posterior(self, x):
         """Potential J(x): misfit quadratic minus the log mixture kernel."""
-        residual = self.operator.apply(x) - self.y
-        misfit = float(residual.dot(self.obs_cov.solve(residual)))
-        return 0.5 * misfit - self.prior.log_kernel(x)
+        return 0.5 * _misfit(*self._residuals(x)) - self.prior.log_kernel(x)
 
     def grad_neg_log_posterior(self, x):
         """Gradient of J: adjoint-weighted misfit plus responsibility-weighted
         prior pullbacks, with responsibilities formed in log space."""
-        rinv_residual = self.obs_cov.solve(self.operator.apply(x) - self.y)
+        _, rinv_residual = self._residuals(x)
         grad = self.operator.adjoint_jacobian_apply(x, rinv_residual)
         return grad + self.prior.kernel_pullback(x)
 
@@ -95,12 +100,15 @@ class PosteriorModel:
         """J(x) and its gradient from one misfit and one Mahalanobis step,
         each bit-equal to ``neg_log_posterior`` and
         ``grad_neg_log_posterior`` at x."""
-        residual = self.operator.apply(x) - self.y
-        rinv_residual = self.obs_cov.solve(residual)
+        residual, rinv_residual = self._residuals(x)
         log_kernel, pullback = self.prior.log_kernel_and_pullback(x)
         grad = self.operator.adjoint_jacobian_apply(x, rinv_residual)
-        misfit = float(residual.dot(rinv_residual))
-        return 0.5 * misfit - log_kernel, grad + pullback
+        return 0.5 * _misfit(residual, rinv_residual) - log_kernel, grad + pullback
+
+
+def _misfit(residual, rinv_residual):
+    """The misfit quadratic (H(x) - y)^T R^{-1} (H(x) - y)."""
+    return float(residual.dot(rinv_residual))
 
 
 def linear_mixture_posterior(model):
