@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
@@ -160,49 +161,53 @@ _DEFAULTS = {
 
 EXPERIMENT_KINDS = tuple(_DEFAULTS)
 
-# Least allowed value of each integer count a config may hold.
-_LOWER_BOUNDS = {
-    "n_samples": 1,
-    "n_ens": 1,
-    "n_ens_prior": 1,
-    "stride": 1,
-    "hmc_steps": 1,
-    "workers": 1,
-    "burn_in": 0,
-    "repetitions": 1,
-    "histogram_bins": 1,
-    "prior_pool": 1,
-}
-
-# The allowed values of each config key that picks a code path.
-_CHOICES = {
-    "gmm_structure": GMM_STRUCTURES,
-    "boundary": BOUNDARY_RULES,
-    "mechanism": MECHANISMS,
-    "reg_matrix": ("identity", "laplacian"),
-}
+def _integer(v):
+    # JSON's true and false are Python ints too; no count or seed is a bool.
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _positive_finite(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# Keys with a rule beyond a lower bound: a test of the value, and the rule.
+def _is_list_of(value, length, valid):
+    """A list of ``length`` (any length when None) values that pass ``valid``."""
+    return (isinstance(value, list) and length in (None, len(value))
+            and all(map(valid, value)))
+
+
+# The rule of every config key: a test of the value, and the rule in words.
 _RULES = {
-    **{key: (_positive_finite, "a positive finite number")
+    **{key: (lambda v, least=least: _integer(v) and v >= least,
+             f"an integer of at least {least}")
+       for key, least in (("n_samples", 1), ("n_ens", 1), ("n_ens_prior", 1), ("stride", 1),
+                          ("hmc_steps", 1), ("workers", 1), ("burn_in", 0),
+                          ("repetitions", 1), ("histogram_bins", 1), ("prior_pool", 1))},
+    # Keys that pick a code path.
+    **{key: (lambda v, allowed=allowed: v in allowed, f"one of {allowed}")
+       for key, allowed in (("gmm_structure", GMM_STRUCTURES), ("boundary", BOUNDARY_RULES),
+                            ("mechanism", MECHANISMS),
+                            ("reg_matrix", ("identity", "laplacian")))},
+    **{key: (lambda v: _number(v) and 0 < v < math.inf, "a positive finite number")
        for key in ("hmc_trajectory", "serial_hmc_trajectory", "serial_proposal_variance",
                    "parallel_proposal_scale", "observation_variance", "blur_sigma",
                    "noise_level", "reg_epsilon", "prior_spread")},
-    "blur_width": (lambda v: isinstance(v, int) and v >= 1 and v % 2 == 1,
+    **{key: (lambda v: isinstance(v, bool), "true or false")
+       for key in ("saturation", "hmc_jitter")},
+    **{key: (lambda v: v is None or isinstance(v, str), "null or a string")
+       for key in ("image", "data")},
+    "seed": (_integer, "an integer"),
+    "observation": (lambda v: _number(v) and math.isfinite(v), "a finite number"),
+    "blur_width": (lambda v: _integer(v) and v >= 1 and v % 2 == 1,
                    "an odd integer of at least 1"),
-    "p_values": (lambda v: _is_list_of(v, None, int) and v and min(v) >= 1,
+    "p_values": (lambda v: _is_list_of(v, None, _integer) and v and min(v) >= 1,
                  "a non-empty list of integers of at least 1"),
-    "candidate_components": (lambda v: _is_list_of(v, 2, int) and 1 <= v[0] <= v[1],
+    "candidate_components": (lambda v: _is_list_of(v, 2, _integer) and 1 <= v[0] <= v[1],
                              "two integers [lo, hi] with 1 <= lo <= hi"),
-    "histogram_range": (lambda v: _is_list_of(v, 2, (int, float)) and v[0] < v[1],
+    "histogram_range": (lambda v: _is_list_of(v, 2, _number) and v[0] < v[1],
                         "[lo, hi] with lo < hi"),
-    "alpha_grid": (lambda v: (_is_list_of(v, 3, (int, float)) and 0 < v[0] < v[1]
-                              and isinstance(v[2], int) and v[2] >= 2),
+    "alpha_grid": (lambda v: (_is_list_of(v, 3, _number) and 0 < v[0] < v[1]
+                              and _integer(v[2]) and v[2] >= 2),
                    "[lo, hi, count] with 0 < lo < hi and an integer count of at least 2"),
 }
 
@@ -217,7 +222,8 @@ def load_config(kind, path=None, overrides=None):
     """Merge defaults, an optional JSON config file, and CLI overrides.
 
     Unknown keys are rejected; a "kind" key in the file must match. A value
-    that breaks its key's rule above raises ConfigError naming the key.
+    that breaks its key's rule in ``_RULES`` raises ConfigError naming the
+    key.
     """
     config = default_config(kind)
     if path is not None:
@@ -241,13 +247,6 @@ def load_config(kind, path=None, overrides=None):
         if unknown:
             raise ConfigError(f"unknown override keys for {kind!r}: {sorted(unknown)}")
         config.update({k: v for k, v in overrides.items() if v is not None})
-    for key, least in _LOWER_BOUNDS.items():
-        if key in config and not (isinstance(config[key], int) and config[key] >= least):
-            raise ConfigError(f"{key} must be an integer of at least {least}, "
-                              f"got {config[key]!r}")
-    for key, allowed in _CHOICES.items():
-        if key in config and config[key] not in allowed:
-            raise ConfigError(f"{key} must be one of {allowed}, got {config[key]!r}")
     for key, (valid, rule) in _RULES.items():
         if key in config and not valid(config[key]):
             raise ConfigError(f"{key} must be {rule}, got {config[key]!r}")
@@ -255,12 +254,6 @@ def load_config(kind, path=None, overrides=None):
         raise ConfigError(f"n_ens ({config['n_ens']}) must not exceed prior_pool "
                           f"({config['prior_pool']})")
     return config
-
-
-def _is_list_of(value, length, types):
-    """A list of ``length`` (any length when None) values of ``types``."""
-    return (isinstance(value, list) and length in (None, len(value))
-            and all(isinstance(v, types) for v in value))
 
 
 def _csv_cell(value):
@@ -480,7 +473,7 @@ def _run_sampling(summary, model, variants, pool):
         results = run_plans(model, [plan for _, plan in variants.values()], pool)
     rows = []
     for (name, (phase, _)), result in zip(variants.items(), results):
-        chains, ensemble = result.chain_results, result.ensemble
+        ensemble = result.ensemble
         summary.timings[phase] = result.chain_seconds
         summary.acceptance[name] = result.acceptance_rate
         header = [f"x{i}" for i in range(ensemble.dim)] + ["weight"]
@@ -488,9 +481,9 @@ def _run_sampling(summary, model, variants, pool):
                           ([*row, w] for row, w in zip(ensemble.members.tolist(),
                                                        ensemble.weights.tolist())))
         rows.extend(
-            (name, c.stream_id, c.component, c.proposals_made, c.proposals_accepted,
-             c.acceptance_rate, c.divergences)
-            for c in chains
+            (name, chain.stream_id, chain.component, r.proposals_made, r.proposals_accepted,
+             r.acceptance_rate, r.divergences)
+            for chain, r in zip(result.chains, result.chain_results)
         )
     return dict(zip(variants, results)), rows
 
@@ -742,12 +735,21 @@ def run_tikhonov_experiment(config, out_dir):
 
 def run_em_fit(config, out_dir):
     """Fit a mixture to an ensemble stored as CSV (one sample per row)."""
-    if not config["data"]:
+    path = config["data"]
+    if not path:
         raise ConfigError("em-fit requires a 'data' CSV path")
     try:
-        data = np.loadtxt(config["data"], delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file, rejected below
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError as exc:
-        raise ConfigError(f"cannot read data file {config['data']}: {exc}") from exc
+        raise ConfigError(f"cannot read data file {path}: {exc}") from exc
+    except ValueError as exc:  # a non-numeric cell or a ragged row
+        raise ConfigError(f"data file {path} is not a table of numbers: {exc}") from exc
+    if data.size == 0:
+        raise ConfigError(f"data file {path} holds no samples")
+    if not np.isfinite(data).all():
+        raise ConfigError(f"data file {path} holds a non-finite value")
     summary = RunSummary("em-fit", config["seed"], out_dir)
     with summary.timed("em_fit_s"):
         selection = fit_prior_mixture(data, config)

@@ -24,7 +24,6 @@ are computed once and shared by the starvation check and the M-step.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,7 +169,7 @@ class GaussianMixture:
             dev = (x if x.ndim == 1 else x[..., None, :]) - self.means
             return np.einsum("...kd,kd,...kd->...k", dev, self._precisions, dev), dev
         whitened = [
-            solve_triangular(lower, (x - mu).T, lower=True)
+            solve_triangular(lower, (x - mu).T, lower=True, check_finite=False)
             for lower, mu in zip(self._factors, self.means)
         ]
         maha = np.empty(x.shape[:-1] + (self.n_components,))
@@ -233,7 +232,7 @@ class GaussianMixture:
             return resp.dot(self._precisions * dev)
         # Dense storage back-substitutes the whitened deviations.
         return sum(
-            w * solve_triangular(lower, v, lower=True, trans="T")
+            w * solve_triangular(lower, v, lower=True, trans="T", check_finite=False)
             for w, lower, v in zip(resp, self._factors, dev)
         )
 
@@ -519,15 +518,9 @@ def _em_single(points, centers, structure, rng, max_iter, rel_tol):
     return EmFit(mixture, loglik, trace, n_iter, converged)
 
 
+# A pool task; it looks up _em_single when it runs, so a patched one runs in workers too.
 def _fit_task(points, centers, structure, rng, max_iter, rel_tol):
-    """One fit as a pool task, timed where it runs: the EmFit, or the
-    exception that ended the fit, and the fit's seconds."""
-    start = time.perf_counter()
-    try:
-        outcome = _em_single(points, centers, structure, rng, max_iter, rel_tol)
-    except Exception as exc:  # a failed fit must never abort its siblings
-        outcome = exc
-    return outcome, time.perf_counter() - start
+    return _em_single(points, centers, structure, rng, max_iter, rel_tol)
 
 
 def _check_fittable(n_points, n_components, structure):

@@ -10,6 +10,10 @@ the one way to run chains: it runs the chains of one or more plans in one
 call on one worker pool, placed largest predicted cost first; the placement
 never changes the gathered ensembles, because streams are per chain and each
 plan's gather runs in chain order.
+
+The task contract: each chain is a pool task, caught and timed by the pool.
+``run_plans`` reads each outcome (a ChainResult or an exception) beside the
+ChainPlan that made it, so a result holds only what its chain made.
 """
 
 from __future__ import annotations
@@ -52,25 +56,12 @@ class SchedulerPlan:
 
 
 @dataclass
-class ChainFailure:
-    """What a worker returns for a chain that raised."""
-
-    component: int
-    stream_id: int
-    error: str
-
-
-@dataclass
 class McmcResult:
     ensemble: Ensemble
-    chain_results: list  # ChainResult per non-empty chain, in chain order
+    chains: list  # the plan's non-empty ChainPlans, in chain order
+    chain_results: list  # the ChainResult of each
     acceptance_rate: float
-    wall_time: float  # elapsed wall of the run that ran this plan's chains
-
-    @property
-    def chain_seconds(self):
-        """Seconds this plan's chains ran, each timed where it ran."""
-        return sum(r.wall_s for r in self.chain_results)
+    chain_seconds: float  # seconds the chains ran, each timed by the pool where it ran
 
 
 def component_log_scores(model):
@@ -199,24 +190,22 @@ def chain_cost(model, chain, burn_in, stride):
     return (burn_in + stride * chain.budget) * unit
 
 
+# A pool task; it looks up run_chain when it runs, so a patched one runs in workers too.
 def _execute_chain(model, chain, burn_in, stride, seed):
-    try:
-        return run_chain(model, chain, burn_in=burn_in, stride=stride, seed=seed)
-    except Exception as exc:  # a failed chain must never abort its siblings
-        return ChainFailure(chain.component, chain.stream_id, repr(exc))
+    return run_chain(model, chain, burn_in=burn_in, stride=stride, seed=seed)
 
 
-def _failure_text(failure):
+def _failure_text(chain, exc):
     # A serial chain belongs to no component; its stream names it.
-    if failure.component >= 0:
-        return f"chain of component {failure.component} failed: {failure.error}"
-    return f"chain of stream {failure.stream_id} failed: {failure.error}"
+    owner = f"component {chain.component}" if chain.component >= 0 else f"stream {chain.stream_id}"
+    return f"chain of {owner} failed: {exc!r}"
 
 
-def _pool_plan(chains, results, wall):
+def _pool_plan(chains, outcomes):
     """One plan's McmcResult: samples pooled in chain order, each carrying an
     importance weight proportional to its component's pooling weight divided
     by the chain budget, normalized over the pool."""
+    results = [result for result, _ in outcomes]
     samples = []
     log_weights = []
     for chain, result in zip(chains, results):
@@ -228,8 +217,8 @@ def _pool_plan(chains, results, wall):
     weights /= np.sum(weights)
     made = sum(r.proposals_made for r in results)
     accepted = sum(r.proposals_accepted for r in results)
-    return McmcResult(Ensemble(np.concatenate(samples, axis=0), weights), results,
-                      (accepted / made) if made else 0.0, wall)
+    return McmcResult(Ensemble(np.concatenate(samples, axis=0), weights), chains, results,
+                      (accepted / made) if made else 0.0, sum(s for _, s in outcomes))
 
 
 def run_plans(model, plans, pool):
@@ -240,10 +229,10 @@ def run_plans(model, plans, pool):
     together, largest predicted cost (``chain_cost``) first on the least
     loaded of the pool's workers. Every chain runs even when a sibling
     raises; afterwards any failure raises ``ChainFailed`` naming each failed
-    chain and its error, because a pool missing a chain's samples is a
-    biased posterior. Each ensemble is bit-identical for any pool size and
-    for any other plans run alongside; each result's ``wall_time`` is the
-    elapsed wall of the whole call.
+    chain from its ChainPlan, with the ``repr`` of its exception, because a
+    pool missing a chain's samples is a biased posterior. Each ensemble is
+    bit-identical for any pool size and for any other plans run alongside;
+    each result's ``chain_seconds`` sums the pool's seconds of its chains.
     """
     owners, jobs = [], []  # plan index and (chain, burn_in, stride, seed) per chain
     for k, plan in enumerate(plans):
@@ -251,18 +240,15 @@ def run_plans(model, plans, pool):
             if chain.budget > 0:
                 owners.append(k)
                 jobs.append((chain, plan.burn_in, plan.stride, plan.seed))
-    costs = [chain_cost(model, *job[:3]) for job in jobs]
-    start = time.perf_counter()
-    results = pool.run(_execute_chain, model, jobs, costs)
-    wall = time.perf_counter() - start
-
-    failures = [r for r in results if isinstance(r, ChainFailure)]
+    outcomes = pool.run(_execute_chain, model, jobs, [chain_cost(model, *job[:3]) for job in jobs])
+    failures = [_failure_text(job[0], outcome) for job, (outcome, _) in zip(jobs, outcomes)
+                if isinstance(outcome, Exception)]
     if failures:
-        raise ChainFailed("; ".join(map(_failure_text, failures)))
+        raise ChainFailed("; ".join(failures))
     pooled = []
     for k in range(len(plans)):
         mine = [i for i, owner in enumerate(owners) if owner == k]
-        pooled.append(_pool_plan([jobs[i][0] for i in mine], [results[i] for i in mine], wall))
+        pooled.append(_pool_plan([jobs[i][0] for i in mine], [outcomes[i] for i in mine]))
     return pooled
 
 
@@ -289,8 +275,8 @@ def benchmark_speedup(
     stride=5,
     **plan_kwargs,
 ):
-    """Measure the wall time of one plan's ``run_plans`` over worker counts
-    with fixed seeds.
+    """Measure the wall time of one plan's ``run_plans`` call over worker
+    counts with fixed seeds.
 
     Budgets are uniform, the split the cost model assumes. Each of the
     ``repetitions`` times every worker count once, in ascending order, each
@@ -339,7 +325,9 @@ def benchmark_speedup(
         for p in workers:
             with WorkerPool(p) as pool:
                 pool.warm_up()
-                walls[p].append(run_plans(model, [plan], pool)[0].wall_time)
+                start = time.perf_counter()
+                run_plans(model, [plan], pool)
+                walls[p].append(time.perf_counter() - start)
     pred_baseline = predict_cost(prediction_input).parallel_cost_integral
     rows = []
     for p in workers:

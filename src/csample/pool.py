@@ -1,16 +1,21 @@
 """The worker pool every parallel phase of a run shares, and its placement.
 
 ``WorkerPool.run(fn, shared, tasks, costs)`` runs ``fn(shared, *task)`` for
-every task and returns the results in task order. Tasks are placed by
-``balanced_assignment`` of their predicted costs, largest first on the least
-loaded worker, and each worker gets its tasks as one batch. Chains of the
-multi-chain sampler and EM restarts are both tasks of this kind. A task
-function must return its failures as values: the pool gathers whatever each
-task returns, and the placement never changes a result.
+every task. Tasks are placed by ``balanced_assignment`` of their predicted
+costs, largest first on the least loaded worker, and each worker gets its
+tasks as one batch. Chains of the multi-chain sampler and EM restarts are
+both tasks of this kind.
+
+The task contract: the pool alone catches and times a task. ``run`` returns
+one ``(outcome, seconds)`` per task, in task order. The outcome is the
+task's return value or the exception it raised, which never stops its
+siblings; the seconds are the task's own, timed where it ran. The placement
+never changes an outcome.
 """
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -30,15 +35,24 @@ def balanced_assignment(budgets, workers):
 
 
 def _run_batch(fn, shared, tasks):
-    return [fn(shared, *task) for task in tasks]
+    outcomes = []
+    for task in tasks:
+        start = time.perf_counter()
+        try:
+            outcome = fn(shared, *task)
+        except Exception as exc:  # a failed task must never abort its siblings
+            outcome = exc
+        outcomes.append((outcome, time.perf_counter() - start))
+    return outcomes
 
 
 class WorkerPool:
     """Fixed pool of workers, each running one batch of tasks per call.
 
     A pool of size 1 runs its batches in the calling process; a larger pool
-    forks OS processes where available. ``fn`` and every argument must be
-    picklable for a larger pool; the results are the same for any size.
+    forks OS processes where available. ``fn``, every argument and every
+    outcome must be picklable for a larger pool; the outcomes are the same
+    for any size.
     """
 
     def __init__(self, size):
@@ -61,8 +75,9 @@ class WorkerPool:
                 f.result()
 
     def run(self, fn, shared, tasks, costs):
-        """``fn(shared, *task)`` for every task, in task order, with the
-        tasks placed by ``balanced_assignment`` of ``costs``."""
+        """``(outcome, seconds)`` of ``fn(shared, *task)`` for every task, in
+        task order, with the tasks placed by ``balanced_assignment`` of
+        ``costs``."""
         assignment = balanced_assignment(costs, self.size)
         placed = [np.flatnonzero(assignment == w) for w in range(self.size)]
         placed = [indices for indices in placed if indices.size]
@@ -74,8 +89,8 @@ class WorkerPool:
         return results
 
     def run_batches(self, fn, shared, batches):
-        """Each batch of tasks on a worker of its own; one list of results
-        per batch."""
+        """Each batch of tasks on a worker of its own; one list of
+        ``(outcome, seconds)`` per batch."""
         if self._executor is None:
             return [_run_batch(fn, shared, batch) for batch in batches]
         futures = [self._executor.submit(_run_batch, fn, shared, batch) for batch in batches]

@@ -13,11 +13,14 @@ model's dimension once, before its first step, and raises
 DimensionMismatch there. From then on every state is a float (dim,)
 vector, and ``mh_step``, ``hmc_step`` and ``leapfrog`` pass it unchecked
 to the model's J and gradient calls and to the mechanism's SpdMatrix.
+
+The task contract: ``run_chain`` is a pool task. It returns only what the
+chain made, its samples and counts, and lets any error propagate to the
+pool, which catches and times it; the caller keeps the ChainPlan.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -85,9 +88,6 @@ class ChainResult:
     proposals_made: int
     proposals_accepted: int
     divergences: int = 0
-    component: int = -1
-    stream_id: int = -1
-    wall_s: float = 0.0  # the chain's own run time where it ran
 
     @property
     def acceptance_rate(self):
@@ -190,18 +190,16 @@ def run_chain(model, chain, *, burn_in, stride, seed):
     stream ``RngStream(seed, chain.stream_id)``, recording every stride-th
     state after the burn-in.
 
-    Divergent HMC steps are counted, never raised. The samples are a pure
-    function of (model, chain, burn_in, stride, seed); the result also
-    carries the chain's component, stream id and its own run time. A start
-    whose length is not the model's dimension raises DimensionMismatch
-    before the first step: this is the chain's one state check.
+    Divergent HMC steps are counted, never raised. The result is a pure
+    function of (model, chain, burn_in, stride, seed). A start whose length
+    is not the model's dimension raises DimensionMismatch before the first
+    step: this is the chain's one state check.
     """
     if burn_in < 0 or stride < 1:
         raise ValueError("burn_in must be at least 0 and stride at least 1")
     if chain.initial_state.size != model.dim:
         raise DimensionMismatch(f"initial state length {chain.initial_state.size} "
                                 f"!= model dimension {model.dim}")
-    start = time.perf_counter()
     rng = RngStream(seed, chain.stream_id)
     mechanism = chain.mechanism
     x = chain.initial_state.copy()
@@ -227,8 +225,7 @@ def run_chain(model, chain, *, burn_in, stride, seed):
         if step > burn_in and (step - burn_in) % stride == 0:
             samples[recorded] = x
             recorded += 1
-    return ChainResult(samples, total_steps, accepted, divergences, chain.component,
-                       chain.stream_id, time.perf_counter() - start)
+    return ChainResult(samples, total_steps, accepted, divergences)
 
 
 @dataclass

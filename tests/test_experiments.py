@@ -87,6 +87,16 @@ class TestConfig:
         assert cfg["seed"] == 11
         assert cfg["workers"] == 5
 
+    @pytest.mark.parametrize("kind", ["oned", "deblur", "bench", "tikhonov", "em-fit"])
+    def test_every_key_has_a_rule_its_default_passes(self, kind):
+        from csample.experiments import _RULES
+
+        # "kind" has its own check: it must match the subcommand.
+        for key, value in default_config(kind).items():
+            if key != "kind":
+                valid, rule = _RULES[key]
+                assert valid(value), f"default {key}={value!r} breaks its rule: {rule}"
+
     def test_shipped_configs_load(self):
         from pathlib import Path
 
@@ -461,6 +471,16 @@ class TestCli:
             ("deblur", "noise_level", -0.1),
             ("tikhonov", "reg_epsilon", float("inf")),
             ("deblur", "prior_spread", "0.08"),
+            ("deblur", "saturation", "no"),
+            ("oned", "hmc_jitter", "no"),
+            ("oned", "seed", "x"),
+            ("oned", "seed", 1.5),
+            ("oned", "observation", "abc"),
+            ("oned", "observation", None),
+            ("tikhonov", "image", 5),
+            ("em-fit", "data", ["d.csv"]),
+            ("oned", "workers", True),
+            ("oned", "candidate_components", [True, 2]),
         ],
         ids=["n_samples", "hmc_steps", "stride", "burn_in", "candidate_components",
              "workers", "n_ens", "n_ens_string", "alpha_grid_count",
@@ -469,7 +489,9 @@ class TestCli:
              "histogram_range", "n_ens_over_prior_pool", "blur_width", "hmc_trajectory",
              "serial_hmc_trajectory", "serial_proposal_variance", "parallel_proposal_scale",
              "observation_variance", "blur_sigma", "noise_level", "reg_epsilon_inf",
-             "prior_spread_string"],
+             "prior_spread_string", "saturation_string", "hmc_jitter_string", "seed_string",
+             "seed_float", "observation_string", "observation_null", "image_number",
+             "data_list", "workers_bool", "candidate_components_bool"],
     )
     def test_out_of_range_exit_code(self, tmp_path, capsys, kind, key, value):
         cfg_path = tmp_path / "cfg.json"
@@ -478,6 +500,21 @@ class TestCli:
         assert code == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()  # rejected before the run wrote anything
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1.0,2.0\n3.0,x\n", "1.0,2.0\n3.0\n", "", "1.0,2.0\nnan,3.0\n", "1.0,2.0\ninf,3.0\n"],
+        ids=["non_numeric", "ragged", "empty", "nan", "inf"],
+    )
+    def test_em_fit_bad_data_exit_code(self, tmp_path, capsys, text):
+        data_path = tmp_path / "bad_data.csv"
+        data_path.write_text(text)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data": str(data_path), "candidate_components": [1, 2]}))
+        code = cli_main(["em-fit", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert str(data_path) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bench_procs_zero_exit_code(self, tmp_path, capsys):
         code = cli_main(["bench", "--procs", "0", "--out", str(tmp_path / "o")])

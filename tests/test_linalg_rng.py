@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from csample.errors import DimensionMismatch, NotPositiveDefinite
-from csample import linalg_rng
+from csample import errors, linalg_rng
 from csample.linalg_rng import RngStream, SpdMatrix, sample_mvn
 
 
@@ -47,6 +47,14 @@ class TestCholesky:
         # Pool workers return the error pickled; it must arrive whole.
         copy = pickle.loads(pickle.dumps(exc.value))
         assert (copy.pivot_index, str(copy)) == (1, str(exc.value))
+
+    @pytest.mark.parametrize("cls", [c for c in vars(errors).values()
+                                     if isinstance(c, type) and c.__module__ == errors.__name__])
+    def test_every_error_round_trips_pickled(self, cls):
+        # A chain's or fit's exception crosses back from a pool worker as an object.
+        exc = cls(3) if cls is NotPositiveDefinite else cls("message")
+        copy = pickle.loads(pickle.dumps(exc))
+        assert (type(copy), copy.args, repr(copy)) == (cls, exc.args, repr(exc))
 
     def test_diagonal_zero_reports_pivot(self):
         with pytest.raises(NotPositiveDefinite) as exc:

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from csample.cost_model import CostModelInput, predict_cost
-from csample.errors import BudgetInfeasibleWarning, ChainFailed, OversubscribedWarning
+from csample.errors import (
+    BudgetInfeasibleWarning,
+    ChainFailed,
+    NotPositiveDefinite,
+    OversubscribedWarning,
+)
 from csample.forward_models import IdentityOperator
 from csample.gmm import GaussianMixture
 from csample.linalg_rng import SpdMatrix
@@ -281,18 +286,36 @@ def offset(shared, value):
     return shared + value
 
 
+def fail_odd(shared, value):
+    """A pool task that raises for odd values."""
+    if value % 2:
+        raise NotPositiveDefinite(value)
+    return shared + value
+
+
 class TestWorkerPool:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_results_in_task_order_placed_by_cost(self, workers):
         costs = [1, 1, 5, 1, 4, 1, 1]
         with RecordingPool(workers) as pool:
             results = pool.run(offset, 100, [(v,) for v in range(7)], costs)
-        assert results == [100 + v for v in range(7)]
+        assert [outcome for outcome, _ in results] == [100 + v for v in range(7)]
         batch_of = {task: b for b, batch in enumerate(pool.batches) for (task,) in batch}
         assert len(pool.batches) == workers and sorted(batch_of) == list(range(7))
         if workers > 1:
             # The two costliest tasks go to different workers.
             assert batch_of[2] != batch_of[4]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_task_caught_and_timed(self, workers):
+        with WorkerPool(workers) as pool:
+            results = pool.run(fail_odd, 100, [(v,) for v in range(5)], [1] * 5)
+        outcomes = [outcome for outcome, _ in results]
+        assert outcomes[0::2] == [100, 102, 104]
+        # A raising task gives back its exception, whole, and never stops its siblings.
+        for v, exc in zip((1, 3), outcomes[1::2]):
+            assert type(exc) is NotPositiveDefinite and exc.pivot_index == v
+        assert all(seconds > 0.0 for _, seconds in results)
 
 
 def small_oned_plans(model):
@@ -336,7 +359,7 @@ class TestRunPlans:
         n = plan.n_samples
         assert alone["serial_hmc"].ensemble.members.tobytes() == direct.samples.tobytes()
         assert alone["serial_hmc"].ensemble.weights.tobytes() == np.full(n, 1.0 / n).tobytes()
-        assert [c.component for c in alone["serial_hmc"].chain_results] == [-1]
+        assert len(alone["serial_hmc"].chains) == 1 and alone["serial_hmc"].chains[0] is chain
 
     def test_serial_and_largest_hmc_chain_on_different_workers(self, oned_runs):
         model, plans, _ = oned_runs
@@ -385,6 +408,28 @@ class TestRunPlans:
         assert "stream 20000" not in message
         everything = [c.stream_id for plan in plans.values() for c in plan.chains if c.budget]
         assert sorted(ran) == sorted(everything)
+
+    @pytest.mark.parametrize("error", [NotPositiveDefinite(4), FloatingPointError("injected")])
+    def test_failure_text_same_in_workers_as_in_process(self, oned_runs, monkeypatch, error):
+        from csample import mc_scheduler
+
+        model, plans, _ = oned_runs
+        original = mc_scheduler.run_chain
+
+        def failing_run_chain(model, chain, **budget):
+            if chain.stream_id in (20001, 3):
+                raise error
+            return original(model, chain, **budget)
+
+        monkeypatch.setattr(mc_scheduler, "run_chain", failing_run_chain)
+        messages = []
+        for workers in (1, 2):
+            with WorkerPool(workers) as pool, pytest.raises(ChainFailed) as exc:
+                run_plans(model, list(plans.values()), pool)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert f"chain of stream 20001 failed: {error!r}" in messages[0]
+        assert messages[0].count(f"chain of component 3 failed: {error!r}") == 2
 
 
 class TestBenchmark:

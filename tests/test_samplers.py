@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,24 @@ class TestHmcStep:
         assert out.divergent and not out.accepted
         assert out.state is x
 
+    @pytest.mark.parametrize("step_size", [1e10, 1e200])
+    @pytest.mark.parametrize("structure, covs", [
+        ("full", [[[0.3, 0.1], [0.1, 0.5]], [[0.6, -0.1], [-0.1, 0.2]]]),
+        ("tied", [[[0.3, 0.1], [0.1, 0.5]]] * 2),
+        ("diagonal", [[0.3, 0.5], [0.6, 0.2]]),
+    ])
+    def test_overflow_is_a_divergence_for_every_storage(self, structure, covs, step_size):
+        # An exploding trajectory overflows the prior's whitened deviations;
+        # dense storage must read it as a divergence, as variance storage does.
+        prior = GaussianMixture([0.4, 0.6], [[-1.0, 0.5], [1.5, 0.0]], np.array(covs),
+                                structure=structure)
+        model = PosteriorModel(prior, IdentityOperator(2), [0.2, 0.1],
+                               SpdMatrix.from_diagonal([0.8, 0.8]))
+        x = np.array([0.1, 0.2])
+        out = hmc_step(model, x, HmcParams(SpdMatrix.identity(2), step_size, 5), RngStream(3, 0))
+        assert out.divergent and not out.accepted
+        assert out.state is x
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             HmcParams(SpdMatrix.identity(1), -0.1, 10)
@@ -254,12 +274,17 @@ class TestRunChain:
         assert 0.0 < result.acceptance_rate <= 1.0
         assert result.acceptance_rate == result.proposals_accepted / result.proposals_made
 
-    def test_result_names_its_chain_and_time(self):
+    def test_result_holds_only_what_the_chain_made(self):
+        # The plan names the chain and the pool times it; the result is a
+        # pure function of its inputs.
         model = gaussian_model_1d()
         chain = ChainPlan(20, [0.0], GaussianProposal(SpdMatrix.identity(1)), 17, component=3)
-        result = run_chain(model, chain, burn_in=5, stride=2, seed=4)
-        assert (result.component, result.stream_id) == (3, 17)
-        assert result.wall_s > 0.0
+        runs = [run_chain(model, chain, burn_in=5, stride=2, seed=4) for _ in range(2)]
+        assert [f.name for f in fields(runs[0])] == [
+            "samples", "proposals_made", "proposals_accepted", "divergences"]
+        assert runs[0].samples.tobytes() == runs[1].samples.tobytes()
+        counts = [(r.proposals_made, r.proposals_accepted, r.divergences) for r in runs]
+        assert counts[0] == counts[1]
 
     def test_stream_built_from_seed_and_stream_id(self):
         # A chain draws from RngStream(seed, stream_id), built afresh per call.
