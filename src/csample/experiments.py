@@ -85,8 +85,6 @@ _ONED_DEFAULTS = {
     "stride": 15,
     "serial_proposal_variance": 2.0,
     "parallel_proposal_scale": 0.3,
-    "serial_hmc_trajectory": 1.0,
-    "hmc_trajectory": 1.5,
     "hmc_steps": 20,
     "hmc_jitter": True,
     "workers": 2,
@@ -102,7 +100,6 @@ _BENCH_DEFAULTS = {
     "stride": 5,
     "mechanism": "gaussian",
     "parallel_proposal_scale": 0.3,
-    "hmc_trajectory": 1.0,
     "hmc_steps": 20,
     "p_values": [1, 2, 4, 7, 8, 12],
     "repetitions": 3,
@@ -134,7 +131,6 @@ _DEBLUR_DEFAULTS = {
     "candidate_components": [1, 3],
     "burn_in": 100,
     "stride": 5,
-    "hmc_trajectory": 0.25,
     "hmc_steps": 20,
     "hmc_jitter": False,
     "parallel_proposal_scale": 0.002,
@@ -189,9 +185,9 @@ _RULES = {
                             ("mechanism", MECHANISMS),
                             ("reg_matrix", ("identity", "laplacian")))},
     **{key: (lambda v: _number(v) and 0 < v < math.inf, "a positive finite number")
-       for key in ("hmc_trajectory", "serial_hmc_trajectory", "serial_proposal_variance",
-                   "parallel_proposal_scale", "observation_variance", "blur_sigma",
-                   "noise_level", "reg_epsilon", "prior_spread")},
+       for key in ("serial_proposal_variance", "parallel_proposal_scale",
+                   "observation_variance", "blur_sigma", "noise_level", "reg_epsilon",
+                   "prior_spread")},
     **{key: (lambda v: isinstance(v, bool), "true or false")
        for key in ("saturation", "hmc_jitter")},
     **{key: (lambda v: v is None or isinstance(v, str), "null or a string")
@@ -401,12 +397,6 @@ def serial_gaussian_mechanism(config):
     return tune_gaussian_proposal(np.array([config["serial_proposal_variance"]]), 1.0)
 
 
-def serial_hmc_mechanism(model, config):
-    _, total_var = mixture_moments(model.prior)
-    return tune_hmc(total_var, config["serial_hmc_trajectory"], config["hmc_steps"],
-                    jitter=config["hmc_jitter"])
-
-
 def mixture_bin_masses(mixture, edges):
     """Mass of a 1-D mixture in each histogram bin [a, b): sum_k w_k
     [Phi((b - m_k) / s_k) - Phi((a - m_k) / s_k)]. Phi comes from math.erfc:
@@ -435,7 +425,6 @@ def multichain_plan(model, n_ens, mechanism, config):
         model, n_ens, mechanism, config["seed"],
         burn_in=config["burn_in"], stride=config["stride"],
         proposal_scale=config["parallel_proposal_scale"],
-        hmc_trajectory=config["hmc_trajectory"],
         hmc_steps=config["hmc_steps"], hmc_jitter=config["hmc_jitter"],
     )
 
@@ -444,7 +433,7 @@ def oned_plans(model, config):
     """The 1-D benchmark's four sampling variants by name. The serial chains
     sample the full posterior from the prior mean; the multi-chain variants
     run one chain per prior component."""
-    prior_mean, _ = mixture_moments(model.prior)
+    prior_mean, total_var = mixture_moments(model.prior)
     n = config["n_samples"]
 
     def serial(mechanism, stream):
@@ -453,7 +442,8 @@ def oned_plans(model, config):
 
     return {
         "serial_gaussian": serial(serial_gaussian_mechanism(config), STREAM_SERIAL_GAUSSIAN),
-        "serial_hmc": serial(serial_hmc_mechanism(model, config), STREAM_SERIAL_HMC),
+        "serial_hmc": serial(tune_hmc(total_var, config["hmc_steps"], jitter=config["hmc_jitter"]),
+                             STREAM_SERIAL_HMC),
         "parallel_gaussian": multichain_plan(model, n, "gaussian", config),
         "parallel_hmc": multichain_plan(model, n, "hmc", config),
     }
@@ -705,7 +695,6 @@ def run_speedup_benchmark(config, out_dir):
             burn_in=config["burn_in"],
             stride=config["stride"],
             proposal_scale=config["parallel_proposal_scale"],
-            hmc_trajectory=config["hmc_trajectory"],
             hmc_steps=config["hmc_steps"],
         )
     summary.write_csv(

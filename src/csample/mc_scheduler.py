@@ -38,7 +38,6 @@ from .samplers import ChainPlan, GaussianProposal, HmcParams, run_chain
 DEFAULT_PROPOSAL_SCALE_NUMERATOR = 2.38**2
 
 DEFAULT_HMC_STEPS = 20
-DEFAULT_HMC_TRAJECTORY = 1.0  # in local posterior-std units
 
 MECHANISMS = ("gaussian", "hmc")
 
@@ -112,12 +111,13 @@ def tune_gaussian_proposal(component_cov, scale):
     return GaussianProposal(SpdMatrix(component_cov).scaled(scale))
 
 
-def tune_hmc(variances, trajectory, n_steps, jitter=False):
-    """HMC tuning from local component statistics: the mass matrix is the
-    diagonal component precision, 1 / ``variances``, and h*m covers
-    ``trajectory`` local standard-deviation units."""
+def tune_hmc(variances, n_steps, jitter=False):
+    """HMC tuning from local statistics: the mass matrix is the diagonal
+    precision, 1 / ``variances``, and h*m = pi/2, a quarter period of a
+    Gaussian of those variances, after which its position is independent of
+    the start (Neal, "MCMC using Hamiltonian dynamics", 2011, section 5.4)."""
     mass = SpdMatrix.from_diagonal(1.0 / variances)
-    return HmcParams(mass, float(trajectory) / n_steps, int(n_steps), jitter_steps=jitter)
+    return HmcParams(mass, (math.pi / 2) / n_steps, int(n_steps), jitter_steps=jitter)
 
 
 def round_robin_assignment(n_chains, workers):
@@ -133,7 +133,6 @@ def build_plan(
     burn_in=100,
     stride=5,
     proposal_scale=None,
-    hmc_trajectory=DEFAULT_HMC_TRAJECTORY,
     hmc_steps=DEFAULT_HMC_STEPS,
     hmc_jitter=False,
     budgets="likelihood",
@@ -165,7 +164,7 @@ def build_plan(
         if mechanism == "gaussian":
             mech = tune_gaussian_proposal(prior.covariances[i], proposal_scale)
         else:
-            mech = tune_hmc(prior.variances[i], hmc_trajectory, hmc_steps, jitter=hmc_jitter)
+            mech = tune_hmc(prior.variances[i], hmc_steps, jitter=hmc_jitter)
         chains.append(ChainPlan(int(counts[i]), prior.means[i], mech, i, component=i,
                                 log_weight=float(log_scores[i])))
     return SchedulerPlan(chains=chains, burn_in=int(burn_in), stride=int(stride), seed=int(seed))
@@ -261,6 +260,7 @@ class BenchmarkRow:
     pred_speedup: float
     pred_efficiency: float
     oversubscribed: bool = False
+    walls: tuple = ()  # each repetition's wall time, in order; wall_s is their minimum
 
 
 def benchmark_speedup(
@@ -273,7 +273,8 @@ def benchmark_speedup(
     repetitions=3,
     burn_in=100,
     stride=5,
-    **plan_kwargs,
+    proposal_scale=None,
+    hmc_steps=DEFAULT_HMC_STEPS,
 ):
     """Measure the wall time of one plan's ``run_plans`` call over worker
     counts with fixed seeds.
@@ -314,11 +315,11 @@ def benchmark_speedup(
         n_var=model.dim,
         burn_in=burn_in,
         stride=stride,
-        traj_steps=plan_kwargs.get("hmc_steps", DEFAULT_HMC_STEPS) if hmc else 1,
+        traj_steps=hmc_steps if hmc else 1,
         proposal="hmc" if hmc else "diagonal",
     )
     plan = build_plan(model, n_ens, mechanism, seed, burn_in=burn_in, stride=stride,
-                      budgets="uniform", **plan_kwargs)
+                      proposal_scale=proposal_scale, hmc_steps=hmc_steps, budgets="uniform")
     workers = sorted(set(p_values) | {1})
     walls = {p: [] for p in workers}
     for _ in range(max(1, repetitions)):
@@ -345,6 +346,7 @@ def benchmark_speedup(
                 pred_speedup=pred_speedup,
                 pred_efficiency=pred_speedup / p,
                 oversubscribed=p > available,
+                walls=tuple(walls[p]),
             )
         )
     return rows

@@ -15,6 +15,7 @@ never changes an outcome.
 
 from __future__ import annotations
 
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -42,6 +43,10 @@ def _run_batch(fn, shared, tasks):
             outcome = fn(shared, *task)
         except Exception as exc:  # a failed task must never abort its siblings
             outcome = exc
+            try:  # a forked worker returns its batch in one pickle, which this must not break
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                outcome = RuntimeError(repr(exc))
         outcomes.append((outcome, time.perf_counter() - start))
     return outcomes
 

@@ -277,7 +277,10 @@ class TestCriterion6MeasuredScaling:
             )
         by_p = {r.workers: r for r in rows}
         bound_ok = all(r.speedup <= r.workers * 1.02 for r in rows)
-        assert bound_ok
+        # S(p) is the median over repetitions of walls(1) / walls(p).
+        table = "\n".join(f"p={r.workers} S(p)={r.speedup:.3f} walls_s="
+                          f"{[round(w, 4) for w in r.walls]}" for r in rows)
+        assert bound_ok, f"S(p) > 1.02 p for some p:\n{table}"
 
         if cpus < 8:
             flagged = any(r.oversubscribed for r in rows)
@@ -312,7 +315,7 @@ class TestCriterion7Determinism:
             plan = build_plan(
                 model, 600, "hmc", cfg["seed"],
                 burn_in=cfg["burn_in"], stride=cfg["stride"],
-                hmc_trajectory=cfg["hmc_trajectory"], hmc_steps=cfg["hmc_steps"],
+                hmc_steps=cfg["hmc_steps"],
                 hmc_jitter=cfg["hmc_jitter"],
             )
             with WorkerPool(p) as pool:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import time
 import warnings
 from pathlib import Path
@@ -13,8 +14,13 @@ from csample.experiments import (
     RunSummary,
     benchmark_prior_mixture,
     default_config,
+    fit_prior_mixture,
     load_config,
     mixture_bin_masses,
+    mixture_moments,
+    multichain_plan,
+    oned_plans,
+    prepare_deblur_problem,
     relative_error,
     run_deblur_experiment,
     run_em_fit,
@@ -24,8 +30,11 @@ from csample.experiments import (
     total_variation,
     weighted_histogram,
 )
-from csample.forward_models import read_pgm
+from csample.forward_models import IdentityOperator, read_pgm
 from csample.gmm import GaussianMixture
+from csample.linalg_rng import SpdMatrix
+from csample.posterior import PosteriorModel
+from csample.samplers import HmcParams
 
 
 def small_oned_config(**overrides):
@@ -279,6 +288,42 @@ class TestDeblurRun:
         assert values.min() < 0.0 or values.max() > 1.0 or values.size > 0
 
 
+class TestHmcTuning:
+    """One rule for every HMC chain: h * m = pi / 2 in the mass's units."""
+
+    def test_oned_plans(self, fit_mixture_1d):
+        cfg = default_config("oned")
+        model = PosteriorModel(fit_mixture_1d, IdentityOperator(1), [-1.0],
+                               SpdMatrix.from_diagonal([2.2]))
+        plans = oned_plans(model, cfg)
+        _, total_var = mixture_moments(fit_mixture_1d)
+        serial = plans["serial_hmc"].chains[0].mechanism
+        assert serial.mass.diagonal() == pytest.approx(1.0 / total_var)
+        chains = plans["serial_hmc"].chains + plans["parallel_hmc"].chains
+        assert len(chains) == 1 + fit_mixture_1d.n_components
+        for chain in chains:
+            self.assert_rule(chain.mechanism, cfg)
+
+    def test_deblur_multichain_plan(self):
+        cfg = small_deblur_config(candidate_components=[2, 2])
+        setup = prepare_deblur_problem(cfg)
+        mixture = fit_prior_mixture(setup["prior_members"], cfg).mixture
+        model = PosteriorModel(mixture, setup["operator"], setup["observed"],
+                               SpdMatrix.spherical(mixture.dim, setup["noise_std"] ** 2))
+        plan = multichain_plan(model, cfg["n_ens"], "hmc", cfg)
+        assert len(plan.chains) == 2
+        for chain, variances in zip(plan.chains, mixture.variances):
+            assert chain.mechanism.mass.diagonal() == pytest.approx(1.0 / variances)
+            self.assert_rule(chain.mechanism, cfg)
+
+    @staticmethod
+    def assert_rule(params, cfg):
+        assert isinstance(params, HmcParams)
+        assert params.step_size == (math.pi / 2) / cfg["hmc_steps"]
+        assert params.n_steps == cfg["hmc_steps"]
+        assert params.jitter_steps == cfg["hmc_jitter"]
+
+
 class TestBenchRun:
     def test_bench_csv(self, tmp_path):
         cfg = default_config("bench")
@@ -428,8 +473,10 @@ class TestCli:
             ("deblur", "noise_interpretation", "std"),
             ("bench", "budgets", "uniform"),
             ("bench", "t_startup", 1e-4),
+            ("deblur", "hmc_trajectory", 0.25),
         ],
-        ids=["balance", "pool_mode", "noise_interpretation", "budgets", "t_startup"],
+        ids=["balance", "pool_mode", "noise_interpretation", "budgets", "t_startup",
+             "hmc_trajectory"],
     )
     def test_removed_key_exit_code(self, tmp_path, capsys, kind, key, value):
         cfg_path = tmp_path / "cfg.json"
@@ -462,8 +509,6 @@ class TestCli:
             ("oned", "histogram_range", [1.0, -1.0]),
             ("deblur", "n_ens", 60),  # more than the default prior_pool of 50
             ("tikhonov", "blur_width", 4),
-            ("oned", "hmc_trajectory", -1),
-            ("oned", "serial_hmc_trajectory", 0),
             ("oned", "serial_proposal_variance", -2.0),
             ("deblur", "parallel_proposal_scale", 0.0),
             ("oned", "observation_variance", -2),
@@ -486,8 +531,8 @@ class TestCli:
              "workers", "n_ens", "n_ens_string", "alpha_grid_count",
              "candidate_components_shape", "p_values_empty", "p_values_zero", "mechanism",
              "repetitions", "gmm_structure", "boundary", "reg_matrix", "histogram_bins",
-             "histogram_range", "n_ens_over_prior_pool", "blur_width", "hmc_trajectory",
-             "serial_hmc_trajectory", "serial_proposal_variance", "parallel_proposal_scale",
+             "histogram_range", "n_ens_over_prior_pool", "blur_width",
+             "serial_proposal_variance", "parallel_proposal_scale",
              "observation_variance", "blur_sigma", "noise_level", "reg_epsilon_inf",
              "prior_spread_string", "saturation_string", "hmc_jitter_string", "seed_string",
              "seed_float", "observation_string", "observation_null", "image_number",

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -157,9 +158,9 @@ class TestBuildPlan:
         assert isinstance(plan.chains[0].mechanism, HmcParams)
 
     def test_hmc_tuning_from_component(self):
-        params = tune_hmc(np.array([0.25]), trajectory=1.0, n_steps=20)
+        params = tune_hmc(np.array([0.25]), n_steps=20)
         assert params.n_steps == 20
-        assert params.step_size == pytest.approx(0.05)
+        assert params.step_size == (math.pi / 2) / 20
         assert params.mass.diagonal() == pytest.approx([4.0])
 
     def test_scores_computed_once_per_plan(self, bench_model, monkeypatch):
@@ -293,6 +294,13 @@ def fail_odd(shared, value):
     return shared + value
 
 
+def fail_unpicklable(shared, value):
+    """A pool task that raises, for value 1, an exception no pickle can carry."""
+    if value == 1:
+        raise Exception(lambda: 0)
+    return shared + value
+
+
 class TestWorkerPool:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_results_in_task_order_placed_by_cost(self, workers):
@@ -316,6 +324,16 @@ class TestWorkerPool:
         for v, exc in zip((1, 3), outcomes[1::2]):
             assert type(exc) is NotPositiveDefinite and exc.pivot_index == v
         assert all(seconds > 0.0 for _, seconds in results)
+
+    def test_unpicklable_exception_keeps_its_batch(self):
+        # Equal costs place tasks 1 and 3 in one batch on the second worker.
+        with RecordingPool(2) as pool:
+            results = pool.run(fail_unpicklable, 100, [(v,) for v in range(4)], [1] * 4)
+        assert pool.batches[1] == [(1,), (3,)]
+        outcomes = [outcome for outcome, _ in results]
+        assert outcomes[0::2] == [100, 102] and outcomes[3] == 103
+        assert type(outcomes[1]) is RuntimeError
+        assert str(outcomes[1]).startswith("Exception(<function")
 
 
 def small_oned_plans(model):
@@ -431,6 +449,24 @@ class TestRunPlans:
         assert f"chain of stream 20001 failed: {error!r}" in messages[0]
         assert messages[0].count(f"chain of component 3 failed: {error!r}") == 2
 
+    def test_unpicklable_failure_named_from_a_worker(self, oned_runs, monkeypatch):
+        from csample import mc_scheduler
+
+        model, plans, _ = oned_runs
+        original = mc_scheduler.run_chain
+
+        def failing_run_chain(model, chain, **budget):
+            if chain.stream_id == 20001:
+                raise Exception(lambda: 0)
+            return original(model, chain, **budget)
+
+        monkeypatch.setattr(mc_scheduler, "run_chain", failing_run_chain)
+        with WorkerPool(2) as pool, pytest.raises(ChainFailed) as exc:
+            run_plans(model, list(plans.values()), pool)
+        message = str(exc.value)
+        assert message.startswith("chain of stream 20001 failed: RuntimeError('Exception(<function")
+        assert message.count("failed") == 1
+
 
 class TestBenchmark:
     def test_rows_and_csv(self, bench_model):
@@ -449,6 +485,7 @@ class TestBenchmark:
         assert rows[0].efficiency == 1.0
         for row in rows:
             assert row.wall_s > 0.0
+            assert len(row.walls) == 1 and row.wall_s == row.walls[0]
         assert [row.workers for row in rows] == [1, 2]
 
     def test_predicted_columns_match_cost_model(self, bench_model):

@@ -365,7 +365,7 @@ class TestRunChain:
             fit_mixture_1d, IdentityOperator(1), [-1.0], SpdMatrix.from_diagonal([2.2])
         )
         for i, variances in enumerate(fit_mixture_1d.variances):
-            params = tune_hmc(variances, trajectory=1.0, n_steps=20)
+            params = tune_hmc(variances, n_steps=20)
             chain = ChainPlan(100, fit_mixture_1d.means[i], params, i)
             result = run_chain(model, chain, burn_in=50, stride=1, seed=5)
             assert result.divergences == 0
