@@ -145,6 +145,7 @@ _EMFIT_DEFAULTS = {
     "data": None,
     "gmm_structure": "full",
     "candidate_components": [1, 10],
+    "workers": 2,
 }
 
 _DEFAULTS = {
@@ -249,6 +250,11 @@ def load_config(kind, path=None, overrides=None):
     if "prior_pool" in config and config["n_ens"] > config["prior_pool"]:
         raise ConfigError(f"n_ens ({config['n_ens']}) must not exceed prior_pool "
                           f"({config['prior_pool']})")
+    # The prior is fitted to this many members; no fit has more components.
+    for key in ("n_ens_prior", "n_ens"):
+        if key in config and config[key] < config["candidate_components"][0]:
+            raise ConfigError(f"{key} ({config[key]}) must be at least candidate_components[0] "
+                              f"({config['candidate_components'][0]})")
     return config
 
 
@@ -275,6 +281,7 @@ class RunSummary:
     timings: dict = field(default_factory=dict)
     n_c_selected: int | None = None
     aic: list | None = None  # AicSelection.table of the prior fit
+    em: dict | None = None  # AicSelection.em_totals of the prior fit
     alpha_star: float | None = None
     manifest: list = field(default_factory=list)
 
@@ -290,6 +297,7 @@ class RunSummary:
             "timings": self.timings,
             "n_c_selected": self.n_c_selected,
             "aic": self.aic,
+            "em": self.em,
             "alpha_star": self.alpha_star,
             "manifest": self.manifest,
         }
@@ -357,14 +365,17 @@ def fit_prior_mixture(members, config, pool=None):
     )
 
 
-def _record_selection(summary, selection):
-    """Selected count, AIC table and the fits' own seconds (``em_fit_work_s``)
-    into the summary, and the mixture as gmm.json."""
+def _record_selection(summary, selection, write_mixture=True):
+    """Selected count, AIC table, EM totals over every fit and the fits' own
+    seconds (``em_fit_work_s``) into the summary, and the mixture as gmm.json
+    when ``write_mixture``."""
     summary.n_c_selected = selection.n_components
     summary.aic = selection.table
+    summary.em = selection.em_totals
     summary.timings["em_fit_work_s"] = selection.work_s
-    doc = selection.mixture.to_json_dict()
-    summary.write("gmm.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    if write_mixture:
+        doc = selection.mixture.to_json_dict()
+        summary.write("gmm.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def prepare_oned_model(config, pool=None):
@@ -680,9 +691,7 @@ def run_speedup_benchmark(config, out_dir):
     summary = RunSummary("bench", config["seed"], out_dir)
     with summary.timed("em_fit_s"):
         model, selection, _ = prepare_oned_model(config)
-    # bench writes no gmm.json.
-    summary.n_c_selected, summary.aic = selection.n_components, selection.table
-    summary.timings["em_fit_work_s"] = selection.work_s
+    _record_selection(summary, selection, write_mixture=False)
 
     with summary.timed("benchmark_s"):
         rows = benchmark_speedup(
@@ -739,9 +748,14 @@ def run_em_fit(config, out_dir):
         raise ConfigError(f"data file {path} holds no samples")
     if not np.isfinite(data).all():
         raise ConfigError(f"data file {path} holds a non-finite value")
+    lo = config["candidate_components"][0]
+    if data.shape[0] < lo:
+        raise ConfigError(f"data file {path} holds {data.shape[0]} samples, fewer than "
+                          f"candidate_components[0] ({lo})")
     summary = RunSummary("em-fit", config["seed"], out_dir)
-    with summary.timed("em_fit_s"):
-        selection = fit_prior_mixture(data, config)
+    # The data is checked above, before the pool forks its workers.
+    with WorkerPool(config["workers"]) as pool, summary.timed("em_fit_s"):
+        selection = fit_prior_mixture(data, config, pool)
     _record_selection(summary, selection)
     return summary.finish()
 

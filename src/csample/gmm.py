@@ -601,10 +601,20 @@ class AicSelection:
     # converged}, the last two from the kept restart.
     table: list
     work_s: float = 0.0  # seconds of every fit, each timed where it ran
+    # Totals over every restart of every candidate that returned a fit, kept
+    # or not: the fits, their EM iterations, and those stopped at max_iter.
+    fits: int = 0
+    iterations: int = 0
+    unconverged: int = 0
 
     @property
     def mixture(self):
         return self.fit.mixture
+
+    @property
+    def em_totals(self):
+        return {"fits": self.fits, "iterations": self.iterations,
+                "unconverged": self.unconverged}
 
 
 def select_model_aic(data, candidates, structure="full", rng=None, pool=None, **em_kwargs):
@@ -647,4 +657,7 @@ def select_model_aic(data, candidates, structure="full", rng=None, pool=None, **
             best, best_fit = table[-1], fit
     if best is None:
         raise last_error if last_error is not None else RuntimeError("no candidates fit")
-    return AicSelection(best_fit, best["n_c"], table, work_s)
+    fits = [o for restarts in outcomes.values() for o in restarts if isinstance(o, EmFit)]
+    return AicSelection(best_fit, best["n_c"], table, work_s, fits=len(fits),
+                        iterations=sum(f.n_iter for f in fits),
+                        unconverged=sum(not f.converged for f in fits))

@@ -18,9 +18,10 @@ def record_criterion(number, passed, detail):
 
 
 def selection_bytes(selection):
-    """An AIC selection's table and mixture as summary.json and gmm.json
-    write them."""
+    """An AIC selection's table, EM totals and mixture as summary.json and
+    gmm.json write them."""
     return (json.dumps(selection.table, indent=2, sort_keys=True),
+            json.dumps(selection.em_totals, indent=2, sort_keys=True),
             json.dumps(selection.mixture.to_json_dict(), indent=2, sort_keys=True))
 
 

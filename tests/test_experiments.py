@@ -341,6 +341,9 @@ class TestBenchRun:
         rows = list(csv.DictReader(open(tmp_path / "bench.csv")))
         assert float(rows[0]["speedup"]) == 1.0
         assert float(rows[0]["pred_speedup"]) == 1.0
+        em = json.loads((tmp_path / "summary.json").read_text())["em"]
+        assert em == summary.em and em["fits"] >= len(summary.aic)
+        assert em["iterations"] >= sum(row["n_iter"] for row in summary.aic)
 
 
 class TestTikhonovRun:
@@ -350,7 +353,8 @@ class TestTikhonovRun:
         summary = run_tikhonov_experiment(cfg, tmp_path)
         assert summary.relative_errors["tikhonov"] < summary.relative_errors["noisy_input"]
         assert (tmp_path / "lcurve.csv").exists()
-        assert json.loads((tmp_path / "summary.json").read_text())["aic"] is None
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert doc["aic"] is None and doc["em"] is None
 
     def test_periodic_lcurve_converges(self, tmp_path):
         # The periodic blur has no closed form; Gauss-Newton, preconditioned
@@ -416,6 +420,29 @@ class TestCli:
         assert set(doc["aic"][0]) == {"n_c", "aic", "log_likelihood", "n_iter", "converged"}
         best = min(doc["aic"], key=lambda row: (row["aic"], row["n_c"]))
         assert doc["n_c_selected"] == best["n_c"]
+        # Five restarts per candidate, every one a fit.
+        assert doc["em"]["fits"] == 10
+        assert doc["em"]["iterations"] >= sum(row["n_iter"] for row in doc["aic"])
+
+    def test_em_fit_procs_leave_artifacts_unchanged(self, tmp_path):
+        rng = np.random.default_rng(9)
+        data_path = tmp_path / "d.csv"
+        centers = np.array([[-3.0, 0.0], [2.0, 2.0], [2.0, -3.0]])
+        np.savetxt(data_path, np.concatenate([c + rng.standard_normal((60, 2)) for c in centers]),
+                   delimiter=",")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data": str(data_path), "candidate_components": [1, 4]}))
+        docs = []
+        for procs in (1, 2):
+            out = tmp_path / f"p{procs}"
+            code = cli_main(["em-fit", "--config", str(cfg_path), "--out", str(out),
+                             "--procs", str(procs)])
+            assert code == 0
+            docs.append(json.loads((out / "summary.json").read_text()))
+            docs[-1].pop("timings")
+        assert (tmp_path / "p1" / "gmm.json").read_bytes() == (
+            tmp_path / "p2" / "gmm.json").read_bytes()
+        assert docs[0] == docs[1]
 
     def test_image_io_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -526,6 +553,7 @@ class TestCli:
             ("em-fit", "data", ["d.csv"]),
             ("oned", "workers", True),
             ("oned", "candidate_components", [True, 2]),
+            ("em-fit", "workers", 0),
         ],
         ids=["n_samples", "hmc_steps", "stride", "burn_in", "candidate_components",
              "workers", "n_ens", "n_ens_string", "alpha_grid_count",
@@ -536,7 +564,7 @@ class TestCli:
              "observation_variance", "blur_sigma", "noise_level", "reg_epsilon_inf",
              "prior_spread_string", "saturation_string", "hmc_jitter_string", "seed_string",
              "seed_float", "observation_string", "observation_null", "image_number",
-             "data_list", "workers_bool", "candidate_components_bool"],
+             "data_list", "workers_bool", "candidate_components_bool", "em_fit_workers"],
     )
     def test_out_of_range_exit_code(self, tmp_path, capsys, kind, key, value):
         cfg_path = tmp_path / "cfg.json"
@@ -561,12 +589,36 @@ class TestCli:
         assert str(data_path) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "kind, doc, named",
+        [
+            ("oned", {"n_ens_prior": 3, "candidate_components": [4, 5]}, "n_ens_prior"),
+            ("bench", {"n_ens_prior": 3, "candidate_components": [4, 5]}, "n_ens_prior"),
+            ("deblur", {"n_ens": 2, "candidate_components": [3, 3]}, "n_ens"),
+            ("em-fit", {"candidate_components": [3, 4]}, "d.csv"),
+        ],
+        ids=["oned", "bench", "deblur", "em-fit"],
+    )
+    def test_too_few_samples_exit_code(self, tmp_path, capsys, kind, doc, named):
+        # Fewer ensemble members than the smallest candidate component count.
+        data_path = tmp_path / "d.csv"
+        data_path.write_text("1.0,2.0\n3.0,4.0\n")
+        if kind == "em-fit":
+            doc = {**doc, "data": str(data_path)}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = cli_main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err and "candidate_components" in err
+        assert not (tmp_path / "o").exists()
+
     def test_bench_procs_zero_exit_code(self, tmp_path, capsys):
         code = cli_main(["bench", "--procs", "0", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "p_values" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["tikhonov", "em-fit"])
+    @pytest.mark.parametrize("kind", ["tikhonov"])
     def test_procs_offered_only_with_a_pool(self, tmp_path, capsys, kind):
         with pytest.raises(SystemExit) as exc:
             cli_main([kind, "--help"])

@@ -334,6 +334,31 @@ class TestPooledFits:
         assert selection_bytes(pooled) == selection_bytes(in_process)
         assert pooled.work_s > 0.0 and in_process.work_s > 0.0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_em_totals_count_every_fit(self, monkeypatch, tmp_path, workers):
+        data = three_clusters(1)
+        log = tmp_path / "fits.txt"
+        real = gmm._em_single
+
+        def counted(points, centers, structure, rng, max_iter, rel_tol):
+            fit = real(points, centers, structure, rng, max_iter, rel_tol)
+            with open(log, "a", encoding="utf-8") as fh:  # one line per fit, from any worker
+                fh.write(f"{fit.n_iter} {int(fit.converged)}\n")
+            return fit
+
+        monkeypatch.setattr(gmm, "_em_single", counted)
+        with WorkerPool(workers) as pool:
+            selection = select_model_aic(data, range(1, 7), rng=RngStream(1, 1), pool=pool,
+                                         max_iter=40)
+        fits = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert selection.em_totals == {"fits": len(fits),
+                                       "iterations": sum(n for n, _ in fits),
+                                       "unconverged": sum(1 - c for _, c in fits)}
+        # The totals cover discarded restarts too; restarts that degenerate
+        # inside their fits return none and count for nothing.
+        assert len(selection.table) < selection.fits < 30
+        assert 0 < selection.unconverged < selection.fits
+
 
 class TestResponsibilities:
     def test_rows_sum_to_one(self, fit_mixture_1d):
