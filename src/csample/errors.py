@@ -50,7 +50,9 @@ class BudgetInfeasibleWarning(UserWarning):
 
 
 class DegenerateCurveWarning(UserWarning):
-    """L-curve curvature is flat; the selected parameter is a fallback."""
+    """The L-curve's corner is not bracketed by the grid: the curvature is
+    flat and the selected parameter is a fallback, or the selected parameter
+    lies within one point of an end of the grid."""
 
 
 class SolverConvergenceWarning(UserWarning):

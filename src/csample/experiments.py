@@ -531,10 +531,17 @@ def bundled_phantom_path():
 
 
 def load_experiment_image(config):
-    if config["image"]:
-        return read_pgm(config["image"])
-    with resources.as_file(bundled_phantom_path()) as path:
-        return read_pgm(path)
+    """The true image: ``image``, or the bundled phantom when it is empty.
+    ``noise_level`` and ``prior_spread`` scale with its mean intensity, so an
+    all-black image is refused."""
+    if not config["image"]:
+        with resources.as_file(bundled_phantom_path()) as path:
+            return read_pgm(path)
+    truth = read_pgm(config["image"])
+    if truth.mean_intensity() == 0.0:
+        raise ConfigError(f"image {config['image']} is all black: noise_level and "
+                          "prior_spread are relative to its mean intensity, which is 0")
+    return truth
 
 
 def _blur_operator(config, rows, cols):

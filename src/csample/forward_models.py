@@ -281,6 +281,8 @@ def read_pgm(path):
         raise ImageIoError(f"{path}: malformed PGM header or payload") from exc
     if maxval <= 0:
         raise ImageIoError(f"{path}: maxval must be positive")
+    if cols < 1 or rows < 1:
+        raise ImageIoError(f"{path}: width and height must be at least 1, got {cols} x {rows}")
     if values.size != rows * cols:
         raise ImageIoError(f"{path}: expected {rows * cols} pixels, found {values.size}")
     if np.any(values < 0) or np.any(values > maxval):

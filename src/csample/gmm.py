@@ -538,10 +538,11 @@ def _fit_restarts(points, candidates, structure, rng, pool, *, max_iter=500, rel
 
     Every fit is seeded here, in the calling process, from ``rng`` in order:
     candidates ascending, then restarts ascending. Of several restarts the first seeds
-    at quantiles, the rest by k-means++. Each fit then runs as a task of
-    cost n_c, and a component that starves mid-fit is reseated from the
-    fit's own stream, ``rng.child(n_c, restart)``. So no fit moves another's
-    seeding, and the outcomes are the same on any pool.
+    at quantiles, the rest by k-means++. Each fit then runs as a task,
+    queued by its n_c (largest first; the cost only orders the queue), and a
+    component that starves mid-fit is reseeded from the fit's own stream,
+    ``rng.child(n_c, restart)``. So no fit moves another's seeding, and the
+    outcomes are the same on any pool.
 
     Returns, per candidate, each restart's outcome in order (an EmFit or the
     exception that ended it; a candidate the data cannot fit holds only its
@@ -628,10 +629,11 @@ def select_model_aic(data, candidates, structure="full", rng=None, pool=None, **
 
     Every restart of every candidate is seeded from ``rng`` in order
     (candidates ascending, then restarts), and the fits run as tasks on
-    ``pool``, in this process when None. A mid-fit reseed draws from the
-    fit's own stream ``rng.child(n_c, restart)``, so the selection is the
-    same for any pool. A restart that ends in DegenerateComponent is
-    skipped; any other ValueError skips its candidate.
+    ``pool``, largest n_c first to the next free worker, in this process
+    when None. A mid-fit reseed draws from the fit's own stream
+    ``rng.child(n_c, restart)``, so the selection is the same for any pool.
+    A restart that ends in DegenerateComponent is skipped; any other
+    ValueError skips its candidate.
     """
     points = _sorted_members(data)
     candidates = sorted(set(int(c) for c in candidates))

@@ -7,9 +7,9 @@ component mean, initial states at the component means, proposal tuning from
 the local component statistics, and one random stream per chain keyed by its
 component index. A serial baseline is a plan of one chain. ``run_plans`` is
 the one way to run chains: it runs the chains of one or more plans in one
-call on one worker pool, placed largest predicted cost first; the placement
-never changes the gathered ensembles, because streams are per chain and each
-plan's gather runs in chain order.
+call on one worker pool, queued largest predicted cost first; the order in
+which chains run never changes the gathered ensembles, because streams are
+per chain and each plan's gather runs in chain order.
 
 The task contract: each chain is a pool task, caught and timed by the pool.
 ``run_plans`` reads each outcome (a ChainResult or an exception) beside the
@@ -30,7 +30,7 @@ from .cost_model import CostModelInput, predict_cost, step_cost
 from .errors import BudgetInfeasibleWarning, ChainFailed, OversubscribedWarning
 from .gmm import Ensemble
 from .linalg_rng import SpdMatrix
-from .pool import WorkerPool, balanced_assignment  # noqa: F401 (re-exported)
+from .pool import WorkerPool
 from .samplers import ChainPlan, GaussianProposal, HmcParams, run_chain
 
 # Standard random-walk scaling; experiment configs override it where a
@@ -142,7 +142,7 @@ def build_plan(
     ``mechanism`` is "gaussian" or "hmc". ``budgets`` is "likelihood"
     (component weight times likelihood of the mean) or "uniform" (equal
     split, the idealized division the cost model assumes). The plan holds
-    no placement: ``run_plans`` places chains on the pool that runs them.
+    no placement: ``run_plans`` queues its chains on the pool that runs them.
     """
     prior = model.prior
     n_c = prior.n_components
@@ -224,14 +224,15 @@ def run_plans(model, plans, pool):
     """Execute the chains of every plan in one call on ``pool``, and gather
     one weighted ensemble per plan: a McmcResult each, in plan order.
 
-    Zero-budget chains are skipped. The chains of all plans are placed
-    together, largest predicted cost (``chain_cost``) first on the least
-    loaded of the pool's workers. Every chain runs even when a sibling
-    raises; afterwards any failure raises ``ChainFailed`` naming each failed
-    chain from its ChainPlan, with the ``repr`` of its exception, because a
-    pool missing a chain's samples is a biased posterior. Each ensemble is
-    bit-identical for any pool size and for any other plans run alongside;
-    each result's ``chain_seconds`` sums the pool's seconds of its chains.
+    Zero-budget chains are skipped. The chains of all plans share one queue,
+    largest predicted cost (``chain_cost``) first, and a free worker takes
+    the next chain; the costs only order the queue. Every chain runs even
+    when a sibling raises; afterwards any failure raises ``ChainFailed``
+    naming each failed chain from its ChainPlan, with the ``repr`` of its
+    exception, because a pool missing a chain's samples is a biased
+    posterior. Each ensemble is bit-identical for any pool size and for any
+    other plans run alongside; each result's ``chain_seconds`` sums the
+    pool's seconds of its chains.
     """
     owners, jobs = [], []  # plan index and (chain, burn_in, stride, seed) per chain
     for k, plan in enumerate(plans):

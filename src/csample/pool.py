@@ -1,16 +1,18 @@
-"""The worker pool every parallel phase of a run shares, and its placement.
+"""The worker pool every parallel phase of a run shares.
 
 ``WorkerPool.run(fn, shared, tasks, costs)`` runs ``fn(shared, *task)`` for
-every task. Tasks are placed by ``balanced_assignment`` of their predicted
-costs, largest first on the least loaded worker, and each worker gets its
-tasks as one batch. Chains of the multi-chain sampler and EM restarts are
-both tasks of this kind.
+every task. The tasks are queued largest predicted cost first, ties in task
+order, and a free worker takes the next task from the queue: list
+scheduling in longest-first order (Graham, SIAM J. Appl. Math. 1969). The
+costs only order the queue, so a task that runs longer than predicted holds
+back no task queued behind it. Chains of the multi-chain sampler and EM
+restarts are both tasks of this kind.
 
 The task contract: the pool alone catches and times a task. ``run`` returns
 one ``(outcome, seconds)`` per task, in task order. The outcome is the
 task's return value or the exception it raised, which never stops its
-siblings; the seconds are the task's own, timed where it ran. The placement
-never changes an outcome.
+siblings; the seconds are the task's own, timed where it ran. The order in
+which tasks run never changes an outcome.
 """
 
 from __future__ import annotations
@@ -19,45 +21,27 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
 
-
-def balanced_assignment(budgets, workers):
-    """Longest-processing-time-first: largest budgets go to the least
-    loaded worker."""
-    budgets = np.asarray(budgets)
-    assignment = np.zeros(budgets.size, dtype=int)
-    loads = np.zeros(workers)
-    for idx in np.argsort(-budgets, kind="stable"):
-        w = int(np.argmin(loads))
-        assignment[idx] = w
-        loads[w] += budgets[idx]
-    return assignment
-
-
-def _run_batch(fn, shared, tasks):
-    outcomes = []
-    for task in tasks:
-        start = time.perf_counter()
-        try:
-            outcome = fn(shared, *task)
-        except Exception as exc:  # a failed task must never abort its siblings
-            outcome = exc
-            try:  # a forked worker returns its batch in one pickle, which this must not break
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                outcome = RuntimeError(repr(exc))
-        outcomes.append((outcome, time.perf_counter() - start))
-    return outcomes
+def _run_task(fn, shared, task):
+    start = time.perf_counter()
+    try:
+        outcome = fn(shared, *task)
+    except Exception as exc:  # a failed task must never abort its siblings
+        outcome = exc
+        try:  # a forked worker returns its outcome in a pickle, which this must not break
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            outcome = RuntimeError(repr(exc))
+    return outcome, time.perf_counter() - start
 
 
 class WorkerPool:
-    """Fixed pool of workers, each running one batch of tasks per call.
+    """Fixed pool of workers, each taking the next queued task when free.
 
-    A pool of size 1 runs its batches in the calling process; a larger pool
-    forks OS processes where available. ``fn``, every argument and every
-    outcome must be picklable for a larger pool; the outcomes are the same
-    for any size.
+    A pool of size 1 runs the tasks in the calling process, in queue order;
+    a larger pool forks OS processes where available. ``fn``, every argument
+    and every outcome must be picklable for a larger pool; the outcomes are
+    the same for any size.
     """
 
     def __init__(self, size):
@@ -81,25 +65,14 @@ class WorkerPool:
 
     def run(self, fn, shared, tasks, costs):
         """``(outcome, seconds)`` of ``fn(shared, *task)`` for every task, in
-        task order, with the tasks placed by ``balanced_assignment`` of
-        ``costs``."""
-        assignment = balanced_assignment(costs, self.size)
-        placed = [np.flatnonzero(assignment == w) for w in range(self.size)]
-        placed = [indices for indices in placed if indices.size]
-        outputs = self.run_batches(fn, shared, [[tasks[i] for i in indices] for indices in placed])
-        results = [None] * len(tasks)
-        for indices, output in zip(placed, outputs):
-            for i, result in zip(indices, output):
-                results[i] = result
-        return results
-
-    def run_batches(self, fn, shared, batches):
-        """Each batch of tasks on a worker of its own; one list of
-        ``(outcome, seconds)`` per batch."""
+        task order, with the tasks queued in descending ``costs``."""
+        order = sorted(range(len(tasks)), key=lambda i: -costs[i])  # stable: ties keep task order
         if self._executor is None:
-            return [_run_batch(fn, shared, batch) for batch in batches]
-        futures = [self._executor.submit(_run_batch, fn, shared, batch) for batch in batches]
-        return [f.result() for f in futures]
+            done = {i: _run_task(fn, shared, tasks[i]) for i in order}
+        else:
+            futures = {i: self._executor.submit(_run_task, fn, shared, tasks[i]) for i in order}
+            done = {i: f.result() for i, f in futures.items()}
+        return [done[i] for i in range(len(tasks))]
 
     def close(self):
         if self._executor is not None:

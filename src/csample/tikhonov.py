@@ -267,7 +267,9 @@ def lcurve_select_alpha(problem, alphas=None, *, x0=None, solver_options=None):
     the (log residual-norm, log solution-norm) curve, scores interior points
     by three-point Menger curvature, and returns the curvature maximizer
     (ties toward larger alpha). A curvature range below 1e-12 degenerates to
-    the grid midpoint with a warning. Each point records its solve's
+    the grid midpoint with a warning. A maximizer within one point of either
+    end of the grid also warns, naming it and that end: the corner may lie
+    outside the grid. Each point records its solve's
     iteration count and convergence flag; unconverged solves raise a
     SolverConvergenceWarning naming their alphas.
     """
@@ -328,4 +330,11 @@ def lcurve_select_alpha(problem, alphas=None, *, x0=None, solver_options=None):
     best = np.max(curvatures)
     # Ties break toward larger alpha; the grid is scanned in order.
     idx = max(j for j, p in enumerate(points) if p.curvature == best)
+    if idx <= 1 or idx >= len(points) - 2:
+        end = points[0] if idx <= 1 else points[-1]
+        warnings.warn(
+            f"L-curve corner alpha = {points[idx].alpha:.6g} is within one point of the "
+            f"grid end {end.alpha:.6g}; the corner may lie outside the grid",
+            DegenerateCurveWarning,
+        )
     return LCurveSelection(points[idx].alpha, points, False, solutions)

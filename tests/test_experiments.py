@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from csample.cli import main as cli_main
-from csample.errors import ConfigError, SolverConvergenceWarning, ZeroReference
+from csample.errors import (
+    ConfigError,
+    DegenerateCurveWarning,
+    SolverConvergenceWarning,
+    ZeroReference,
+)
 from csample.experiments import (
     RunSummary,
     benchmark_prior_mixture,
@@ -367,6 +372,25 @@ class TestTikhonovRun:
         assert len(rows) == 30
         assert [r["converged"] for r in rows] == ["1"] * 30
 
+    @pytest.mark.parametrize("grid", [None, [1e-6, 1e4, 38]])
+    def test_corner_at_the_grid_end_warns(self, tmp_path, grid):
+        # The shipped grid's corner, alpha* = 52.98, is point 28 of 0-29, so
+        # the corner may lie above the grid; a grid up to 1e4 brackets it.
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "tikhonov.json"
+        cfg = load_config("tikhonov", shipped, {} if grid is None else {"alpha_grid": grid})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            summary = run_tikhonov_experiment(cfg, tmp_path)
+        messages = [str(w.message) for w in caught
+                    if issubclass(w.category, DegenerateCurveWarning)]
+        if grid is None:
+            assert summary.alpha_star == pytest.approx(52.98, rel=1e-3)
+            assert len(messages) == 1
+            assert "52.9832" in messages[0] and "grid end 100" in messages[0]
+        else:
+            assert summary.alpha_star == pytest.approx(128.26, rel=1e-3)
+            assert not messages
+
 
 class TestEmFitRun:
     def test_fit_from_csv(self, tmp_path):
@@ -449,6 +473,30 @@ class TestCli:
         cfg_path.write_text(json.dumps({"image": str(tmp_path / "missing.pgm")}))
         code = cli_main(["tikhonov", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 4
+
+    @pytest.mark.parametrize("command", ["tikhonov", "deblur"])
+    @pytest.mark.parametrize("size", ["0 0", "0 5"])
+    def test_image_without_pixels_exit_code(self, tmp_path, capsys, command, size):
+        image = tmp_path / "empty.pgm"
+        image.write_text(f"P2\n{size}\n255\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"image": str(image)}))
+        code = cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert str(image) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["tikhonov", "deblur"])
+    def test_all_black_image_is_a_config_error(self, tmp_path, capsys, command):
+        # noise_level and prior_spread scale with the mean intensity, here 0.
+        image = tmp_path / "black.pgm"
+        image.write_text("P2\n4 4\n255\n" + " ".join(["0"] * 16) + "\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"image": str(image)}))
+        out = tmp_path / "o"
+        code = cli_main([command, "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert f"image {image} is all black" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_saturated_deblur_end_to_end(self, tmp_path):
         # The shipped deblur config with the saturated operator: the

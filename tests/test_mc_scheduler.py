@@ -1,4 +1,6 @@
 import math
+import os
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -17,7 +19,6 @@ from csample.linalg_rng import SpdMatrix
 from csample.mc_scheduler import (
     WorkerPool,
     allocate_budgets,
-    balanced_assignment,
     benchmark_speedup,
     build_plan,
     component_log_scores,
@@ -46,16 +47,6 @@ def bench_model(fit_mixture_1d):
     return PosteriorModel(
         fit_mixture_1d, IdentityOperator(1), [-1.0], SpdMatrix.from_diagonal([2.2])
     )
-
-
-def worker_steps(budgets, assignment, workers, burn_in, stride):
-    """Sampler steps per worker: burn-in plus stride steps per sample of each
-    non-empty chain."""
-    steps = np.zeros(workers, dtype=int)
-    for budget, worker in zip(budgets, assignment):
-        if budget > 0:
-            steps[worker] += burn_in + stride * budget
-    return steps
 
 
 class TestAllocateBudgets:
@@ -115,29 +106,6 @@ class TestAssignment:
                     round_robin_assignment(n_chains, workers), minlength=workers
                 )
                 assert counts.max() - counts.min() <= 1
-
-    def test_balanced_assignment_spreads_load(self):
-        budgets = np.array([100, 90, 5, 4, 3, 2])
-        assignment = balanced_assignment(budgets, 2)
-        loads = np.bincount(assignment, weights=budgets, minlength=2)
-        assert abs(loads[0] - loads[1]) <= 90
-
-    def test_balanced_equals_round_robin_on_equal_budgets(self):
-        for n_chains in (1, 3, 7, 12):
-            for workers in (1, 2, 4, 7):
-                budgets = np.full(n_chains, 25)
-                assert np.array_equal(
-                    balanced_assignment(budgets, workers),
-                    round_robin_assignment(n_chains, workers),
-                )
-
-    def test_balanced_cuts_oned_max_load(self):
-        # The shipped oned plan at seed 2024 with 1000 samples on 2 workers.
-        budgets = [1, 2, 547, 84, 365, 1]
-        round_robin = worker_steps(budgets, round_robin_assignment(6, 2), 2, 100, 15)
-        balanced = worker_steps(budgets, balanced_assignment(budgets, 2), 2, 100, 15)
-        assert round_robin.tolist() == [13995, 1605]
-        assert balanced.tolist() == [8305, 7295]
 
 
 class TestBuildPlan:
@@ -275,16 +243,38 @@ class TestRunMcMcmc:
 
 
 class RecordingPool(WorkerPool):
-    """A WorkerPool that keeps the batches it was handed."""
+    """A WorkerPool that records each task it submits to its executor, in
+    submission order."""
 
-    def run_batches(self, fn, shared, batches):
-        self.batches = batches
-        return super().run_batches(fn, shared, batches)
+    def __init__(self, size):
+        super().__init__(size)
+        self.submitted = []
+        if self._executor is not None:
+            submit = self._executor.submit
+
+            def recording_submit(fn, *args):
+                self.submitted.append(args[-1])
+                return submit(fn, *args)
+
+            self._executor.submit = recording_submit
 
 
 def offset(shared, value):
     """A pool task: the value offset by the shared argument."""
     return shared + value
+
+
+def record_value(shared, value):
+    """A pool task that appends its value to the shared list, in this process
+    when the pool runs its tasks here."""
+    shared.append(value)
+    return value
+
+
+def sleep_then_pid(shared, seconds):
+    """A pool task: sleep, then name the process it ran in."""
+    time.sleep(seconds)
+    return os.getpid()
 
 
 def fail_odd(shared, value):
@@ -308,11 +298,29 @@ class TestWorkerPool:
         with RecordingPool(workers) as pool:
             results = pool.run(offset, 100, [(v,) for v in range(7)], costs)
         assert [outcome for outcome, _ in results] == [100 + v for v in range(7)]
-        batch_of = {task: b for b, batch in enumerate(pool.batches) for (task,) in batch}
-        assert len(pool.batches) == workers and sorted(batch_of) == list(range(7))
         if workers > 1:
-            # The two costliest tasks go to different workers.
-            assert batch_of[2] != batch_of[4]
+            # Each task is submitted once, as a future of its own.
+            assert sorted(pool.submitted) == [(v,) for v in range(7)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dispatch_order_largest_cost_first(self, workers):
+        # Descending cost, ties in task order; a pool of one runs the tasks
+        # here in that order, a larger pool submits them in it.
+        ran = []
+        with RecordingPool(workers) as pool:
+            results = pool.run(record_value, ran, [(v,) for v in range(7)], [1, 1, 5, 1, 4, 1, 1])
+        dispatched = ran if workers == 1 else [v for (v,) in pool.submitted]
+        assert dispatched == [2, 4, 0, 1, 3, 5, 6]
+        assert [outcome for outcome, _ in results] == list(range(7))
+
+    def test_long_task_holds_back_no_queued_task(self):
+        # Equal costs predict seven equal tasks, but the first runs 100 times
+        # longer; the other worker takes every task queued behind it.
+        with WorkerPool(2) as pool:
+            pool.warm_up()
+            results = pool.run(sleep_then_pid, None, [(1.0,)] + [(0.01,)] * 6, [1] * 7)
+        long_pid = results[0][0]
+        assert long_pid not in [pid for pid, _ in results[1:]]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_task_caught_and_timed(self, workers):
@@ -325,11 +333,9 @@ class TestWorkerPool:
             assert type(exc) is NotPositiveDefinite and exc.pivot_index == v
         assert all(seconds > 0.0 for _, seconds in results)
 
-    def test_unpicklable_exception_keeps_its_batch(self):
-        # Equal costs place tasks 1 and 3 in one batch on the second worker.
-        with RecordingPool(2) as pool:
+    def test_unpicklable_exception_keeps_its_siblings(self):
+        with WorkerPool(2) as pool:
             results = pool.run(fail_unpicklable, 100, [(v,) for v in range(4)], [1] * 4)
-        assert pool.batches[1] == [(1,), (3,)]
         outcomes = [outcome for outcome, _ in results]
         assert outcomes[0::2] == [100, 102] and outcomes[3] == 103
         assert type(outcomes[1]) is RuntimeError
@@ -385,14 +391,11 @@ class TestRunPlans:
         largest = max(plans["parallel_hmc"].chains, key=lambda c: c.budget)
         with RecordingPool(2) as pool:
             run_plans(model, list(plans.values()), pool)
-        worker_of = {id(job[0]): w for w, batch in enumerate(pool.batches) for job in batch}
-        assert len(pool.batches) == 2
-        assert worker_of[id(serial)] != worker_of[id(largest)]
-        # The placement is balanced_assignment of the chains' predicted costs.
-        jobs = [job for batch in pool.batches for job in batch]
-        loads = [sum(chain_cost(model, *job[:3]) for job in batch) for batch in pool.batches]
-        heaviest = max(chain_cost(model, *job[:3]) for job in jobs)
-        assert max(loads) - min(loads) <= heaviest
+        # The queue runs in descending chain_cost, so these two are submitted
+        # first and the two idle workers take one each.
+        assert {id(job[0]) for job in pool.submitted[:2]} == {id(serial), id(largest)}
+        costs = [chain_cost(model, *job[:3]) for job in pool.submitted]
+        assert costs == sorted(costs, reverse=True)
 
     def test_chain_cost_follows_the_cost_model(self, oned_runs):
         model, plans, _ = oned_runs
