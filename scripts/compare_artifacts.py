@@ -19,6 +19,13 @@ one thread and the tree's own ``src/`` on the path:
 The configs and input files are written once, by this checkout's
 ``perfbench`` (imported, never modified), and both trees read the same
 copies. For ``summary.json`` the top-level keys that differ are named.
+Each differing JSON or CSV artifact also gets the largest relative
+difference over the numbers the two copies hold at the same place (outside
+``timings`` and the wall-clock columns), so a round-off change reads as one.
+A number's difference is taken relative to the largest magnitude among its
+siblings, the entries of its JSON list or object or of its CSV column, in
+either copy: an entry made small by cancellation, such as an off-diagonal
+covariance, carries the round-off of the scale it was computed at.
 
 The exit status is 0 when every artifact is byte-identical, except that
 ``summary.json`` may differ in ``timings`` and ``bench.csv`` in its
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -99,6 +107,61 @@ def stable_columns(path, names):
     return [columns.get(name) for name in names]
 
 
+def numbers(path):
+    """{place: number} of a JSON or CSV artifact: a JSON leaf by its key
+    path, a CSV cell by (column, row); volatile keys and columns left out.
+    A place's siblings share all of it but its last element."""
+    found = {}
+    if path.suffix == ".json":
+        def walk(node, place):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    walk(value, place + (key,))
+            elif isinstance(node, list):
+                for i, value in enumerate(node):
+                    walk(value, place + (i,))
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                found[place] = float(node)
+
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if path.name == "summary.json":
+            doc = {k: v for k, v in doc.items() if k not in VOLATILE_KEYS}
+        walk(doc, ())
+    else:
+        rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+        keep = STABLE_COLUMNS.get(path.name, rows[0])
+        for r, row in enumerate(rows[1:]):
+            for name, cell in zip(rows[0], row):
+                if name in keep:
+                    try:
+                        found[(name, r)] = float(cell)
+                    except ValueError:
+                        pass
+    return found
+
+
+def largest_relative_difference(a, b):
+    """The largest relative difference over the numbers of two JSON or CSV
+    artifacts, as text, or None for any other kind of file."""
+    if a.suffix not in (".json", ".csv"):
+        return None
+    nums_a, nums_b = numbers(a), numbers(b)
+    scale = {}
+    for nums in (nums_a, nums_b):
+        for place, value in nums.items():
+            scale[place[:-1]] = max(scale.get(place[:-1], 0.0), abs(value))
+    worst = 0.0
+    for place in nums_a.keys() & nums_b.keys():
+        x, y = nums_a[place], nums_b[place]
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        diff = abs(x - y) / scale[place[:-1]]
+        worst = max(worst, diff if math.isfinite(diff) else math.inf)
+    text = f"largest relative difference {worst:.3g}"
+    unmatched = len(nums_a.keys() ^ nums_b.keys())
+    return text + (f", {unmatched} numbers in one copy only" if unmatched else "")
+
+
 def compare(out_a, out_b):
     """(lines describing every difference, whether any counts as a change)."""
     lines, changed = [], False
@@ -114,16 +177,18 @@ def compare(out_a, out_b):
             continue
         if name == "summary.json":
             keys = summary_keys_differing(a, b)
-            lines.append(f"  {name}: differs in keys {', '.join(keys) or '(formatting only)'}")
+            line = f"  {name}: differs in keys {', '.join(keys) or '(formatting only)'}"
             changed |= not set(keys) <= VOLATILE_KEYS
         elif name in STABLE_COLUMNS:
             names = STABLE_COLUMNS[name]
             same = stable_columns(a, names) == stable_columns(b, names)
-            lines.append(f"  {name}: {', '.join(names)} {'identical' if same else 'differ'}")
+            line = f"  {name}: {', '.join(names)} {'identical' if same else 'differ'}"
             changed |= not same
         else:
-            lines.append(f"  {name}: differs")
+            line = f"  {name}: differs"
             changed = True
+        extent = largest_relative_difference(a, b)
+        lines.append(line + (f"; {extent}" if extent else ""))
     return lines, changed, len(names_a | names_b)
 
 

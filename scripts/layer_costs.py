@@ -16,10 +16,12 @@ inputs and times:
   and serial Gaussian baselines of ``oned``, per step over 2000 steps;
 - ``oned.serial_hmc_chain``: the whole serial HMC chain of ``oned`` at
   1000 samples (15,100 transitions), per chain;
-- ``oned.em_iter`` and ``emfit.em_iter``: one EM iteration (``_em_single``
-  from quantile seeds, at most 60 iterations, divided by the iterations
-  made) on ``oned``'s 1000-point prior ensemble at 8 components and on
-  perfbench's seed-1 ``emfit`` data (1000 8-D points) at 4 components.
+- ``oned.em_iter``, ``emfit.em_iter`` and ``emfit.em_iter_k6``: one EM
+  iteration (``_em_single`` from quantile seeds, at most 60 iterations,
+  divided by the iterations made) on ``oned``'s 1000-point prior ensemble
+  at 8 components, and on perfbench's seed-1 ``emfit`` data (1000 8-D
+  points) at 4 and at 6 components. The 5- and 6-component candidates make
+  most of an ``em-fit`` run's iterations.
 
 Within one interpreter the repetitions of the timed units are interleaved,
 so a slow spell of a shared machine reaches every unit alike, and each
@@ -29,6 +31,11 @@ microseconds, their median and minimum, the change's median relative to
 the parent's, and the median over rounds of the change-to-parent ratio
 within a round. Every layer also carries a digest of what it
 computed, so the two trees are seen to do the same work (``same_digest``).
+The digest compares bits, so it reads false wherever the trees round
+differently. Between a tree whose dense EM whitens by triangular solves and
+one that whitens by products with inverse Cholesky factors, the ``emfit``
+layers are expected to read false; the ``oned`` and ``deblur16`` layers,
+whose mixtures store variances, read true.
 """
 
 from __future__ import annotations
@@ -169,7 +176,10 @@ def child(tree):
         steps[name] = (run, STEPS)
 
     fits = {}
-    for name, data, k in (("oned.em_iter", ensemble, 8), ("emfit.em_iter", emfit_data(1), 4)):
+    emfit = emfit_data(1)
+    em_layers = (("oned.em_iter", ensemble, 8), ("emfit.em_iter", emfit, 4),
+                 ("emfit.em_iter_k6", emfit, 6))
+    for name, data, k in em_layers:
         points = gmm._sorted_members(data)
         centers = gmm._seed_centers(points, k, RngStream(SEED, 0), "quantile")
 

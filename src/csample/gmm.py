@@ -2,14 +2,16 @@
 
 Mixtures are immutable once built and keep their covariances and Cholesky
 factors in two stacked arrays (see GaussianMixture), so concurrent readers
-(chain workers) never re-factorize. This is the one home of per-component
-mixture arithmetic: Mahalanobis distances, densities and the posterior's
-prior kernel (log-sum-exp, responsibilities and pullback) all come from the
-arrays cached here. The EM M-step writes those arrays directly. Fitting
-canonicalizes the data ordering before seeding, which makes the whole
-EM/AIC pipeline invariant to permutations of the input ensemble. The caller
-seeds every EM restart, and the restarts run as tasks on a worker pool
-(``_fit_restarts``).
+(chain workers) never re-factorize. Dense storage also caches each factor's
+inverse transpose, so whitening a state or a batch against a component is
+one matrix product, with no triangular solve. This is the one home of
+per-component mixture arithmetic: Mahalanobis distances, densities and the
+posterior's prior kernel (log-sum-exp, responsibilities and pullback) all
+come from the arrays cached here. The EM M-step writes those arrays
+directly. Fitting canonicalizes the data ordering before seeding, which
+makes the whole EM/AIC pipeline invariant to permutations of the input
+ensemble. The caller seeds every EM restart, and the restarts run as tasks
+on a worker pool (``_fit_restarts``).
 
 The per-step contract: the kernel methods (``log_kernel``,
 ``kernel_pullback``, ``log_kernel_and_pullback``) take one float (dim,)
@@ -27,7 +29,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtri
 
 from .errors import DegenerateComponent, DimensionMismatch
 from .linalg_rng import RngStream, cholesky_stack, symmetrized
@@ -96,8 +98,9 @@ class GaussianMixture:
 
     ``covariances`` is one array: (k, dim) variances for the diagonal and
     spherical structures and for dim = 1, (k, dim, dim) matrices otherwise;
-    tied broadcasts its one matrix. The factors are stored alike. Callers may
-    also pass diagonal matrices for variances, or one SpdMatrix each.
+    tied broadcasts its one matrix. The factors are stored alike, and so, for
+    dense storage, are their inverse transposes L_k^{-T}. Callers may also
+    pass diagonal matrices for variances, or one SpdMatrix each.
     """
 
     def __init__(self, weights, means, covariances, structure="full"):
@@ -121,29 +124,31 @@ class GaussianMixture:
         factors = cholesky_stack(covs)
         pivots = factors if covs.ndim == 2 else np.diagonal(factors, axis1=1, axis2=2)
         logdets = 2.0 * np.sum(np.log(pivots), axis=1)
-        # Read-only, one row per component: tied shares its one row by view.
-        stacked = []
-        for a in (covs, factors, logdets):
+
+        def per_component(a):
+            # Read-only, one row per component: tied shares its one row by view.
             if a.shape[0] == weights.size:
                 a.flags.writeable = False
-            else:
-                a = np.broadcast_to(a, weights.shape + a.shape[1:])
-            stacked.append(a)
+                return a
+            return np.broadcast_to(a, weights.shape + a.shape[1:])
 
         self.weights = weights
         self.means = means
-        self.covariances, self._factors, self._logdets = stacked
+        self.covariances, self._factors, self._logdets = map(per_component,
+                                                             (covs, factors, logdets))
         self.structure = structure
         # Variance storage: the precisions 1 / sigma^2, computed once.
         self._precisions = 1.0 / self.covariances if covs.ndim == 2 else None
+        # Dense storage: the whitening matrices L_k^{-T}, inverted once.
+        self._inv_t = None if covs.ndim == 2 else per_component(_inverse_transposes(factors))
         self._log_weights = np.log(weights)
         # Per-component terms of the kernel: log tau_k - 0.5 log|Sigma_k|.
         self._kernel_consts = self._log_weights - 0.5 * self._logdets
 
     def __reduce__(self):
-        # Chain workers get a mixture rebuilt from its parameters: a pickled
-        # factor stack would arrive in C order, and the triangular solves
-        # would then take another LAPACK path and round differently.
+        # Chain workers get a mixture rebuilt from its parameters: pickled
+        # factor and inverse stacks could arrive in another memory order, and
+        # the products would then take another BLAS path and round differently.
         return GaussianMixture, (self.weights, self.means, self.covariances, self.structure)
 
     @property
@@ -163,19 +168,19 @@ class GaussianMixture:
 
     def _mahalanobis_parts(self, x):
         """mahalanobis_sq of x, and the deviations it came from: x - mu_k
-        (..., k, dim) for variance storage, for dense storage the whitened
-        L_k^{-1} (x - mu_k), one (dim,) or (dim, n) array per component."""
+        (..., k, dim) for variance storage; for dense storage the whitened
+        (x - mu_k) @ L_k^{-T}, that is L_k^{-1} (x - mu_k) laid out as the
+        state, one (dim,) or (n, dim) array per component, each made by one
+        matrix product with the cached inverse."""
         if self._precisions is not None:
             dev = (x if x.ndim == 1 else x[..., None, :]) - self.means
             return np.einsum("...kd,kd,...kd->...k", dev, self._precisions, dev), dev
-        whitened = [
-            solve_triangular(lower, (x - mu).T, lower=True, check_finite=False)
-            for lower, mu in zip(self._factors, self.means)
-        ]
-        maha = np.empty(x.shape[:-1] + (self.n_components,))
+        whitened = [(x - mu) @ inv_t for mu, inv_t in zip(self.means, self._inv_t)]
+        # Component-major, so each component's distances fill one contiguous row.
+        maha = np.empty((self.n_components,) + x.shape[:-1])
         for k, w in enumerate(whitened):
-            maha[..., k] = w.dot(w) if w.ndim == 1 else np.einsum("i...,i...->...", w, w)
-        return maha, whitened
+            maha[k] = w.dot(w) if w.ndim == 1 else np.einsum("ij,ij->i", w, w)
+        return maha.T, whitened
 
     def mahalanobis_sq(self, x):
         """(x - mu_k)^T Sigma_k^{-1} (x - mu_k) for every component k.
@@ -230,11 +235,8 @@ class GaussianMixture:
     def _pullback(self, resp, dev):
         if self._precisions is not None:
             return resp.dot(self._precisions * dev)
-        # Dense storage back-substitutes the whitened deviations.
-        return sum(
-            w * solve_triangular(lower, v, lower=True, trans="T", check_finite=False)
-            for w, lower, v in zip(resp, self._factors, dev)
-        )
+        # Sigma_k^{-1} (x - mu_k) = L_k^{-T} times the whitened deviation.
+        return sum(r * (inv_t @ w) for r, inv_t, w in zip(resp, self._inv_t, dev))
 
     def log_kernel(self, x):
         """Log of the mixture kernel at x, by log-sum-exp."""
@@ -313,6 +315,18 @@ def _stacked_covariances(covariances, n_components, dim, structure):
     if covs.shape != want:
         raise DimensionMismatch(f"covariances of shape {covs.shape}, expected {want}")
     return covs if diagonal else symmetrized(covs)
+
+
+def _inverse_transposes(factors):
+    """L_k^{-T} of each lower Cholesky factor L_k of a (k, dim, dim) stack,
+    inverted by LAPACK's dtrtri, each stored in C order."""
+    inv_t = np.empty(factors.shape)
+    for k, lower in enumerate(factors):
+        inverse, info = dtrtri(lower, lower=1)
+        if info != 0:
+            raise ValueError(f"dtrtri failed on factor {k} (info {info})")
+        inv_t[k] = inverse.T
+    return inv_t
 
 
 def free_parameter_count(structure, n_components, dim):

@@ -4,10 +4,11 @@ The sampler-facing surface is the potential J(x) (the posterior negative
 log-kernel) and its gradient, apart or fused (``potential_and_grad``). The
 model holds only the likelihood half: R, the misfit and its adjoint. The
 prior half (kernel log-sum-exp, responsibilities, pullback) is the
-mixture's own, computed from the factors and log determinants it caches
-once and shares read-only with every chain worker. The observation-error inverse is never formed:
-solves go through the Cholesky factor that R caches. For a linear operator the
-posterior is itself a Gaussian mixture: ``linear_mixture_posterior``.
+mixture's own, computed from the factors, inverse factors and log
+determinants it caches once and shares read-only with every chain worker.
+The observation-error inverse is never formed: solves go through the
+Cholesky factor that R caches. For a linear operator the posterior is
+itself a Gaussian mixture: ``linear_mixture_posterior``.
 
 The per-step contract: ``neg_log_posterior``, ``grad_neg_log_posterior`` and
 ``potential_and_grad`` take a float (dim,) vector and do not check it. The

@@ -2,6 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from conftest import FIT_1D, selection_bytes
 
@@ -224,6 +225,27 @@ class TestModelSelection:
         assert sel_a.n_components == sel_b.n_components
         assert np.array_equal(sel_a.mixture.means, sel_b.mixture.means)
         assert np.array_equal(sel_a.mixture.weights, sel_b.mixture.weights)
+
+    def test_dense_selection_pinned(self):
+        # Full covariances in 8-D: the selection, each kept fit's iterations
+        # and convergence are pinned exactly, the log-likelihoods to
+        # round-off. AIC keeps a fifth component of about 2% weight here.
+        rng = np.random.default_rng(2)
+        centers = 4.0 * rng.standard_normal((4, 8))
+        labels = rng.choice(4, size=600, p=[0.3, 0.3, 0.2, 0.2])
+        shapes = np.array([np.linalg.qr(rng.standard_normal((8, 8)))[0] * rng.uniform(0.4, 1.2, 8)
+                           for _ in range(4)])
+        data = centers[labels] + np.einsum("nij,nj->ni", shapes[labels],
+                                           rng.standard_normal((600, 8)))
+        sel = select_model_aic(data, range(1, 7), structure="full", rng=RngStream(2))
+        assert sel.n_components == 5
+        assert sel.em_totals == {"fits": 30, "iterations": 647, "unconverged": 0}
+        pinned = [(1, 2, -8117.948402761529), (2, 6, -7082.779440307273),
+                  (3, 2, -6459.593331149879), (4, 2, -6081.356557042098),
+                  (5, 47, -6027.357619570015), (6, 100, -5997.789886708673)]
+        for row, (n_c, n_iter, loglik) in zip(sel.table, pinned, strict=True):
+            assert (row["n_c"], row["n_iter"], row["converged"]) == (n_c, n_iter, True)
+            assert row["log_likelihood"] == pytest.approx(loglik, rel=1e-10, abs=0.0)
 
     def test_benchmark_generator_recovers_near_seven(self, true_mixture_1d):
         # On a single draw the argmin can sit on a knife edge between 7 and
@@ -482,10 +504,13 @@ class TestStackedStorage:
         # the in-process pool bit for bit.
         mix, _ = _stacked_case(structure, 6)
         copy = pickle.loads(pickle.dumps(mix))
-        rng = np.random.default_rng(4)
-        for x in rng.standard_normal((50, 6)):
+        batch = np.random.default_rng(4).standard_normal((50, 6))
+        for x in batch:
             assert np.array_equal(copy.kernel_pullback(x), mix.kernel_pullback(x))
             assert np.array_equal(copy.mahalanobis_sq(x), mix.mahalanobis_sq(x))
+        # EM workers receive their data pickled and score it as one batch.
+        assert np.array_equal(copy.mahalanobis_sq(batch), mix.mahalanobis_sq(batch))
+        assert np.array_equal(copy.joint_log_densities(batch), mix.joint_log_densities(batch))
         assert np.array_equal(copy.sample(RngStream(1)), mix.sample(RngStream(1)))
 
     def test_tied_keeps_one_matrix(self):
@@ -512,6 +537,65 @@ class TestStackedStorage:
         covs = np.array([[[1.0, 0.2], [0.1, 1.0]]])
         with pytest.raises(ValueError):
             GaussianMixture([1.0], np.zeros((1, 2)), covs)
+
+
+def _dense_case(structure, floor_component=False, dim=8, n_c=6):
+    """A dense-storage mixture of n_c components. With ``floor_component``,
+    component 2's smallest eigenvalue is COVARIANCE_FLOOR (against the others'
+    0.5 to 2), as for a component that EM's covariance floor holds up."""
+    rng = np.random.default_rng(23)
+    covs = np.array([g @ g.T + 0.5 * np.eye(dim) for g in rng.standard_normal((n_c, dim, dim))])
+    if floor_component:
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        eigenvalues = np.concatenate([[gmm.COVARIANCE_FLOOR], rng.uniform(0.5, 2.0, dim - 1)])
+        covs[2] = (q * eigenvalues) @ q.T
+    if structure == "tied":
+        covs = np.broadcast_to(covs[0], covs.shape)
+    weights = rng.dirichlet(np.ones(n_c))
+    means = 1.5 * rng.standard_normal((n_c, dim))
+    return GaussianMixture(weights, means, covs, structure=structure)
+
+
+def _whitened_by_solves(mix, x):
+    """Reference whitening: L_k^{-1} (x - mu_k) by one triangular solve per
+    component, (dim,) or (dim, n) each."""
+    return [solve_triangular(lower, (x - mu).T, lower=True)
+            for lower, mu in zip(mix._factors, mix.means)]
+
+
+class TestDenseWhitening:
+    """Whitening by the cached L_k^{-T} against per-component triangular
+    solves, at d = 8 and k = 6. Each tolerance is relative: to the reference
+    distance, or to the largest entry of the reference array. Measured worst
+    errors, over a batch of 200 and its first 20 rows as single states:
+    full and tied 9.5e-16 (distances), 4.5e-16 (whitened) and 3.5e-15
+    (pullback), so 1e-13; with a component at the floor (condition number
+    about 2e6) 7.4e-14 on its distances, so 1e-11."""
+
+    @pytest.mark.parametrize("structure, floor_component, rtol", [
+        ("full", False, 1e-13), ("tied", False, 1e-13), ("full", True, 1e-11)])
+    def test_matches_triangular_solves(self, structure, floor_component, rtol):
+        mix = _dense_case(structure, floor_component)
+        if structure == "tied":
+            assert mix._inv_t.strides[0] == 0
+        batch = mix.means.mean(axis=0) + np.random.default_rng(5).standard_normal((200, 8))
+        maha, whitened = mix._mahalanobis_parts(batch)
+        reference = _whitened_by_solves(mix, batch)
+        want = np.stack([np.sum(w * w, axis=0) for w in reference], axis=1)
+        assert maha.shape == (200, 6)
+        np.testing.assert_allclose(maha, want, rtol=rtol, atol=0.0)
+        for got, ref in zip(whitened, reference):
+            np.testing.assert_allclose(got, ref.T, rtol=0.0, atol=rtol * np.abs(ref).max())
+        for x in batch[:20]:
+            maha, whitened = mix._mahalanobis_parts(x)
+            reference = _whitened_by_solves(mix, x)
+            np.testing.assert_allclose(maha, [w @ w for w in reference], rtol=rtol, atol=0.0)
+            for got, ref in zip(whitened, reference):
+                np.testing.assert_allclose(got, ref, rtol=0.0, atol=rtol * np.abs(ref).max())
+            pullback = sum(r * solve_triangular(lower, w, lower=True, trans="T") for r, lower, w
+                           in zip(mix.responsibilities(x), mix._factors, reference))
+            np.testing.assert_allclose(mix.kernel_pullback(x), pullback, rtol=0.0,
+                                       atol=rtol * np.abs(pullback).max())
 
 
 class TestSerialization:

@@ -195,9 +195,10 @@ class TestFullCovariancePosterior:
             fd = finite_difference_gradient(model.neg_log_posterior, x, 1e-6)
             assert np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(grad))
 
-    def test_gradient_makes_two_solves_per_component(self, model, monkeypatch):
+    def test_gradient_makes_only_the_two_solves_with_r(self, model, monkeypatch):
         import csample.gmm
         import csample.linalg_rng
+        import csample.posterior
         from scipy.linalg import solve_triangular
 
         calls = []
@@ -206,12 +207,14 @@ class TestFullCovariancePosterior:
             calls.append(args)
             return solve_triangular(*args, **kwargs)
 
-        for module in (csample.gmm, csample.linalg_rng):
+        for module in (csample.linalg_rng, csample.posterior):
             monkeypatch.setattr(module, "solve_triangular", counting)
         model.grad_neg_log_posterior(states_between_means(model)[0])
-        # Two for the solve with R, then per component one whitening solve
-        # (shared with the Mahalanobis step) and one back-substitution.
-        assert len(calls) == 2 + 2 * 3
+        # Two for the solve with R. The prior whitens and pulls back by
+        # products with its cached inverse factors: no component solves.
+        assert not hasattr(csample.gmm, "solve_triangular")
+        assert len(calls) == 2
+        assert all(args[0].shape == (3, 3) for args in calls)
 
     def test_potential_is_negative_log_likelihood_times_prior(self, model):
         # Dense oracle: -log N(y; Hx, R) - log sum_k tau_k N(x; mu_k, Sigma_k).
