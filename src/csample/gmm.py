@@ -29,10 +29,9 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .errors import DegenerateComponent, DimensionMismatch
-from .linalg_rng import RngStream, cholesky_stack, symmetrized
+from .linalg_rng import RngStream, cholesky_stack, inverse_transposes, symmetrized
 from .pool import WorkerPool
 
 WEIGHT_TOLERANCE = 1e-12
@@ -140,7 +139,7 @@ class GaussianMixture:
         # Variance storage: the precisions 1 / sigma^2, computed once.
         self._precisions = 1.0 / self.covariances if covs.ndim == 2 else None
         # Dense storage: the whitening matrices L_k^{-T}, inverted once.
-        self._inv_t = None if covs.ndim == 2 else per_component(_inverse_transposes(factors))
+        self._inv_t = None if covs.ndim == 2 else per_component(inverse_transposes(factors))
         self._log_weights = np.log(weights)
         # Per-component terms of the kernel: log tau_k - 0.5 log|Sigma_k|.
         self._kernel_consts = self._log_weights - 0.5 * self._logdets
@@ -315,18 +314,6 @@ def _stacked_covariances(covariances, n_components, dim, structure):
     if covs.shape != want:
         raise DimensionMismatch(f"covariances of shape {covs.shape}, expected {want}")
     return covs if diagonal else symmetrized(covs)
-
-
-def _inverse_transposes(factors):
-    """L_k^{-T} of each lower Cholesky factor L_k of a (k, dim, dim) stack,
-    inverted by LAPACK's dtrtri, each stored in C order."""
-    inv_t = np.empty(factors.shape)
-    for k, lower in enumerate(factors):
-        inverse, info = dtrtri(lower, lower=1)
-        if info != 0:
-            raise ValueError(f"dtrtri failed on factor {k} (info {info})")
-        inv_t[k] = inverse.T
-    return inv_t
 
 
 def free_parameter_count(structure, n_components, dim):

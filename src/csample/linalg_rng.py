@@ -2,10 +2,12 @@
 
 ``SpdMatrix`` is the one SPD type: it caches its own lower Cholesky factor
 and solves, whitens, samples and takes log determinants through it.
-``cholesky_stack`` factors a stack of matrices at once (the mixture's
-covariances) and is also what factors a single ``SpdMatrix``. Matrices
-built from a diagonal store only that diagonal, and every operation on
-them is O(order), with no call into LAPACK or the triangular solver.
+``cholesky_stack`` factors a stack of matrices by one ``np.linalg.cholesky``
+call (the mixture's covariances) and is also what factors a single
+``SpdMatrix``; ``inverse_transposes`` inverts a stack of those factors by
+one ``np.linalg.inv`` call. Matrices built from a diagonal store only that
+diagonal, and every operation on them is O(order), with no call into
+LAPACK.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 import copy
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf
+# Every run seeds an RngStream; numpy loads its random module lazily, and
+# loaded here it counts in the import, not in the run.
+import numpy.random  # noqa: F401
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -40,20 +43,22 @@ class SpdMatrix:
     factor L (A = L L^T) is computed on first use and cached, so repeated
     solves and samples reuse one factorization. It is stored as
     ``cholesky_stack`` returns it: the vector of square roots of a diagonal
-    matrix, else a Fortran-ordered matrix. A diagonal matrix also caches
-    the squares of those roots, as computed, for its solves: they need not
-    equal the stored diagonal bit for bit. ``solve``, ``maha_sq`` and
-    ``factor_apply`` sit on the samplers' per-step path and take a float
+    matrix, else a matrix. Beside it a diagonal matrix caches the squares of
+    those roots, as computed, for its solves (they need not equal the stored
+    diagonal bit for bit), and a dense matrix caches L^{-T}, so a solve is
+    two matrix-vector products and ``maha_sq`` one. ``solve``, ``maha_sq``
+    and ``factor_apply`` sit on the samplers' per-step path and take a float
     vector of length ``order`` unchecked.
     """
 
-    __slots__ = ("order", "_array", "_lower", "_squares")
+    __slots__ = ("order", "_array", "_lower", "_squares", "_inv_t")
 
     def __init__(self, array):
         self.order = array.shape[0]
         self._array = array
         self._lower = None
         self._squares = None
+        self._inv_t = None
 
     # -- constructors -------------------------------------------------
 
@@ -110,9 +115,12 @@ class SpdMatrix:
         if self._lower is None:
             if self.order < 1:
                 raise DimensionMismatch("matrix order must be at least 1")
-            lower = cholesky_stack(self._array[None])[0]
+            factors = cholesky_stack(self._array[None])
+            lower = factors[0]
             if lower.ndim == 1:
                 self._squares = lower * lower
+            else:
+                self._inv_t = inverse_transposes(factors)[0]
             self._lower = lower
         return self._lower
 
@@ -126,17 +134,16 @@ class SpdMatrix:
         return self._array * v if self.is_diagonal else self._array @ v
 
     def solve(self, v):
-        """A^{-1} v via two triangular solves."""
+        """A^{-1} v as L^{-T} (L^{-1} v), by the cached inverse factor."""
         lower = self._factor()
         if lower.ndim == 1:
             return v / self._squares
-        w = solve_triangular(lower, v, lower=True)
-        return solve_triangular(lower, w, lower=True, trans="T")
+        return self._inv_t @ (v @ self._inv_t)
 
     def maha_sq(self, v):
         """v.T A^{-1} v, as |L^{-1} v|^2."""
         lower = self._factor()
-        w = v / lower if lower.ndim == 1 else solve_triangular(lower, v, lower=True)
+        w = v / lower if lower.ndim == 1 else v @ self._inv_t
         return float(w.dot(w))
 
     def factor_apply(self, z):
@@ -159,35 +166,72 @@ def cholesky_stack(stack):
     """Lower Cholesky factors of a stack of SPD matrices.
 
     A (k, d) stack holds k diagonal matrices, one per row, and factors to
-    their elementwise square roots. A (k, d, d) stack is factored matrix by
-    matrix with LAPACK's dpotrf. A pivot at or below RELATIVE_PIVOT_FLOOR
-    times the largest diagonal entry of its matrix raises
-    NotPositiveDefinite carrying the pivot index.
+    their elementwise square roots. A (k, d, d) stack is factored by one
+    ``np.linalg.cholesky`` call, each factor in C order. A pivot that is not
+    finite, or is at or below RELATIVE_PIVOT_FLOOR times the largest finite
+    diagonal entry of its matrix, raises NotPositiveDefinite naming the
+    matrix and carrying the pivot index; a non-finite entry raises at the
+    first pivot it reaches.
     """
     if stack.ndim == 2:
-        _check_pivots(stack, np.maximum(stack.max(axis=1), 0.0))
+        _check_pivots(stack, stack)
         return np.sqrt(stack)
-    # Each factor in Fortran order, as dpotrf returns it and trtrs takes it.
-    lower = np.empty(stack.shape).swapaxes(1, 2)
-    for k, a in enumerate(stack):
-        lower[k], info = dpotrf(a, lower=1, clean=1)
-        if info > 0:
-            i = info - 1
-            raise NotPositiveDefinite(i, f"matrix {k} is not positive definite (pivot {i})")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    try:
+        lower = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        # The stacked call names no matrix and no pivot; find both.
+        k, i = _first_failure(stack)
+        raise NotPositiveDefinite(i, f"matrix {k} is not positive definite (pivot {i})") from None
     pivots = np.diagonal(lower, axis1=1, axis2=2) ** 2
-    _check_pivots(pivots, np.diagonal(stack, axis1=1, axis2=2).max(axis=1))
+    _check_pivots(pivots, np.diagonal(stack, axis1=1, axis2=2))
     return lower
 
 
-def _check_pivots(pivots, largest):
+def _first_failure(stack):
+    """(k, i): the first matrix of a stack that ``np.linalg.cholesky``
+    rejects, and the pivot i that LAPACK stops at, found by bisection as the
+    order of the matrix's smallest rejected leading block less one. For the
+    failure path only."""
+    k = next(k for k, a in enumerate(stack) if not _factorable(a))
+    passes, fails = 0, stack.shape[1]  # leading-block orders known to pass, to fail
+    while fails - passes > 1:
+        mid = (passes + fails) // 2
+        if _factorable(stack[k, :mid, :mid]):
+            passes = mid
+        else:
+            fails = mid
+    return k, fails - 1
+
+
+def _factorable(a):
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _check_pivots(pivots, diagonals):
     """Raise NotPositiveDefinite at the first pivot of a (k, d) stack that is
-    at or below RELATIVE_PIVOT_FLOOR times its matrix's largest diagonal."""
-    bad = pivots <= RELATIVE_PIVOT_FLOOR * largest[:, None]
-    if bad.any():
-        k, i = np.argwhere(bad)[0]
-        raise NotPositiveDefinite(i, f"matrix {k} is not positive definite (pivot {i})")
+    not finite or is at or below RELATIVE_PIVOT_FLOOR times the largest
+    finite entry of its matrix's diagonal, the matching row of ``diagonals``."""
+    if (pivots > RELATIVE_PIVOT_FLOOR * diagonals.max(axis=1, initial=0.0)[:, None]).all():
+        return
+    # NaN passes no comparison, but an infinite diagonal entry would fail
+    # every pivot of its matrix: name the first pivot against finite entries.
+    largest = diagonals.max(axis=1, initial=0.0, where=np.isfinite(diagonals))
+    threshold = RELATIVE_PIVOT_FLOOR * largest
+    bad = ~(np.isfinite(pivots) & (pivots > threshold[:, None]))
+    k, i = np.argwhere(bad)[0]
+    raise NotPositiveDefinite(i, f"matrix {k} is not positive definite (pivot {i})")
+
+
+def inverse_transposes(factors):
+    """L_k^{-T} of each lower Cholesky factor L_k of a (k, d, d) stack, each
+    in C order, by one ``np.linalg.inv`` call on the upper factors L_k^T:
+    their LU factorization needs no row exchange, so each inverse is the
+    plain triangular one."""
+    return np.linalg.inv(factors.swapaxes(1, 2))
 
 
 class RngStream:

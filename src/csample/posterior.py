@@ -6,9 +6,10 @@ model holds only the likelihood half: R, the misfit and its adjoint. The
 prior half (kernel log-sum-exp, responsibilities, pullback) is the
 mixture's own, computed from the factors, inverse factors and log
 determinants it caches once and shares read-only with every chain worker.
-The observation-error inverse is never formed: solves go through the
-Cholesky factor that R caches. For a linear operator the posterior is
-itself a Gaussian mixture: ``linear_mixture_posterior``.
+R^{-1} itself is never formed: solves go through the Cholesky factor that
+R caches, or for dense R through that factor's cached inverse. For a
+linear operator the posterior is itself a Gaussian mixture:
+``linear_mixture_posterior``.
 
 The per-step contract: ``neg_log_posterior``, ``grad_neg_log_posterior`` and
 ``potential_and_grad`` take a float (dim,) vector and do not check it. The
@@ -26,7 +27,6 @@ checks its state.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch
 from .forward_models import materialize_jacobian
@@ -130,18 +130,30 @@ def linear_mixture_posterior(model):
     if covs.ndim == 2:
         covs = covs[:, :, None] * np.eye(prior.dim)
     h_covs = h @ covs
-    # dpotrf reads only the lower triangle of each C_k.
+    # np.linalg.cholesky reads only the lower triangle of each C_k.
     factors = cholesky_stack(model.obs_cov.dense() + h_covs @ h.T)
     residuals = model.y - prior.means @ h.T
-    log_weights = np.log(prior.weights)
-    means = np.empty_like(prior.means)
-    post_covs = np.empty_like(covs)
-    for k, lower in enumerate(factors):
-        z = solve_triangular(lower, residuals[k], lower=True)
-        gain = solve_triangular(lower, h_covs[k], lower=True)
-        logdet = 2.0 * np.sum(np.log(np.diag(lower)))
-        log_weights[k] -= 0.5 * (z.size * np.log(2.0 * np.pi) + logdet + z @ z)
-        means[k] = prior.means[k] + gain.T @ z
-        post_covs[k] = covs[k] - gain.T @ gain
+    # One stacked solve: column 0 of each L_k^{-1} [r_k, H Sigma_k] is z_k,
+    # the rest is G_k.
+    solved = _forward_substitution(factors, np.concatenate([residuals[:, :, None], h_covs],
+                                                           axis=2))
+    z, gains = solved[:, :, 0], solved[:, :, 1:]
+    logdets = 2.0 * np.sum(np.log(np.diagonal(factors, axis1=1, axis2=2)), axis=1)
+    log_weights = np.log(prior.weights) - 0.5 * (
+        z.shape[1] * np.log(2.0 * np.pi) + logdets + np.einsum("km,km->k", z, z))
+    means = prior.means + np.einsum("kmd,km->kd", gains, z)
+    post_covs = covs - gains.swapaxes(1, 2) @ gains
     weights = np.exp(log_weights - log_weights.max())
     return GaussianMixture(weights / weights.sum(), means, post_covs, structure="full")
+
+
+def _forward_substitution(lower, b):
+    """L_k^{-1} B_k for a (k, m, m) stack of lower factors and a (k, m, n)
+    stack of right-hand sides, row by row over the whole stack. Each row is
+    divided by its pivot: a one-row system (the 1-D benchmark's) is b / l,
+    exactly as a triangular solve gives it, where np.linalg.solve multiplies
+    by 1 / l and rounds differently."""
+    x = np.empty_like(b)
+    for i in range(b.shape[1]):
+        x[:, i] = (b[:, i] - (lower[:, i, None, :i] @ x[:, :i])[:, 0]) / lower[:, i, i, None]
+    return x

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import csample
 from csample.cli import main as cli_main
 from csample.errors import (
     ConfigError,
@@ -447,6 +451,32 @@ class TestCli:
         # Five restarts per candidate, every one a fit.
         assert doc["em"]["fits"] == 10
         assert doc["em"]["iterations"] >= sum(row["n_iter"] for row in doc["aic"])
+
+    def test_runtime_imports_no_scipy(self, tmp_path):
+        # A fresh interpreter: the import loads numpy's random module and
+        # no scipy, and a dense em-fit through the CLI loads no scipy either.
+        rng = np.random.default_rng(4)
+        data_path = tmp_path / "d.csv"
+        np.savetxt(data_path, rng.standard_normal((60, 2)) @ [[1.0, 0.5], [0.0, 1.0]],
+                   delimiter=",")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data": str(data_path), "candidate_components": [1, 2]}))
+        script = (
+            "import json, sys\n"
+            "import csample.cli\n"
+            "loaded = {name: name in sys.modules for name in ('scipy', 'numpy.random')}\n"
+            "code = csample.cli.main(sys.argv[1:])\n"
+            "print(json.dumps([loaded, code, 'scipy' in sys.modules]))\n"
+        )
+        src = Path(csample.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-c", script, "em-fit", "--config", str(cfg_path),
+             "--out", str(tmp_path / "out"), "--procs", "1"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True)
+        loaded, code, scipy_after = json.loads(out.stdout.strip().splitlines()[-1])
+        assert loaded == {"scipy": False, "numpy.random": True}
+        assert code == 0
+        assert not scipy_after
 
     def test_em_fit_procs_leave_artifacts_unchanged(self, tmp_path):
         rng = np.random.default_rng(9)

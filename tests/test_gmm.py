@@ -533,6 +533,19 @@ class TestStackedStorage:
             GaussianMixture([0.5, 0.5], np.zeros((2, 2)), covs, structure="diagonal")
         assert exc.value.pivot_index == 1
 
+    def test_non_finite_covariance_raises(self):
+        # A NaN variance once factored to NaN and every density read NaN.
+        with pytest.raises(NotPositiveDefinite) as exc:
+            GaussianMixture([1.0], [[0.0]], np.array([[np.nan]]))
+        assert exc.value.pivot_index == 0
+        covs = np.array([np.eye(3), np.eye(3)])
+        covs[1, 2, 2] = np.inf
+        # inf - inf in the symmetry check warns; the factorization must raise.
+        with np.errstate(invalid="ignore"), pytest.raises(NotPositiveDefinite,
+                                                          match="matrix 1 ") as exc:
+            GaussianMixture([0.5, 0.5], np.zeros((2, 3)), covs)
+        assert exc.value.pivot_index == 2
+
     def test_asymmetric_matrix_rejected(self):
         covs = np.array([[[1.0, 0.2], [0.1, 1.0]]])
         with pytest.raises(ValueError):

@@ -2,7 +2,6 @@ import pickle
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 
 from csample.errors import DimensionMismatch, NotPositiveDefinite
 from csample import errors, linalg_rng
@@ -66,6 +65,37 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite):
             SpdMatrix.from_diagonal([1.0, 1e-15]).maha_sq(np.ones(2))
 
+    def test_stack_names_first_failing_matrix_and_pivot(self):
+        # The stacked factorization names no matrix; the failure path finds
+        # the first one rejected (matrix 2 fails too, at pivot 0).
+        stack = np.array([np.eye(4), np.diag([1.0, 2.0, -1.0, 3.0]), -np.eye(4)])
+        stack[1, 3, 0] = stack[1, 0, 3] = 0.5
+        with pytest.raises(NotPositiveDefinite, match="matrix 1 ") as exc:
+            linalg_rng.cholesky_stack(stack)
+        assert exc.value.pivot_index == 2
+        assert "(pivot 2)" in str(exc.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_variance_reports_its_index(self, value):
+        stack = np.array([[1.0, 2.0, 3.0], [1.0, value, 2.0]])
+        with pytest.raises(NotPositiveDefinite, match="matrix 1 ") as exc:
+            linalg_rng.cholesky_stack(stack)
+        assert exc.value.pivot_index == 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry, pivot", [((1, 1), 1), ((2, 1), 2)])
+    def test_non_finite_dense_entry_reports_first_pivot_reached(self, value, entry, pivot):
+        stack = np.array([np.eye(3), 2.0 * np.eye(3)])
+        stack[1][entry] = stack[1][entry[::-1]] = value
+        with pytest.raises(NotPositiveDefinite, match="matrix 1 ") as exc:
+            linalg_rng.cholesky_stack(stack)
+        assert exc.value.pivot_index == pivot
+
+    def test_non_finite_dense_matrix_never_factors(self):
+        a = SpdMatrix.from_dense([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(NotPositiveDefinite):
+            a.solve(np.ones(2))
+
     def test_logdet(self):
         a = SpdMatrix.from_dense([[4.0, 2.0], [2.0, 3.0]])
         assert a.logdet() == pytest.approx(np.log(np.linalg.det(a.dense())))
@@ -91,7 +121,8 @@ class TestSpdMatrix:
     def test_solve_arithmetic_is_pinned(self):
         # Every sampled artifact depends on these exact roundings: the
         # diagonal solve divides by l * l with l = sqrt(d), not by d, and the
-        # dense solve is two triangular solves on the Fortran-ordered factor.
+        # dense solve is two products with the cached L^{-T}, the inverse
+        # np.linalg.inv makes of the upper factor L^T.
         rng = np.random.default_rng(5)
         d = rng.uniform(0.1, 10.0, 64)
         v = rng.standard_normal(64)
@@ -105,11 +136,12 @@ class TestSpdMatrix:
         g = rng.standard_normal((6, 6))
         dense = SpdMatrix.from_dense(g @ g.T + 6 * np.eye(6))
         lower = linalg_rng.cholesky_stack(dense.dense()[None])[0]
-        assert lower.flags.f_contiguous
+        assert lower.flags.c_contiguous
+        inv_t = np.linalg.inv(lower.T)
         v = v[:6]
-        inner = solve_triangular(lower, v, lower=True)
-        expected = solve_triangular(lower, inner, lower=True, trans="T")
-        assert np.array_equal(dense.solve(v), expected)
+        w = v @ inv_t
+        assert np.array_equal(dense.solve(v), inv_t @ w)
+        assert dense.maha_sq(v) == w.dot(w)
 
 
 class TestRngStream:
@@ -197,8 +229,8 @@ class TestSampleMvn:
         def dense_call(*args, **kwargs):
             raise AssertionError("diagonal path reached a dense LAPACK routine")
 
-        monkeypatch.setattr(linalg_rng, "dpotrf", dense_call)
-        monkeypatch.setattr(linalg_rng, "solve_triangular", dense_call)
+        for name in ("cholesky", "inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, dense_call)
         cov = SpdMatrix.from_diagonal(np.linspace(0.5, 2.0, 64))
         stream = RngStream(7, 3)
         for _ in range(10):

@@ -196,25 +196,26 @@ class TestFullCovariancePosterior:
             assert np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(grad))
 
     def test_gradient_makes_only_the_two_solves_with_r(self, model, monkeypatch):
-        import csample.gmm
-        import csample.linalg_rng
-        import csample.posterior
-        from scipy.linalg import solve_triangular
+        x = states_between_means(model)[0]
+        want = model.grad_neg_log_posterior(x)
+        solves = []
+        original = SpdMatrix.solve
 
-        calls = []
+        def counting(self, v):
+            solves.append(self.order)
+            return original(self, v)
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve_triangular(*args, **kwargs)
+        def factorization(*args, **kwargs):
+            raise AssertionError("a gradient reached np.linalg")
 
-        for module in (csample.linalg_rng, csample.posterior):
-            monkeypatch.setattr(module, "solve_triangular", counting)
-        model.grad_neg_log_posterior(states_between_means(model)[0])
-        # Two for the solve with R. The prior whitens and pulls back by
-        # products with its cached inverse factors: no component solves.
-        assert not hasattr(csample.gmm, "solve_triangular")
-        assert len(calls) == 2
-        assert all(args[0].shape == (3, 3) for args in calls)
+        monkeypatch.setattr(SpdMatrix, "solve", counting)
+        for name in ("cholesky", "inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, factorization)
+        # One solve with R: two products with its cached inverse factor. The
+        # prior whitens and pulls back by products with its own cached
+        # inverse factors. Nothing is factored or inverted per call.
+        assert np.array_equal(model.grad_neg_log_posterior(x), want)
+        assert solves == [3]
 
     def test_potential_is_negative_log_likelihood_times_prior(self, model):
         # Dense oracle: -log N(y; Hx, R) - log sum_k tau_k N(x; mu_k, Sigma_k).
