@@ -1,16 +1,14 @@
 """Predicted scaling of the multi-chain sampler across worker counts.
 
 With the burn-in dropped, speedup is exactly p up to the component count and
-saturates there, independent of the state dimension. Communication terms use
-a linear model with startup and per-word times.
+saturates there, independent of the state dimension.
 """
 
 from csample.cost_model import CostModelInput, predict_cost
 
 N_COMPONENTS = 7
 
-print(f"{'p':>3} {'speedup':>8} {'eff':>6} {'speedup_int':>12} "
-      f"{'comm_ms':>8} {'iso_W':>10}")
+print(f"{'p':>3} {'speedup':>8} {'eff':>6} {'speedup_int':>12}")
 for p in (1, 2, 4, 7, 8, 12, 16, 32):
     report = predict_cost(
         CostModelInput(
@@ -20,15 +18,12 @@ for p in (1, 2, 4, 7, 8, 12, 16, 32):
             n_var=4096,
             burn_in=0,
             stride=5,
-            t_startup=1e-4,
-            t_word=1e-8,
             gmm_structure="diagonal",
             proposal="diagonal",
         )
     )
-    iso = "inf" if report.isoefficiency == float("inf") else f"{report.isoefficiency:.3g}"
     print(f"{p:3d} {report.speedup:8.2f} {report.efficiency:6.2f} "
-          f"{report.speedup_integral:12.2f} {report.comm_cost * 1e3:8.3f} {iso:>10}")
+          f"{report.speedup_integral:12.2f}")
 
 print("\nper-step cost units by regime (n_var=4096, 20 leapfrog steps):")
 from csample.cost_model import step_cost

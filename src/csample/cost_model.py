@@ -1,14 +1,15 @@
 """Analytical cost model for multi-chain sampling: serial/parallel cost,
-speedup, efficiency, communication overhead, and isoefficiency.
+speedup, efficiency and overhead.
 
-Costs are leading-term operation counts with unit constants; communication
-terms are in seconds, driven by a linear model with startup time t_startup
-and per-word time t_word over a log2(p)-depth broadcast/gather tree. Two
-speedup flavors are reported: the idealized closed form, which divides the
-chains continuously over workers (and therefore gives S = p for p <= n_c
-when burn-in is dropped), and an integral-work variant that charges each
-worker for ceil(n_c / p) whole chains, which is what placing equal-budget
-chains on workers costs when p does not divide n_c.
+Costs are leading-term operation counts with unit constants, and charge
+computation only: the worker pool pickles the shared model and each task
+into every submission and the gather concatenates in process, so there is
+no broadcast/gather tree to charge. Two speedup flavors are reported: the
+idealized closed form, which divides the chains continuously over workers
+(and therefore gives S = p for p <= n_c when burn-in is dropped), and an
+integral-work variant that charges each worker for ceil(n_c / p) whole
+chains, which is what placing equal-budget chains on workers costs when p
+does not divide n_c.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ class CostModelInput:
     burn_in: int = 0
     stride: int = 1
     traj_steps: int = 1  # leapfrog steps per HMC proposal
-    t_startup: float = 0.0
-    t_word: float = 0.0
     gmm_structure: str = "diagonal"
     proposal: str = "diagonal"
 
@@ -56,13 +55,7 @@ class CostReport:
     parallel_cost_integral: float  # T_p charging ceil(n_c/p) chains per worker
     speedup_integral: float
     efficiency_integral: float
-    broadcast_cost: float  # seconds
-    gather_cost: float  # seconds
-    comm_cost: float  # seconds, broadcast + gather
-    total_parallel_cost: float  # p * T_p + p * comm_cost
-    overhead: float  # T_o = p * T_p - T_s, operation units (no comm)
-    overhead_with_comm: float
-    isoefficiency: float  # W(p) = E/(1-E) * dominant comm term
+    overhead: float  # T_o = p * T_p - T_s, operation units
 
 
 def step_cost(n_var, gmm_structure, proposal, traj_steps=1):
@@ -72,23 +65,6 @@ def step_cost(n_var, gmm_structure, proposal, traj_steps=1):
     if proposal == "diagonal" and gmm_structure in ("diagonal", "spherical"):
         return float(n_var)
     return float(n_var) * n_var
-
-
-def _broadcast_words(inp):
-    n_c, n_var = inp.n_components, inp.n_var
-    if inp.gmm_structure in ("diagonal", "spherical"):
-        return (2 * n_var + 1) * n_c
-    if inp.gmm_structure == "tied":
-        return (n_var * n_var / n_c + n_var + 1) * n_c
-    return (n_var * n_var + n_var + 1) * n_c
-
-
-def _isoefficiency_factor(inp):
-    if inp.gmm_structure in ("diagonal", "spherical"):
-        return inp.n_ens * inp.n_var
-    if inp.gmm_structure == "tied":
-        return (inp.n_ens + inp.n_var) * inp.n_var
-    return (inp.n_ens + inp.n_var * inp.n_components) * inp.n_var
 
 
 def predict_cost(inp):
@@ -120,19 +96,6 @@ def predict_cost(inp):
     speedup_integral = serial_cost / parallel_integral
     efficiency_integral = speedup_integral / p
 
-    log_p = math.log2(p) if p > 1 else 0.0
-    broadcast = (inp.t_startup + inp.t_word * _broadcast_words(inp)) * log_p
-    gather = (inp.t_startup + inp.t_word * inp.n_ens * inp.n_var) * log_p
-    comm = broadcast + gather
-
-    total_parallel = p * parallel_cost + p * comm
-    overhead = p * parallel_cost - serial_cost
-    if efficiency < 1.0:
-        k = efficiency / (1.0 - efficiency)
-        iso = k * inp.t_word * _isoefficiency_factor(inp) * p * log_p
-    else:
-        iso = math.inf
-
     return CostReport(
         serial_cost=serial_cost,
         parallel_cost=parallel_cost,
@@ -141,11 +104,5 @@ def predict_cost(inp):
         parallel_cost_integral=parallel_integral,
         speedup_integral=speedup_integral,
         efficiency_integral=efficiency_integral,
-        broadcast_cost=broadcast,
-        gather_cost=gather,
-        comm_cost=comm,
-        total_parallel_cost=total_parallel,
-        overhead=overhead,
-        overhead_with_comm=total_parallel - serial_cost,
-        isoefficiency=iso,
+        overhead=p * parallel_cost - serial_cost,
     )

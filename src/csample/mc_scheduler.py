@@ -180,10 +180,14 @@ def single_chain_plan(initial_state, mechanism, n_samples, stream_id, *, burn_in
 
 def chain_cost(model, chain, burn_in, stride):
     """Predicted cost of one chain: its steps times ``cost_model.step_cost``
-    of its mechanism on the model."""
+    of its mechanism on the model. A jittered HMC transition draws its
+    leapfrog step count uniformly from 1..m and is charged the mean,
+    (m + 1) / 2."""
     mechanism = chain.mechanism
     if isinstance(mechanism, HmcParams):
-        unit = step_cost(model.dim, model.prior.structure, "hmc", mechanism.n_steps)
+        m = mechanism.n_steps
+        traj_steps = (m + 1) / 2 if mechanism.jitter_steps else m
+        unit = step_cost(model.dim, model.prior.structure, "hmc", traj_steps)
     else:
         unit = step_cost(model.dim, model.prior.structure, "diagonal")
     return (burn_in + stride * chain.budget) * unit

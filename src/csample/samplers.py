@@ -118,16 +118,18 @@ def mh_step(model, x, proposal, rng, potential=None):
     """One Metropolis step with a symmetric Gaussian proposal.
 
     The proposal kernel is symmetric, so the acceptance ratio reduces to the
-    target ratio: a = min(1, exp(J(x) - J(x'))). Accept when a > u.
-    ``potential`` carries the current state's J to avoid a second
-    evaluation per step; it is computed when omitted.
+    target ratio: a = min(1, exp(J(x) - J(x'))). Accept when a > u; a
+    candidate whose J is NaN gives a NaN a and is rejected. ``potential``
+    carries the current state's J to avoid a second evaluation per step; it
+    is computed when omitted.
     """
     if potential is None:
         potential = model.neg_log_posterior(x)
     step = sample_mvn(rng, np.zeros(x.shape[0]), proposal.cov)
     candidate = x + step
     potential_new = model.neg_log_posterior(candidate)
-    a = min(1.0, np.exp(min(0.0, potential - potential_new)))
+    # min(nan, 0.0) is nan, where min(0.0, nan) would be 0.0 and accept.
+    a = np.exp(min(potential - potential_new, 0.0))
     if a > rng.uniform():
         return MhStep(candidate, True, potential_new)
     return MhStep(x, False, potential)

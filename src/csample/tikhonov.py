@@ -260,7 +260,7 @@ class LCurveSelection:
     solutions: dict  # alpha -> TikhonovSolution
 
 
-def lcurve_select_alpha(problem, alphas=None, *, x0=None, solver_options=None):
+def lcurve_select_alpha(problem, alphas=None, *, solver_options=None):
     """Pick the regularization weight at the L-curve's sharpest corner.
 
     Solves the problem per grid alpha (warm-started along the grid), builds
@@ -277,12 +277,12 @@ def lcurve_select_alpha(problem, alphas=None, *, x0=None, solver_options=None):
     if alphas.size < 1:
         raise ValueError("alpha grid must be non-empty")
     solver_options = solver_options or {}
-    # Solve from the best-conditioned (largest) alpha down, warm-starting
-    # each solve from its neighbor; report points in grid order.
+    # Solve from the best-conditioned (largest) alpha down, from zero and then
+    # warm-starting each solve from its neighbor; report points in grid order.
     order = np.argsort(-alphas, kind="stable")
     points = [None] * alphas.size
     solutions = {}
-    warm = x0
+    warm = None
     for idx in order:
         sub = problem.with_alpha(float(alphas[idx]))
         sol = solve_tikhonov(sub, warm, **solver_options)

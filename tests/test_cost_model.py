@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -15,8 +13,6 @@ def rand_input(rng, **overrides):
         burn_in=int(rng.integers(0, 500)),
         stride=int(rng.integers(1, 10)),
         traj_steps=int(rng.integers(1, 40)),
-        t_startup=float(rng.uniform(1e-6, 1e-3)),
-        t_word=float(rng.uniform(1e-9, 1e-6)),
         gmm_structure=str(rng.choice(["diagonal", "spherical", "tied", "full"])),
         proposal=str(rng.choice(["diagonal", "full", "hmc"])),
     )
@@ -108,58 +104,7 @@ class TestIdentities:
             assert report.parallel_cost_integral >= report.parallel_cost * (1 - 1e-12)
 
 
-class TestCommunication:
-    def linear_model_comm_total(self, inp):
-        n_c, n_var, n_ens = inp.n_components, inp.n_var, inp.n_ens
-        log_p = math.log2(inp.workers)
-        if inp.gmm_structure in ("diagonal", "spherical"):
-            words = ((n_ens / n_c + 2) * n_var + 1) * n_c
-        elif inp.gmm_structure == "tied":
-            words = (((n_ens + n_var) / n_c + 1) * n_var + 1) * n_c
-        else:
-            words = (n_ens * n_var / n_c + n_var * n_var + n_var + 1) * n_c
-        return (2 * inp.t_startup + inp.t_word * words) * log_p
-
-    @pytest.mark.parametrize("structure", ["diagonal", "tied", "full"])
-    def test_total_comm_matches_closed_form(self, structure):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            inp = rand_input(rng, gmm_structure=structure, workers=int(rng.integers(2, 64)))
-            report = predict_cost(inp)
-            assert report.comm_cost == pytest.approx(self.linear_model_comm_total(inp), rel=1e-12)
-
-    def test_single_worker_no_comm(self):
-        inp = rand_input(np.random.default_rng(5), workers=1)
-        report = predict_cost(inp)
-        assert report.comm_cost == 0.0
-        assert report.speedup == 1.0 if inp.burn_in == 0 else report.speedup >= 0.0
-
-    def test_overhead_with_comm(self):
-        inp = rand_input(np.random.default_rng(6), workers=8)
-        report = predict_cost(inp)
-        expected = report.total_parallel_cost - report.serial_cost
-        assert report.overhead_with_comm == expected
-
-
 class TestIsoefficiency:
-    def test_dominant_terms(self):
-        base = dict(workers=16, n_components=7, n_ens=1000, n_var=50, t_word=1e-7)
-        for structure, factor in (
-            ("diagonal", 1000 * 50),
-            ("spherical", 1000 * 50),
-            ("tied", (1000 + 50) * 50),
-            ("full", (1000 + 50 * 7) * 50),
-        ):
-            inp = CostModelInput(gmm_structure=structure, **base)
-            report = predict_cost(inp)
-            k = report.efficiency / (1.0 - report.efficiency)
-            expected = k * 1e-7 * factor * 16 * math.log2(16)
-            assert report.isoefficiency == pytest.approx(expected, rel=1e-12)
-
-    def test_perfect_efficiency_unbounded(self):
-        inp = CostModelInput(workers=4, n_components=8, n_ens=800, n_var=10)
-        assert predict_cost(inp).isoefficiency == math.inf
-
     def test_efficiency_nonincreasing_in_p(self):
         effs = [
             predict_cost(

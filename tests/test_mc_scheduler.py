@@ -1,7 +1,7 @@
 import math
 import os
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -402,7 +402,11 @@ class TestRunPlans:
         serial = plans["serial_hmc"]
         hmc = serial.chains[0]
         steps = serial.burn_in + serial.stride * hmc.budget
-        assert chain_cost(model, hmc, serial.burn_in, serial.stride) == steps * 8
+        # m = 8 jittered steps: a transition takes (8 + 1) / 2 on average.
+        assert hmc.mechanism.n_steps == 8 and hmc.mechanism.jitter_steps
+        assert chain_cost(model, hmc, serial.burn_in, serial.stride) == steps * 4.5
+        fixed = replace(hmc, mechanism=replace(hmc.mechanism, jitter_steps=False))
+        assert chain_cost(model, fixed, serial.burn_in, serial.stride) == steps * 8
         gaussian = plans["serial_gaussian"].chains[0]
         assert chain_cost(model, gaussian, serial.burn_in, serial.stride) == steps
 

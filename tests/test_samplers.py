@@ -53,6 +53,16 @@ class QuadraticPotential:
         return self.neg_log_posterior(x), self.grad_neg_log_posterior(x)
 
 
+class NanAwayTarget:
+    """J = 0 at the origin state, NaN everywhere else."""
+
+    def __init__(self, origin):
+        self.origin = np.asarray(origin, dtype=float)
+
+    def neg_log_posterior(self, x):
+        return 0.0 if np.array_equal(x, self.origin) else np.nan
+
+
 def gaussian_model_1d(mean=0.0, var=1.0):
     prior = GaussianMixture([1.0], [[mean]], [SpdMatrix.from_diagonal([var])])
     return PosteriorModel(
@@ -110,6 +120,19 @@ class TestMhStep:
                 break
         assert rejected is not None
         assert rejected.state is origin
+
+    def test_nan_candidate_rejected(self):
+        # Every candidate's J is NaN, so every step is rejected; the uniform
+        # is still drawn each step, so the stream stays where a finite
+        # target leaves it.
+        origin = np.zeros(1)
+        proposal = GaussianProposal(SpdMatrix.identity(1))
+        rng, reference = RngStream(5, 0), RngStream(5, 0)
+        for _ in range(20):
+            out = mh_step(NanAwayTarget(origin), origin, proposal, rng)
+            assert not out.accepted and out.state is origin and out.potential == 0.0
+            mh_step(FlatTarget(), origin, proposal, reference)
+        assert rng.uniform() == reference.uniform()
 
 
 class TestLeapfrog:
