@@ -1,10 +1,12 @@
 """Predicted scaling of the multi-chain sampler across worker counts.
 
 With the burn-in dropped, speedup is exactly p up to the component count and
-saturates there, independent of the state dimension.
+saturates there, independent of the state dimension. The last column places
+the chains whole on the workers, n_c / ceil(n_c / p), as ``csample bench``
+predicts.
 """
 
-from csample.cost_model import CostModelInput, predict_cost
+from csample.cost_model import CostModelInput, predict_cost, whole_chain_speedup
 
 N_COMPONENTS = 7
 
@@ -23,7 +25,7 @@ for p in (1, 2, 4, 7, 8, 12, 16, 32):
         )
     )
     print(f"{p:3d} {report.speedup:8.2f} {report.efficiency:6.2f} "
-          f"{report.speedup_integral:12.2f}")
+          f"{whole_chain_speedup(N_COMPONENTS, p):12.2f}")
 
 print("\nper-step cost units by regime (n_var=4096, 20 leapfrog steps):")
 from csample.cost_model import step_cost

@@ -30,7 +30,7 @@ for p in selection.points:
     print(f"{p.alpha:10.3g} {p.residual_norm:10.4f} {p.solution_norm:10.4f} "
           f"{p.curvature:10.4f}{marker}")
 
-best = selection.solutions[selection.alpha].x
+best = selection.solution.x
 err = np.linalg.norm(best - truth.reshape(-1)) / np.linalg.norm(truth)
 print(f"\ncorner alpha {selection.alpha:.3g}; relative error of the corner "
       f"solution {err:.4f}")

@@ -8,7 +8,7 @@ baseline with L-curve tuning and an analytical parallel-cost model round
 out the toolkit.
 """
 
-from .cost_model import CostModelInput, CostReport, predict_cost, step_cost
+from .cost_model import CostModelInput, CostReport, predict_cost, step_cost, whole_chain_speedup
 from .errors import (
     ConfigError,
     DegenerateComponent,
@@ -111,5 +111,6 @@ __all__ = [
     "solve_tikhonov",
     "step_cost",
     "tikhonov_objective",
+    "whole_chain_speedup",
     "write_pgm",
 ]

@@ -4,12 +4,12 @@ speedup, efficiency and overhead.
 Costs are leading-term operation counts with unit constants, and charge
 computation only: the worker pool pickles the shared model and each task
 into every submission and the gather concatenates in process, so there is
-no broadcast/gather tree to charge. Two speedup flavors are reported: the
-idealized closed form, which divides the chains continuously over workers
-(and therefore gives S = p for p <= n_c when burn-in is dropped), and an
-integral-work variant that charges each worker for ceil(n_c / p) whole
-chains, which is what placing equal-budget chains on workers costs when p
-does not divide n_c.
+no broadcast/gather tree to charge. Two speedups are modelled:
+``predict_cost``'s idealized closed form, which divides the chains
+continuously over workers (and therefore gives S = p for p <= n_c when
+burn-in is dropped), and ``whole_chain_speedup``, which places n
+equal-budget chains whole on p workers, so the busiest worker runs
+ceil(n / p) of them; every per-chain cost cancels from that ratio.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ class CostReport:
     parallel_cost: float  # T_p, idealized, operation units
     speedup: float  # S = T_s / T_p
     efficiency: float  # E = S / p
-    parallel_cost_integral: float  # T_p charging ceil(n_c/p) chains per worker
-    speedup_integral: float
-    efficiency_integral: float
     overhead: float  # T_o = p * T_p - T_s, operation units
 
 
@@ -91,18 +88,18 @@ def predict_cost(inp):
     parallel_cost = serial_cost / speedup
     efficiency = speedup / p
 
-    chains_integral = math.ceil(n_c / p)
-    parallel_integral = chains_integral * per_chain_steps * unit
-    speedup_integral = serial_cost / parallel_integral
-    efficiency_integral = speedup_integral / p
-
     return CostReport(
         serial_cost=serial_cost,
         parallel_cost=parallel_cost,
         speedup=speedup,
         efficiency=efficiency,
-        parallel_cost_integral=parallel_integral,
-        speedup_integral=speedup_integral,
-        efficiency_integral=efficiency_integral,
         overhead=p * parallel_cost - serial_cost,
     )
+
+
+def whole_chain_speedup(n_chains, workers):
+    """Speedup of ``n_chains`` equal-budget chains placed whole on ``workers``
+    workers over the same chains on one: n / ceil(n / p), exactly."""
+    if n_chains < 1 or workers < 1:
+        raise ValueError("n_chains and workers must be at least 1")
+    return n_chains / math.ceil(n_chains / workers)

@@ -565,7 +565,8 @@ def _regularization_matrix(config, rows, cols):
 
 def observe_deblur_problem(config):
     """Blur the truth and add observation noise with standard deviation
-    ``noise_level`` times the mean intensity."""
+    ``noise_level`` times the mean intensity; ``obs_cov`` is that noise's
+    covariance, shared by the posterior and the Tikhonov baseline."""
     truth = load_experiment_image(config)
     rows, cols = truth.rows, truth.cols
     op = _blur_operator(config, rows, cols)
@@ -579,6 +580,7 @@ def observe_deblur_problem(config):
         "blurred": blurred,
         "observed": blurred + noise,
         "noise_std": noise_std,
+        "obs_cov": SpdMatrix.spherical(rows * cols, noise_std ** 2),
         "mean_intensity": mean_intensity,
     }
 
@@ -627,12 +629,12 @@ def _run_tikhonov_baseline(config, setup, summary):
         problem = TikhonovProblem(
             setup["operator"],
             setup["observed"],
-            SpdMatrix.spherical(rows * cols, setup["noise_std"] ** 2),
+            setup["obs_cov"],
             _regularization_matrix(config, rows, cols),
             alphas[0],
         )
         lcurve = lcurve_select_alpha(problem, alphas)
-        solution = lcurve.solutions[lcurve.alpha].x
+        solution = lcurve.solution.x
     summary.alpha_star = lcurve.alpha
     summary.write_csv(
         "lcurve.csv",
@@ -659,12 +661,8 @@ def run_deblur_experiment(config, out_dir):
         selection = fit_prior_mixture(setup["prior_members"], config)
     _record_selection(summary, selection)
 
-    model = PosteriorModel(
-        selection.mixture,
-        setup["operator"],
-        setup["observed"],
-        SpdMatrix.spherical(rows * cols, setup["noise_std"] ** 2),
-    )
+    model = PosteriorModel(selection.mixture, setup["operator"], setup["observed"],
+                           setup["obs_cov"])
     variants = {
         f"parallel_{mechanism}": (f"sampling_{mechanism}_s",
                                   multichain_plan(model, config["n_ens"], mechanism, config))

@@ -22,11 +22,11 @@ import math
 import os
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_model import CostModelInput, predict_cost, step_cost
+from .cost_model import step_cost, whole_chain_speedup
 from .errors import BudgetInfeasibleWarning, ChainFailed, OversubscribedWarning
 from .gmm import Ensemble
 from .linalg_rng import SpdMatrix
@@ -290,14 +290,13 @@ def benchmark_speedup(
     at most one pool is open at a time. A count's wall time is the best of
     its ``repetitions`` timings; its speedup is the median of wall(1) / wall(p)
     within each repetition, so load that comes and goes between repetitions
-    cancels. Predicted columns come from the cost model's integral-work
-    variant for the same run (``n_ens`` samples of ``model.dim`` variables,
-    ``burn_in``, ``stride``, the mechanism's leapfrog steps) with each p's
-    worker count and the model's component count, normalized by its own
-    p = 1 value so prediction and measurement share the multi-chain baseline
-    (the serial-chain baseline differs by the per-chain burn-in, which the
-    cost model reports as overhead). Requesting more workers than logical
-    processors flags the rows and warns.
+    cancels. The predicted speedup is ``cost_model.whole_chain_speedup`` of
+    the plan's chains that have a budget, n / ceil(n / p): the chains run
+    whole, so the busiest of p workers runs ceil(n / p) of them where one
+    worker runs all n. Prediction and measurement share this multi-chain
+    baseline at p = 1, not the serial chain, which differs by the per-chain
+    burn-in. Requesting more workers than logical processors flags the rows
+    and warns.
     """
     p_values = list(p_values)
     if not p_values:
@@ -311,18 +310,6 @@ def benchmark_speedup(
             OversubscribedWarning,
         )
 
-    n_c = model.prior.n_components
-    hmc = mechanism == "hmc"
-    prediction_input = CostModelInput(
-        workers=1,
-        n_components=n_c,
-        n_ens=n_ens,
-        n_var=model.dim,
-        burn_in=burn_in,
-        stride=stride,
-        traj_steps=hmc_steps if hmc else 1,
-        proposal="hmc" if hmc else "diagonal",
-    )
     plan = build_plan(model, n_ens, mechanism, seed, burn_in=burn_in, stride=stride,
                       proposal_scale=proposal_scale, hmc_steps=hmc_steps, budgets="uniform")
     workers = sorted(set(p_values) | {1})
@@ -334,13 +321,12 @@ def benchmark_speedup(
                 start = time.perf_counter()
                 run_plans(model, [plan], pool)
                 walls[p].append(time.perf_counter() - start)
-    pred_baseline = predict_cost(prediction_input).parallel_cost_integral
+    n_run = sum(chain.budget > 0 for chain in plan.chains)
     rows = []
     for p in workers:
         if p not in p_values:
             continue
-        pred_speedup = (pred_baseline
-                        / predict_cost(replace(prediction_input, workers=p)).parallel_cost_integral)
+        pred_speedup = whole_chain_speedup(n_run, p)
         speedup = float(np.median(np.divide(walls[1], walls[p])))
         rows.append(
             BenchmarkRow(

@@ -21,7 +21,7 @@ Two solvers, chosen from the problem's structure:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,9 +96,6 @@ class TikhonovProblem:
             raise DimensionMismatch("C order must equal the state dimension")
         if self.alpha < 0.0:
             raise ValueError("alpha must be non-negative")
-
-    def with_alpha(self, alpha):
-        return TikhonovProblem(self.operator, self.y, self.obs_cov, self.reg_matrix, alpha)
 
 
 def tikhonov_objective(problem, x):
@@ -257,7 +254,7 @@ class LCurveSelection:
     alpha: float
     points: list
     degenerate: bool
-    solutions: dict  # alpha -> TikhonovSolution
+    solution: TikhonovSolution  # the solve at alpha
 
 
 def lcurve_select_alpha(problem, alphas=None, *, solver_options=None):
@@ -266,11 +263,11 @@ def lcurve_select_alpha(problem, alphas=None, *, solver_options=None):
     Solves the problem per grid alpha (warm-started along the grid), builds
     the (log residual-norm, log solution-norm) curve, scores interior points
     by three-point Menger curvature, and returns the curvature maximizer
-    (ties toward larger alpha). A curvature range below 1e-12 degenerates to
-    the grid midpoint with a warning. A maximizer within one point of either
-    end of the grid also warns, naming it and that end: the corner may lie
-    outside the grid. Each point records its solve's
-    iteration count and convergence flag; unconverged solves raise a
+    (ties toward larger alpha) with its solve. A curvature range below
+    1e-12 degenerates to the grid midpoint with a warning. A maximizer
+    within one point of either end of the grid also warns, naming it and
+    that end: the corner may lie outside the grid. Each point records its
+    solve's iteration count and convergence flag; unconverged solves raise a
     SolverConvergenceWarning naming their alphas.
     """
     alphas = DEFAULT_ALPHA_GRID if alphas is None else np.asarray(alphas, dtype=float)
@@ -281,10 +278,10 @@ def lcurve_select_alpha(problem, alphas=None, *, solver_options=None):
     # warm-starting each solve from its neighbor; report points in grid order.
     order = np.argsort(-alphas, kind="stable")
     points = [None] * alphas.size
-    solutions = {}
+    solutions = [None] * alphas.size
     warm = None
     for idx in order:
-        sub = problem.with_alpha(float(alphas[idx]))
+        sub = replace(problem, alpha=float(alphas[idx]))
         sol = solve_tikhonov(sub, warm, **solver_options)
         warm = sol.x
         residual = sub.operator.apply(sol.x) - sub.y
@@ -293,7 +290,7 @@ def lcurve_select_alpha(problem, alphas=None, *, solver_options=None):
         points[idx] = LCurvePoint(
             float(alphas[idx]), res_norm, sol_norm, 0.0, sol.iterations, sol.converged
         )
-        solutions[float(alphas[idx])] = sol
+        solutions[idx] = sol
     unconverged = [p.alpha for p in points if not p.converged]
     if unconverged:
         warnings.warn(
@@ -304,7 +301,7 @@ def lcurve_select_alpha(problem, alphas=None, *, solver_options=None):
 
     unique_alphas = {p.alpha for p in points}
     if len(unique_alphas) == 1:
-        return LCurveSelection(points[0].alpha, points, False, solutions)
+        return LCurveSelection(points[0].alpha, points, False, solutions[0])
 
     floor = np.finfo(float).tiny
     xs = np.log(np.maximum([p.residual_norm for p in points], floor))
@@ -325,8 +322,8 @@ def lcurve_select_alpha(problem, alphas=None, *, solver_options=None):
             "L-curve curvature is flat; falling back to the grid midpoint",
             DegenerateCurveWarning,
         )
-        mid = points[len(points) // 2]
-        return LCurveSelection(mid.alpha, points, True, solutions)
+        mid = len(points) // 2
+        return LCurveSelection(points[mid].alpha, points, True, solutions[mid])
     best = np.max(curvatures)
     # Ties break toward larger alpha; the grid is scanned in order.
     idx = max(j for j, p in enumerate(points) if p.curvature == best)
@@ -337,4 +334,4 @@ def lcurve_select_alpha(problem, alphas=None, *, solver_options=None):
             f"grid end {end.alpha:.6g}; the corner may lie outside the grid",
             DegenerateCurveWarning,
         )
-    return LCurveSelection(points[idx].alpha, points, False, solutions)
+    return LCurveSelection(points[idx].alpha, points, False, solutions[idx])

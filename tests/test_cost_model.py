@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from csample.cost_model import CostModelInput, predict_cost, step_cost
+from csample.cost_model import CostModelInput, predict_cost, step_cost, whole_chain_speedup
 
 
 def rand_input(rng, **overrides):
@@ -95,13 +95,13 @@ class TestIdentities:
         # p * T_p - T_s = (n_c - 1) * b_s * unit for p = n_c.
         assert report.overhead == pytest.approx(3 * 100 * 3.0)
 
-    def test_integral_variant_bounds_ideal(self):
+    def test_whole_chain_speedup_bounds_ideal(self):
+        # Placing chains whole never beats dividing them continuously.
         rng = np.random.default_rng(3)
         for _ in range(30):
-            inp = rand_input(rng)
-            report = predict_cost(inp)
-            assert report.speedup_integral <= report.speedup * (1 + 1e-12)
-            assert report.parallel_cost_integral >= report.parallel_cost * (1 - 1e-12)
+            inp = rand_input(rng, burn_in=0)
+            ideal = predict_cost(inp).speedup
+            assert whole_chain_speedup(inp.n_components, inp.workers) <= ideal
 
 
 class TestIsoefficiency:
@@ -123,3 +123,5 @@ class TestValidation:
             CostModelInput(workers=1, n_components=1, n_ens=10, n_var=2, proposal="x")
         with pytest.raises(ValueError):
             CostModelInput(workers=1, n_components=1, n_ens=10, n_var=2, gmm_structure="x")
+        with pytest.raises(ValueError):
+            whole_chain_speedup(0, 2)

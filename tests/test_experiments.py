@@ -16,6 +16,7 @@ from csample.cli import main as cli_main
 from csample.errors import (
     ConfigError,
     DegenerateCurveWarning,
+    NotPositiveDefinite,
     SolverConvergenceWarning,
     ZeroReference,
 )
@@ -757,3 +758,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"chain of stream {STREAM_SERIAL_HMC} failed" in err
         assert "injected fault" in err
+
+    def test_non_spd_covariance_exit_code(self, tmp_path, capsys, monkeypatch):
+        # Every covariance stack an EM fit factors fails at pivot 1: each
+        # candidate is skipped, the last error reaches the CLI, and it exits 3.
+        from csample import gmm
+
+        def non_spd(stack):
+            raise NotPositiveDefinite(1, "matrix 0 is not positive definite (pivot 1)")
+
+        monkeypatch.setattr(gmm, "cholesky_stack", non_spd)
+        data_path = tmp_path / "d.csv"
+        np.savetxt(data_path, np.random.default_rng(6).standard_normal((60, 2)), delimiter=",")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data": str(data_path), "candidate_components": [1, 2]}))
+        code = cli_main(["em-fit", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                         "--procs", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "pivot 1" in err

@@ -6,7 +6,6 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from csample.cost_model import CostModelInput, predict_cost
 from csample.errors import (
     BudgetInfeasibleWarning,
     ChainFailed,
@@ -495,9 +494,10 @@ class TestBenchmark:
             assert len(row.walls) == 1 and row.wall_s == row.walls[0]
         assert [row.workers for row in rows] == [1, 2]
 
-    def test_predicted_columns_match_cost_model(self, bench_model):
-        # Predictions are the cost model's integral parallel costs,
-        # normalized to the p = 1 prediction.
+    @pytest.mark.parametrize("burn_in", [0, 10])
+    def test_prediction_is_whole_chain_speedup(self, bench_model, burn_in):
+        # Equal-budget chains run whole: n / ceil(n / p), exactly, whatever
+        # the burn-in.
         rows = benchmark_speedup(
             bench_model,
             70,
@@ -505,40 +505,22 @@ class TestBenchmark:
             [1, 2],
             seed=11,
             repetitions=1,
-            burn_in=10,
+            burn_in=burn_in,
             stride=1,
         )
+        n = bench_model.prior.n_components
+        for row in rows:
+            assert row.pred_speedup == n / math.ceil(n / row.workers)
+            assert row.pred_efficiency == row.pred_speedup / row.workers
 
-        def integral_cost(p):
-            return predict_cost(
-                CostModelInput(
-                    workers=p,
-                    n_components=bench_model.prior.n_components,
-                    n_ens=70,
-                    n_var=1,
-                    burn_in=10,
-                    stride=1,
-                    proposal="diagonal",
-                )
-            ).parallel_cost_integral
-
-        assert rows[0].pred_speedup == 1.0
-        assert rows[1].pred_speedup == integral_cost(1) / integral_cost(2)
-        assert rows[1].pred_efficiency == rows[1].pred_speedup / 2
-
-    def test_no_burn_in_prediction_reaches_worker_count(self, bench_model):
+    def test_prediction_counts_only_chains_with_a_budget(self, bench_model):
+        # Three samples leave all but three chains without a budget, and
+        # three chains on two workers give 3 / 2.
+        assert bench_model.prior.n_components > 3
         rows = benchmark_speedup(
-            bench_model,
-            70,
-            "gaussian",
-            [1, 2],
-            seed=13,
-            repetitions=1,
-            burn_in=0,
-            stride=1,
+            bench_model, 3, "gaussian", [1, 2], seed=13, repetitions=1, burn_in=10, stride=1
         )
-        n_c = bench_model.prior.n_components
-        assert rows[1].pred_speedup == n_c / np.ceil(n_c / 2)
+        assert [row.pred_speedup for row in rows] == [1.0, 1.5]
 
     @pytest.mark.filterwarnings("ignore::csample.errors.OversubscribedWarning")
     def test_repetitions_interleave_worker_counts(self, bench_model, monkeypatch):
