@@ -17,11 +17,18 @@ inputs and times:
 - ``oned.serial_hmc_chain``: the whole serial HMC chain of ``oned`` at
   1000 samples (15,100 transitions), per chain;
 - ``oned.em_iter``, ``emfit.em_iter`` and ``emfit.em_iter_k6``: one EM
-  iteration (``_em_single`` from quantile seeds, at most 60 iterations,
-  divided by the iterations made) on ``oned``'s 1000-point prior ensemble
-  at 8 components, and on perfbench's seed-1 ``emfit`` data (1000 8-D
-  points) at 4 and at 6 components. The 5- and 6-component candidates make
-  most of an ``em-fit`` run's iterations;
+  map (``_em_single`` from quantile seeds, at most 60 maps, divided by the
+  maps made) on ``oned``'s 1000-point prior ensemble at 8 components, and on
+  perfbench's seed-1 ``emfit`` data (1000 8-D points) at 4 and at 6
+  components. The 5- and 6-component candidates make most of an ``em-fit``
+  run's maps. Under SQUAREM a map's share also carries the E-steps of the
+  extrapolated points, so these figures rise while the maps per fit fall;
+- ``oned.em_select`` and ``emfit.em_select``: one whole EM + AIC selection
+  (``select_model_aic`` in this process, on the EM stream of seed 2024),
+  per selection: over ``oned``'s shipped candidates (1-10) on its prior
+  ensemble, and over perfbench's ``emfit`` candidates (1-6) on the seed-1
+  ``emfit`` data. Their digests include the selected n_c and the EM maps of
+  every fit, so a change in the work a selection makes shows there;
 - ``mixture.build_k6_d8``: one ``GaussianMixture`` built from the first
   M-step's covariances of that ``emfit`` data at 6 components (k = 6,
   d = 8), per build: the factorization and inversion every EM iteration
@@ -32,7 +39,8 @@ inputs and times:
 
 Within one interpreter the repetitions of the timed units are interleaved,
 so a slow spell of a shared machine reaches every unit alike, and each
-unit's fastest repetition counts; the serial chain runs once. The JSON
+unit's fastest repetition counts; the serial chain runs once, each
+selection three times. The JSON
 printed at the end gives, per layer and tree, every round's figure in
 microseconds, their median and minimum, the change's median relative to
 the parent's, and the median over rounds of the change-to-parent ratio
@@ -125,6 +133,7 @@ def child(tree):
     {layer: [microseconds per unit, digest of the unit's results]}."""
     from csample import gmm, samplers
     from csample.experiments import (
+        STREAM_EM,
         fit_prior_mixture,
         load_config,
         oned_plans,
@@ -135,7 +144,7 @@ def child(tree):
     from csample.linalg_rng import RngStream, SpdMatrix
     from csample.pool import WorkerPool
     from csample.posterior import PosteriorModel
-    from perfbench.workloads import downsample_phantom, emfit_data
+    from perfbench.workloads import EMFIT_CANDIDATES, downsample_phantom, emfit_data
 
     config = load_config("oned", Path(tree) / "configs" / "oned.json",
                          {"n_samples": N_SAMPLES, "seed": SEED})
@@ -208,8 +217,20 @@ def child(tree):
         fit = run()
         digests[name] = _digest(fit.loglik_trace, fit.mixture.means, fit.mixture.covariances)
         fits[name] = (run, fit.n_iter)
+    selections = {}
+    for name, data, (lo, hi) in (("oned.em_select", ensemble, config["candidate_components"]),
+                                 ("emfit.em_select", emfit, EMFIT_CANDIDATES)):
+        def run(data=data, candidates=range(lo, hi + 1)):
+            return gmm.select_model_aic(data, candidates, structure="full",
+                                        rng=RngStream(SEED, STREAM_EM))
+
+        selection = run()
+        digests[name] = _digest([selection.n_components, selection.iterations],
+                                [row["log_likelihood"] for row in selection.table])
+        selections[name] = (run, 1)
     layers.update(_fastest_us(steps, repeat=5))
     layers.update(_fastest_us(fits, repeat=7))
+    layers.update(_fastest_us(selections, repeat=3))
 
     plan = plans["serial_hmc"]
     t0 = time.perf_counter()

@@ -13,14 +13,21 @@ makes the whole EM/AIC pipeline invariant to permutations of the input
 ensemble. The caller seeds every EM restart, and the restarts run as tasks
 on a worker pool (``_fit_restarts``).
 
+An EM fit (``_em_single``) runs SQUAREM cycles (Varadhan & Roland, Scand.
+J. Statist. 2008): two EM maps, an extrapolation along them on the
+mixture's unconstrained coordinates (log weights, means, log variances or
+log-Cholesky factors) that backtracks toward the plain point until it
+builds and scores no lower, then one stabilizing map. Its iteration count
+and cap count EM maps.
+
 The per-step contract: the kernel methods (``log_kernel``,
 ``kernel_pullback``, ``log_kernel_and_pullback``) take one float (dim,)
 state unchecked, as the posterior's per-step calls pass it; the density
-methods check the dimension of what they are given. One EM iteration
-(``_em_single``) reduces its (n, k) log densities over the short component
-axis only where the order of the sum matters: the max is taken column by
-column, the sum keeps numpy's row order, and the responsibility column sums
-are computed once and shared by the starvation check and the M-step.
+methods check the dimension of what they are given. An E-step reduces its
+(n, k) log densities over the short component axis only where the order of
+the sum matters: the max is taken column by column, the sum keeps numpy's
+row order, and the responsibility column sums are computed once and shared
+by the starvation check and the M-step.
 """
 
 from __future__ import annotations
@@ -40,6 +47,17 @@ GMM_STRUCTURES = ("diagonal", "spherical", "tied", "full")
 
 # Relative covariance floor added in every M-step: lambda * trace(S)/dim * I.
 COVARIANCE_FLOOR = 1e-6
+
+# A component whose responsibilities sum to fewer effective points starves.
+MIN_EFFECTIVE_POINTS = 2.0
+
+# Step-length halvings a SQUAREM extrapolation may take before its cycle
+# keeps the plain EM point.
+SQUAREM_HALVINGS = 4
+
+# Restarts whose log-likelihoods agree to this (relative) reached one optimum,
+# and round-off alone orders them; the first of them is kept.
+RESTART_TIE = 1e-10
 
 
 def _logsumexp(a):
@@ -331,9 +349,10 @@ def free_parameter_count(structure, n_components, dim):
 @dataclass
 class EmFit:
     """Result of one EM fit: the mixture plus convergence bookkeeping.
-    ``loglik_trace`` is the final ascent since any reseed, non-decreasing:
-    an M-step that would lower it (only the covariance floor can, at
-    round-off scale) is rejected for the previous iterate."""
+    ``loglik_trace`` holds the log-likelihoods of the points the fit kept
+    since any reseed, the kept extrapolations among them, non-decreasing:
+    a map that would lower it (only the covariance floor can, at round-off
+    scale) is rejected for the previous point. ``n_iter`` counts EM maps."""
 
     mixture: GaussianMixture
     log_likelihood: float
@@ -432,10 +451,10 @@ def _nearest_center_assignment(points, centers):
 
 
 def _starved_components(mass, repairs_left):
-    """Components whose responsibility column sum ``mass`` is below two
-    effective points; raises DegenerateComponent if there are any and no
+    """Components whose responsibility column sum ``mass`` is below
+    MIN_EFFECTIVE_POINTS; raises DegenerateComponent if there are any and no
     repair is left."""
-    weak = np.nonzero(mass < 2.0)[0]
+    weak = np.nonzero(mass < MIN_EFFECTIVE_POINTS)[0]
     if weak.size and repairs_left == 0:
         k = weak[0]
         raise DegenerateComponent(f"component {k} holds {mass[k]:.3f} effective points")
@@ -464,38 +483,109 @@ def _seed_centers(points, n_components, rng, seeding):
     return centers
 
 
+def _e_step(mixture, points):
+    """The points' log-likelihood under the mixture and their (n, k)
+    responsibilities."""
+    logr = mixture.joint_log_densities(points)
+    point_ll = _logsumexp(logr)
+    return float(np.sum(point_ll)), np.exp(logr - point_ll[:, None])
+
+
+def _to_theta(mixture):
+    """The mixture's free parameters as one flat vector of unconstrained
+    coordinates: log weights, means, then log variances (variance storage;
+    one per component for spherical) or Cholesky factors with log diagonals
+    (dense storage). Tied contributes its one covariance."""
+    shared = 1 if mixture.structure == "tied" else mixture.n_components
+    if mixture._precisions is not None:
+        columns = 1 if mixture.structure == "spherical" else mixture.dim
+        scale = np.log(mixture.covariances[:shared, :columns])
+    else:
+        scale = mixture._factors[:shared].copy()
+        i = np.arange(mixture.dim)
+        scale[:, i, i] = np.log(scale[:, i, i])
+    return np.concatenate([mixture._log_weights, mixture.means.ravel(), scale.ravel()])
+
+
+def _from_theta(theta, like):
+    """The mixture at coordinates ``theta`` (see ``_to_theta``), shaped and
+    structured like the mixture ``like``. Raises ValueError when it does not
+    build: a non-finite coordinate, a covariance that does not factor
+    (NotPositiveDefinite) or a weight that underflows to zero."""
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("non-finite mixture coordinates")
+    n_c, dim = like.n_components, like.dim
+    log_weights, means, scale = np.split(theta, [n_c, n_c + n_c * dim])
+    weights = np.exp(log_weights - log_weights.max())
+    weights /= weights.sum()
+    # An overflowing variance or factor is left to the factorization to reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if like._precisions is not None:
+            columns = 1 if like.structure == "spherical" else dim
+            covs = np.broadcast_to(np.exp(scale).reshape(-1, columns), (n_c, dim))
+        else:
+            lower = scale.reshape(-1, dim, dim).copy()
+            i = np.arange(dim)
+            lower[:, i, i] = np.exp(lower[:, i, i])
+            covs = np.broadcast_to(lower @ lower.swapaxes(1, 2), (n_c, dim, dim))
+        return GaussianMixture(weights, means.reshape(n_c, dim), covs, structure=like.structure)
+
+
+def _squarem_point(points, cycle, loglik, resp):
+    """The point one SQUAREM cycle keeps (Varadhan & Roland, Scand. J.
+    Statist. 2008): from EM maps theta0 -> theta1 -> theta2 (``cycle``, the
+    last of log-likelihood ``loglik`` and responsibilities ``resp``), with
+    r = theta1 - theta0, v = theta2 - theta1 - r and the step length
+    alpha = min(-1, -|r|/|v|), it tries theta0 - 2 alpha r + alpha^2 v. A
+    point that does not build, scores below theta2 or starves a component is
+    retried with alpha <- (alpha - 1)/2, which moves it toward theta2
+    (alpha = -1), up to SQUAREM_HALVINGS times; theta2 is kept when none
+    passes. So only a plain EM map starves a component, and only there does
+    the fit reseed it. Returns the kept mixture, its log-likelihood and its
+    responsibilities."""
+    theta0, theta1, theta2 = map(_to_theta, cycle)
+    r = theta1 - theta0
+    v = theta2 - theta1 - r
+    norm_r, norm_v = np.linalg.norm(r), np.linalg.norm(v)
+    if not norm_r > norm_v > 0.0:  # alpha = -1: the extrapolation is theta2
+        return cycle[2], loglik, resp
+    alpha = -norm_r / norm_v
+    for _ in range(SQUAREM_HALVINGS + 1):
+        try:
+            trial = _from_theta(theta0 - 2.0 * alpha * r + alpha * alpha * v, cycle[2])
+        except ValueError:  # it does not build
+            pass
+        else:
+            trial_ll, trial_resp = _e_step(trial, points)
+            if trial_ll >= loglik and trial_resp.sum(axis=0).min() >= MIN_EFFECTIVE_POINTS:
+                return trial, trial_ll, trial_resp
+        alpha = 0.5 * (alpha - 1.0)
+    return cycle[2], loglik, resp
+
+
 def _em_single(points, centers, structure, rng, max_iter, rel_tol):
     """One EM fit from seeded ``centers``, whose nearest-center assignment
-    gives the first responsibilities. A component that starves mid-fit is
-    reseated by draws from ``rng``, the fit's own stream."""
-    resp = _nearest_center_assignment(points, centers)
-    floor = _data_floor(points)
-    weights, means, covs = _m_step(points, resp, resp.sum(axis=0), structure, floor)
-    mixture = GaussianMixture(weights, means, covs, structure=structure)
+    gives the first responsibilities, accelerated by SQUAREM cycles.
 
-    trace = []
-    loglik = -np.inf
-    converged = False
-    n_iter = 0
-    repair_budget = 3
-    for n_iter in range(1, max_iter + 1):
-        logr = mixture.joint_log_densities(points)
-        point_ll = _logsumexp(logr)
-        new_loglik = float(np.sum(point_ll))
-        if trace and new_loglik < trace[-1]:
-            # The covariance floor perturbs the exact M-step; at the fixed
-            # point that can show up as a tiny dip. Keep the better iterate.
-            mixture = previous
-            loglik = trace[-1]
-            converged = True
-            break
-        trace.append(new_loglik)
-        if len(trace) >= 2 and trace[-1] - trace[-2] < rel_tol * abs(trace[-1]):
-            loglik = new_loglik
-            converged = True
-            break
-        loglik = new_loglik
-        resp = np.exp(logr - point_ll[:, None])
+    Each cycle makes two EM maps (E-step then M-step) theta0 -> theta1 ->
+    theta2, keeps the extrapolated point ``_squarem_point`` returns, and
+    makes one stabilizing map from it, whose point starts the next cycle.
+    ``n_iter`` and ``max_iter`` count maps, the first M-step from the seeded
+    assignment included. The fit converges when a map raises the
+    log-likelihood of the point it maps by less than ``rel_tol`` (relative),
+    or when a map lowers it, which only the covariance floor can do, at
+    round-off scale near the fixed point; the better point is then kept.
+    A component that starves mid-fit is reseated by draws from ``rng``, the
+    fit's own stream; the reseated map ends its cycle, with no extrapolation
+    across it, and starts a fresh ascent segment of ``loglik_trace``."""
+    floor = _data_floor(points)
+    resp = _nearest_center_assignment(points, centers)
+    mixture = GaussianMixture(*_m_step(points, resp, resp.sum(axis=0), structure, floor),
+                              structure=structure)
+    loglik, resp = _e_step(mixture, points)
+    trace, cycle = [loglik], [mixture]
+    n_iter, repair_budget, converged = 1, 3, False
+    while n_iter < max_iter:
         mass = resp.sum(axis=0)
         weak = _starved_components(mass, repair_budget)
         if weak.size:
@@ -511,11 +601,26 @@ def _em_single(points, centers, structure, rng, max_iter, rel_tol):
                     resp[idx, j] = 1.0
             resp /= resp.sum(axis=1, keepdims=True)
             mass = resp.sum(axis=0)
-            # A reseed starts a fresh ascent segment.
             trace.clear()
-        previous = mixture
-        weights, means, covs = _m_step(points, resp, mass, structure, floor)
-        mixture = GaussianMixture(weights, means, covs, structure=structure)
+            cycle.clear()
+        mapped = GaussianMixture(*_m_step(points, resp, mass, structure, floor),
+                                 structure=structure)
+        n_iter += 1
+        mapped_ll, mapped_resp = _e_step(mapped, points)
+        if trace and mapped_ll < trace[-1]:
+            converged = True
+            break
+        mixture, loglik, resp = mapped, mapped_ll, mapped_resp
+        trace.append(loglik)
+        if len(trace) >= 2 and trace[-1] - trace[-2] < rel_tol * abs(trace[-1]):
+            converged = True
+            break
+        cycle.append(mixture)
+        if len(cycle) == 3:
+            mixture, loglik, resp = _squarem_point(points, cycle, loglik, resp)
+            if mixture is not cycle[2]:
+                trace.append(loglik)
+            cycle.clear()
     return EmFit(mixture, loglik, trace, n_iter, converged)
 
 
@@ -533,7 +638,7 @@ def _check_fittable(n_points, n_components, structure):
         raise ValueError(f"unknown covariance structure {structure!r}")
 
 
-def _fit_restarts(points, candidates, structure, rng, pool, *, max_iter=500, rel_tol=1e-8,
+def _fit_restarts(points, candidates, structure, rng, pool, *, max_iter=1000, rel_tol=1e-8,
                   restarts=5):
     """Every restart of every candidate component count, run on ``pool``.
 
@@ -576,21 +681,22 @@ def _fit_restarts(points, candidates, structure, rng, pool, *, max_iter=500, rel
 
 
 def _best_restart(outcomes):
-    """The kept fit of one candidate: the first restart of the highest
-    log-likelihood. Restarts that ended in DegenerateComponent are skipped;
-    any other exception is raised, as is the last DegenerateComponent when
-    no restart fitted."""
-    best = last_error = None
+    """The kept fit of one candidate: the first restart whose log-likelihood
+    is within RESTART_TIE (relative) of the highest. Restarts that ended in
+    DegenerateComponent are skipped; any other exception is raised, as is
+    the last DegenerateComponent when no restart fitted."""
+    fits, last_error = [], None
     for outcome in outcomes:
         if isinstance(outcome, DegenerateComponent):
             last_error = outcome
         elif isinstance(outcome, Exception):
             raise outcome
-        elif best is None or outcome.log_likelihood > best.log_likelihood:
-            best = outcome
-    if best is None:
+        else:
+            fits.append(outcome)
+    if not fits:
         raise last_error
-    return best
+    top = max(fit.log_likelihood for fit in fits)
+    return next(fit for fit in fits if fit.log_likelihood >= top - RESTART_TIE * abs(top))
 
 
 @dataclass
@@ -604,7 +710,7 @@ class AicSelection:
     table: list
     work_s: float = 0.0  # seconds of every fit, each timed where it ran
     # Totals over every restart of every candidate that returned a fit, kept
-    # or not: the fits, their EM iterations, and those stopped at max_iter.
+    # or not: the fits, their EM maps, and those stopped at max_iter.
     fits: int = 0
     iterations: int = 0
     unconverged: int = 0

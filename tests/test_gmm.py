@@ -154,8 +154,15 @@ class TestEmFit:
     def test_nonconvergence_flagged(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((100, 1))
-        fit = select_model_aic(data, [2], rng=RngStream(0), max_iter=2, restarts=1).fit
-        assert not fit.converged
+        # The cap counts EM maps; at 3 it falls just after the first cycle's
+        # extrapolation. The kept point is the one whose log-likelihood is
+        # reported.
+        for max_iter in (2, 3, 4):
+            fit = select_model_aic(data, [2], rng=RngStream(0), max_iter=max_iter,
+                                   restarts=1).fit
+            assert (fit.n_iter, fit.converged) == (max_iter, False)
+            assert fit.log_likelihood == pytest.approx(np.sum(fit.mixture.logpdf(data)),
+                                                       rel=1e-12)
 
     def test_degenerate_component_raises(self):
         # Three requested components over two distinct points cannot all
@@ -226,6 +233,21 @@ class TestModelSelection:
         assert np.array_equal(sel_a.mixture.means, sel_b.mixture.means)
         assert np.array_equal(sel_a.mixture.weights, sel_b.mixture.weights)
 
+    def test_near_tied_restarts_keep_the_first(self):
+        mixture = GaussianMixture([1.0], [[0.0]], np.array([[1.0]]))
+        top = -1234.5
+
+        def restarts(*logliks):
+            return [gmm.EmFit(mixture, ll, n_iter=n) for n, ll in enumerate(logliks, start=2)]
+
+        # 1e-13 apart: one optimum, ordered by round-off; the first is kept.
+        assert gmm._best_restart(restarts(top * (1 + 1e-13), top)).n_iter == 2
+        assert gmm._best_restart(restarts(top, top * (1 + 1e-13))).n_iter == 2
+        # 1e-8 apart: the better restart is kept.
+        assert gmm._best_restart(restarts(top * (1 + 1e-8), top)).n_iter == 3
+        failed = DegenerateComponent("starved")
+        assert gmm._best_restart([failed, *restarts(top, top)]).n_iter == 2
+
     def test_dense_selection_pinned(self):
         # Full covariances in 8-D: the selection, each kept fit's iterations
         # and convergence are pinned exactly, the log-likelihoods to
@@ -239,10 +261,10 @@ class TestModelSelection:
                                            rng.standard_normal((600, 8)))
         sel = select_model_aic(data, range(1, 7), structure="full", rng=RngStream(2))
         assert sel.n_components == 5
-        assert sel.em_totals == {"fits": 30, "iterations": 647, "unconverged": 0}
-        pinned = [(1, 2, -8117.948402761529), (2, 6, -7082.779440307273),
-                  (3, 2, -6459.593331149879), (4, 2, -6081.356557042098),
-                  (5, 47, -6027.357619570015), (6, 100, -5997.789886708673)]
+        assert sel.em_totals == {"fits": 30, "iterations": 363, "unconverged": 0}
+        pinned = [(1, 2, -8117.948402761529), (2, 5, -7082.7794403148055),
+                  (3, 2, -6459.593331149879), (4, 2, -6081.356557042099),
+                  (5, 32, -6027.35757037268), (6, 32, -5997.917224272758)]
         for row, (n_c, n_iter, loglik) in zip(sel.table, pinned, strict=True):
             assert (row["n_c"], row["n_iter"], row["converged"]) == (n_c, n_iter, True)
             assert row["log_likelihood"] == pytest.approx(loglik, rel=1e-10, abs=0.0)
@@ -260,6 +282,95 @@ class TestModelSelection:
         best = min(row["aic"] for row in sel.table)
         near_seven = min(row["aic"] for row in sel.table if 5 <= row["n_c"] <= 9)
         assert near_seven <= best + 2.0
+
+
+def overlapping_clusters(dim, seed=3):
+    """300 points in three overlapping clusters: EM crawls on them, so every
+    fit makes several SQUAREM cycles."""
+    rng = np.random.default_rng(seed)
+    centers = np.array([[-1.5] * dim, [0.0] * dim, [1.5] * dim])
+    return np.concatenate([c + 0.8 * rng.standard_normal((100, dim)) for c in centers])
+
+
+def plain_em(points, centers, structure, n_maps):
+    """(mixture, log-likelihood, responsibilities) of each of n_maps plain
+    EM maps from the seeded centers, the first M-step included."""
+    floor = gmm._data_floor(points)
+    resp = gmm._nearest_center_assignment(points, centers)
+    path = []
+    for _ in range(n_maps):
+        mixture = GaussianMixture(*gmm._m_step(points, resp, resp.sum(axis=0), structure, floor),
+                                  structure=structure)
+        loglik, resp = gmm._e_step(mixture, points)
+        path.append((mixture, loglik, resp))
+    return path
+
+
+class TestSquarem:
+    @pytest.mark.parametrize("structure, dim", [("diagonal", 2), ("spherical", 2), ("tied", 2),
+                                                ("full", 2), ("full", 8)])
+    def test_accepted_logliks_never_decrease(self, monkeypatch, structure, dim):
+        kept = []
+        real = gmm._squarem_point
+
+        def counted(points, cycle, loglik, resp):
+            out = real(points, cycle, loglik, resp)
+            kept.append(out[0] is not cycle[2])
+            return out
+
+        monkeypatch.setattr(gmm, "_squarem_point", counted)
+        points = gmm._sorted_members(overlapping_clusters(dim))
+        centers = gmm._seed_centers(points, 3, RngStream(1), "kmeans++")
+        fit = gmm._em_single(points, centers, structure, RngStream(1, 1), 1000, 1e-10)
+        assert fit.converged and fit.mixture.structure == structure
+        # Extrapolated points were kept, and the trace holds every accepted point.
+        assert sum(kept) >= 2
+        assert len(fit.loglik_trace) == fit.n_iter + sum(kept)
+        assert np.all(np.diff(fit.loglik_trace) >= 0.0)
+        assert fit.log_likelihood == fit.loglik_trace[-1]
+
+    def test_extrapolation_that_does_not_build_keeps_plain_point(self, monkeypatch):
+        points = gmm._sorted_members(overlapping_clusters(2))
+        centers = gmm._seed_centers(points, 3, RngStream(1), "quantile")
+        real = gmm._from_theta
+        calls = []
+
+        def failing_first_cycle(theta, like):
+            calls.append(like)
+            if like is calls[0]:
+                raise NotPositiveDefinite(0)
+            return real(theta, like)
+
+        monkeypatch.setattr(gmm, "_from_theta", failing_first_cycle)
+        fit = gmm._em_single(points, centers, "full", RngStream(1, 1), 1000, 1e-10)
+        # Every halving of the first cycle's step was tried and failed; the
+        # cycle kept its plain point, so the first four maps are plain EM's.
+        assert calls[:gmm.SQUAREM_HALVINGS + 1] == [calls[0]] * (gmm.SQUAREM_HALVINGS + 1)
+        assert fit.loglik_trace[:4] == [ll for _, ll, _ in plain_em(points, centers, "full", 4)]
+        assert len(set(map(id, calls))) > 1  # later cycles extrapolated
+        assert fit.converged
+        assert np.all(np.diff(fit.loglik_trace) >= 0.0)
+
+    def test_extrapolation_that_starves_a_component_is_retried(self, monkeypatch):
+        points = gmm._sorted_members(overlapping_clusters(2))
+        centers = gmm._seed_centers(points, 3, RngStream(1), "quantile")
+        path = plain_em(points, centers, "full", 3)
+        cycle, (_, loglik, resp) = [mixture for mixture, _, _ in path], path[-1]
+        real_e_step, trials = gmm._e_step, []
+
+        def starving_first_trial(mixture, points):
+            trials.append(mixture)
+            trial_ll, trial_resp = real_e_step(mixture, points)
+            if len(trials) == 1:  # it scores above theta2, but component 0 starves
+                trial_resp = trial_resp.copy()
+                trial_resp[:, 0] = 0.0
+                return loglik + 1.0, trial_resp
+            return trial_ll, trial_resp
+
+        monkeypatch.setattr(gmm, "_e_step", starving_first_trial)
+        kept, kept_ll, _ = gmm._squarem_point(points, cycle, loglik, resp)
+        assert len(trials) == 2 and kept is trials[1]
+        assert kept_ll >= loglik
 
 
 class CountingStream(RngStream):
