@@ -702,18 +702,13 @@ def run_speedup_benchmark(config, out_dir):
     _record_selection(summary, selection, write_mixture=False)
 
     with summary.timed("benchmark_s"):
-        rows = benchmark_speedup(
-            model,
-            config["n_samples"],
-            config["mechanism"],
-            config["p_values"],
-            seed=config["seed"],
-            repetitions=config["repetitions"],
-            burn_in=config["burn_in"],
-            stride=config["stride"],
-            proposal_scale=config["parallel_proposal_scale"],
-            hmc_steps=config["hmc_steps"],
-        )
+        # Equal budgets, the split whole_chain_speedup's prediction assumes.
+        plan = build_plan(model, config["n_samples"], config["mechanism"], config["seed"],
+                          burn_in=config["burn_in"], stride=config["stride"],
+                          proposal_scale=config["parallel_proposal_scale"],
+                          hmc_steps=config["hmc_steps"], budgets="uniform")
+        rows = benchmark_speedup(model, plan, config["p_values"],
+                                 repetitions=config["repetitions"])
     summary.write_csv(
         "bench.csv",
         ("p", "wall_s", "speedup", "efficiency", "pred_speedup", "pred_efficiency"),

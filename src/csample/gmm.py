@@ -51,6 +51,10 @@ COVARIANCE_FLOOR = 1e-6
 # A component whose responsibilities sum to fewer effective points starves.
 MIN_EFFECTIVE_POINTS = 2.0
 
+# Rounds of reseating starved components allowed at seeding, and again
+# during the EM maps; a starvation after the last raises DegenerateComponent.
+REPAIR_BUDGET = 3
+
 # Step-length halvings a SQUAREM extrapolation may take before its cycle
 # keeps the plain EM point.
 SQUAREM_HALVINGS = 4
@@ -465,7 +469,7 @@ def _seed_centers(points, n_components, rng, seeding):
     """The initial centers of one fit, drawn from ``rng``: quantile or
     k-means++ centers, and any component that starts with fewer than two
     points reseated on a random data point. Raises DegenerateComponent when
-    three reseeding rounds leave a component starved."""
+    REPAIR_BUDGET reseeding rounds leave a component starved."""
     n = points.shape[0]
     if seeding == "quantile":
         centers = _quantile_centers(points, n_components)
@@ -473,7 +477,7 @@ def _seed_centers(points, n_components, rng, seeding):
         centers = _kmeanspp_centers(points, n_components, rng)
     # Hard assignment to the nearest seed gives the first responsibilities.
     resp = _nearest_center_assignment(points, centers)
-    repair_budget = 3
+    repair_budget = REPAIR_BUDGET
     while (weak := _starved_components(resp.sum(axis=0), repair_budget)).size:
         repair_budget -= 1
         # Reseat starved components on random data points and reassign.
@@ -584,7 +588,7 @@ def _em_single(points, centers, structure, rng, max_iter, rel_tol):
                               structure=structure)
     loglik, resp = _e_step(mixture, points)
     trace, cycle = [loglik], [mixture]
-    n_iter, repair_budget, converged = 1, 3, False
+    n_iter, repair_budget, converged = 1, REPAIR_BUDGET, False
     while n_iter < max_iter:
         mass = resp.sum(axis=0)
         weak = _starved_components(mass, repair_budget)

@@ -141,8 +141,10 @@ def build_plan(
 
     ``mechanism`` is "gaussian" or "hmc". ``budgets`` is "likelihood"
     (component weight times likelihood of the mean) or "uniform" (equal
-    split, the idealized division the cost model assumes). The plan holds
-    no placement: ``run_plans`` queues its chains on the pool that runs them.
+    scores); both are split by ``allocate_budgets``, so equal budgets differ
+    by at most one sample and warn alike when ``n_ens`` is below the chain
+    count. The plan holds no placement: ``run_plans`` queues its chains on
+    the pool that runs them.
     """
     prior = model.prior
     n_c = prior.n_components
@@ -152,8 +154,7 @@ def build_plan(
     if budgets == "likelihood":
         counts = allocate_budgets(log_scores, n_ens)
     elif budgets == "uniform":
-        counts = np.full(n_c, n_ens // n_c, dtype=int)
-        counts[: n_ens % n_c] += 1
+        counts = allocate_budgets(np.zeros(n_c), n_ens)
     else:
         raise ValueError("budgets must be 'likelihood' or 'uniform'")
     if proposal_scale is None:
@@ -268,35 +269,23 @@ class BenchmarkRow:
     walls: tuple = ()  # each repetition's wall time, in order; wall_s is their minimum
 
 
-def benchmark_speedup(
-    model,
-    n_ens,
-    mechanism,
-    p_values,
-    *,
-    seed,
-    repetitions=3,
-    burn_in=100,
-    stride=5,
-    proposal_scale=None,
-    hmc_steps=DEFAULT_HMC_STEPS,
-):
-    """Measure the wall time of one plan's ``run_plans`` call over worker
-    counts with fixed seeds.
+def benchmark_speedup(model, plan, p_values, *, repetitions=3):
+    """Measure the wall time of ``run_plans(model, [plan], pool)`` over
+    worker counts.
 
-    Budgets are uniform, the split the cost model assumes. Each of the
-    ``repetitions`` times every worker count once, in ascending order, each
-    time on a pool created and warmed before timing and closed after it, so
-    at most one pool is open at a time. A count's wall time is the best of
-    its ``repetitions`` timings; its speedup is the median of wall(1) / wall(p)
-    within each repetition, so load that comes and goes between repetitions
-    cancels. The predicted speedup is ``cost_model.whole_chain_speedup`` of
-    the plan's chains that have a budget, n / ceil(n / p): the chains run
-    whole, so the busiest of p workers runs ceil(n / p) of them where one
-    worker runs all n. Prediction and measurement share this multi-chain
-    baseline at p = 1, not the serial chain, which differs by the per-chain
-    burn-in. Requesting more workers than logical processors flags the rows
-    and warns.
+    Each of the ``repetitions`` times every worker count once, in ascending
+    order, each time on a pool created and warmed before timing and closed
+    after it, so at most one pool is open at a time. A count's wall time is
+    the best of its ``repetitions`` timings; its speedup is the median of
+    wall(1) / wall(p) within each repetition, so load that comes and goes
+    between repetitions cancels. The predicted speedup is
+    ``cost_model.whole_chain_speedup`` of the plan's chains that have a
+    budget, n / ceil(n / p): the chains run whole, so the busiest of p
+    workers runs ceil(n / p) of them where one worker runs all n, which
+    holds when their budgets are equal. Prediction and measurement share
+    this multi-chain baseline at p = 1, not the serial chain, which differs
+    by the per-chain burn-in. Requesting more workers than logical
+    processors flags the rows and warns.
     """
     p_values = list(p_values)
     if not p_values:
@@ -310,8 +299,6 @@ def benchmark_speedup(
             OversubscribedWarning,
         )
 
-    plan = build_plan(model, n_ens, mechanism, seed, burn_in=burn_in, stride=stride,
-                      proposal_scale=proposal_scale, hmc_steps=hmc_steps, budgets="uniform")
     workers = sorted(set(p_values) | {1})
     walls = {p: [] for p in workers}
     for _ in range(max(1, repetitions)):

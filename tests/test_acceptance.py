@@ -264,17 +264,9 @@ class TestCriterion6MeasuredScaling:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rows = benchmark_speedup(
-                model,
-                3500,
-                "gaussian",
-                p_values,
-                seed=2024,
-                repetitions=3,
-                burn_in=0,
-                stride=5,
-                proposal_scale=0.3,
-            )
+            plan = build_plan(model, 3500, "gaussian", 2024, burn_in=0, stride=5,
+                              proposal_scale=0.3, budgets="uniform")
+            rows = benchmark_speedup(model, plan, p_values, repetitions=3)
         by_p = {r.workers: r for r in rows}
         bound_ok = all(r.speedup <= r.workers * 1.02 for r in rows)
         # S(p) is the median over repetitions of walls(1) / walls(p).

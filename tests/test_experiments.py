@@ -759,6 +759,49 @@ class TestCli:
         assert f"chain of stream {STREAM_SERIAL_HMC} failed" in err
         assert "injected fault" in err
 
+    def test_em_fits_at_their_cap_are_flagged(self, tmp_path, monkeypatch):
+        # Every fit stops after two maps. One component can converge in two,
+        # so the candidates start at two.
+        from csample import gmm
+
+        def capped_fit(points, centers, structure, rng, max_iter, rel_tol):
+            return gmm._em_single(points, centers, structure, rng, 2, rel_tol)
+
+        monkeypatch.setattr(gmm, "_fit_task", capped_fit)
+        rng = np.random.default_rng(9)
+        centers = np.array([[-3.0, 0.0], [2.0, 2.0], [2.0, -3.0]])
+        data_path = tmp_path / "d.csv"
+        np.savetxt(data_path, np.concatenate([c + rng.standard_normal((60, 2)) for c in centers]),
+                   delimiter=",")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data": str(data_path), "candidate_components": [2, 4]}))
+        out = tmp_path / "o"
+        code = cli_main(["em-fit", "--config", str(cfg_path), "--out", str(out),
+                         "--procs", "1"])
+        assert code == 0
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["em"]["fits"] == 15
+        assert doc["em"]["unconverged"] == doc["em"]["fits"]
+        assert [(row["n_iter"], row["converged"]) for row in doc["aic"]] == [(2, False)] * 3
+
+    def test_raising_operator_exit_code(self, tmp_path, capsys, monkeypatch):
+        # Only the HMC chain's gradient applies the adjoint Jacobian, and the
+        # chains run before the Tikhonov baseline.
+        from csample.forward_models import GaussianBlurOperator
+
+        def raising(self, x, v):
+            raise FloatingPointError("injected adjoint fault")
+
+        monkeypatch.setattr(GaussianBlurOperator, "adjoint_jacobian_apply", raising)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_deblur_config()))
+        code = cli_main(["deblur", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                         "--procs", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "chain of component 0 failed" in err
+        assert "injected adjoint fault" in err
+
     def test_non_spd_covariance_exit_code(self, tmp_path, capsys, monkeypatch):
         # Every covariance stack an EM fit factors fails at pivot 1: each
         # candidate is skipped, the last error reaches the CLI, and it exits 3.

@@ -124,6 +124,28 @@ class TestBuildPlan:
         assert max(budgets) - min(budgets) <= 1
         assert isinstance(plan.chains[0].mechanism, HmcParams)
 
+    @pytest.mark.filterwarnings("ignore::csample.errors.BudgetInfeasibleWarning")
+    @pytest.mark.parametrize("n_c", [1, 2, 3, 7, 10])
+    def test_uniform_budgets_equal_the_even_split(self, n_c):
+        # The first n % n_c chains take one sample more than n // n_c.
+        model = model_from(mixture_1d([1.0 / n_c] * n_c, np.arange(n_c, dtype=float),
+                                      [0.5] * n_c))
+        for n_ens in [*range(1, 2 * n_c + 2), 97, 3500]:
+            even = np.full(n_c, n_ens // n_c)
+            even[: n_ens % n_c] += 1
+            plan = build_plan(model, n_ens, "gaussian", seed=5, budgets="uniform")
+            assert [c.budget for c in plan.chains] == even.tolist()
+
+    def test_uniform_budgets_below_the_chain_count_warn(self, bench_model):
+        n_c = bench_model.prior.n_components
+        with pytest.warns(BudgetInfeasibleWarning):
+            plan = build_plan(bench_model, n_c - 1, "gaussian", seed=5, budgets="uniform")
+        assert [c.budget for c in plan.chains] == [1] * (n_c - 1) + [0]
+
+    def test_unknown_budgets_rejected(self, bench_model):
+        with pytest.raises(ValueError, match="budgets"):
+            build_plan(bench_model, 100, "gaussian", seed=5, budgets="equal")
+
     def test_hmc_tuning_from_component(self):
         params = tune_hmc(np.array([0.25]), n_steps=20)
         assert params.n_steps == 20
@@ -476,16 +498,9 @@ class TestRunPlans:
 
 class TestBenchmark:
     def test_rows_and_csv(self, bench_model):
-        rows = benchmark_speedup(
-            bench_model,
-            70,
-            "gaussian",
-            [1, 2],
-            seed=10,
-            repetitions=1,
-            burn_in=10,
-            stride=1,
-        )
+        plan = build_plan(bench_model, 70, "gaussian", 10, burn_in=10, stride=1,
+                          budgets="uniform")
+        rows = benchmark_speedup(bench_model, plan, [1, 2], repetitions=1)
         assert rows[0].workers == 1
         assert rows[0].speedup == 1.0
         assert rows[0].efficiency == 1.0
@@ -498,16 +513,9 @@ class TestBenchmark:
     def test_prediction_is_whole_chain_speedup(self, bench_model, burn_in):
         # Equal-budget chains run whole: n / ceil(n / p), exactly, whatever
         # the burn-in.
-        rows = benchmark_speedup(
-            bench_model,
-            70,
-            "gaussian",
-            [1, 2],
-            seed=11,
-            repetitions=1,
-            burn_in=burn_in,
-            stride=1,
-        )
+        plan = build_plan(bench_model, 70, "gaussian", 11, burn_in=burn_in, stride=1,
+                          budgets="uniform")
+        rows = benchmark_speedup(bench_model, plan, [1, 2], repetitions=1)
         n = bench_model.prior.n_components
         for row in rows:
             assert row.pred_speedup == n / math.ceil(n / row.workers)
@@ -517,9 +525,10 @@ class TestBenchmark:
         # Three samples leave all but three chains without a budget, and
         # three chains on two workers give 3 / 2.
         assert bench_model.prior.n_components > 3
-        rows = benchmark_speedup(
-            bench_model, 3, "gaussian", [1, 2], seed=13, repetitions=1, burn_in=10, stride=1
-        )
+        with pytest.warns(BudgetInfeasibleWarning):
+            plan = build_plan(bench_model, 3, "gaussian", 13, burn_in=10, stride=1,
+                              budgets="uniform")
+        rows = benchmark_speedup(bench_model, plan, [1, 2], repetitions=1)
         assert [row.pred_speedup for row in rows] == [1.0, 1.5]
 
     @pytest.mark.filterwarnings("ignore::csample.errors.OversubscribedWarning")
@@ -538,8 +547,9 @@ class TestBenchmark:
                 super().close()
 
         monkeypatch.setattr(mc_scheduler, "WorkerPool", LoggedPool)
-        rows = benchmark_speedup(bench_model, 30, "gaussian", [3, 1, 2], seed=15,
-                                 repetitions=2, burn_in=5, stride=1)
+        plan = build_plan(bench_model, 30, "gaussian", 15, burn_in=5, stride=1,
+                          budgets="uniform")
+        rows = benchmark_speedup(bench_model, plan, [3, 1, 2], repetitions=2)
         # Each repetition times every p once, with one pool open at a time.
         cycle = [event for p in (1, 2, 3) for event in (("open", p), ("close", p))]
         assert events == cycle * 2
@@ -549,17 +559,10 @@ class TestBenchmark:
         import os
 
         too_many = (os.cpu_count() or 1) + 1
+        plan = build_plan(bench_model, 30, "gaussian", 12, burn_in=5, stride=1,
+                          budgets="uniform")
         with pytest.warns(OversubscribedWarning):
-            rows = benchmark_speedup(
-                bench_model,
-                30,
-                "gaussian",
-                [1, too_many],
-                seed=12,
-                repetitions=1,
-                burn_in=5,
-                stride=1,
-            )
+            rows = benchmark_speedup(bench_model, plan, [1, too_many], repetitions=1)
         assert rows[-1].oversubscribed
 
     def test_failed_chain_fails_the_benchmark(self, bench_model, monkeypatch):
@@ -573,14 +576,7 @@ class TestBenchmark:
             return original(model, chain, **budget)
 
         monkeypatch.setattr(mc_scheduler, "run_chain", exploding_run_chain)
+        plan = build_plan(bench_model, 30, "gaussian", 14, burn_in=5, stride=1,
+                          budgets="uniform")
         with pytest.raises(ChainFailed, match="chain of component 2 failed.*injected fault"):
-            benchmark_speedup(
-                bench_model,
-                30,
-                "gaussian",
-                [1],
-                seed=14,
-                repetitions=1,
-                burn_in=5,
-                stride=1,
-            )
+            benchmark_speedup(bench_model, plan, [1], repetitions=1)
