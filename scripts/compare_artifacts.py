@@ -3,13 +3,16 @@ every artifact that differs between them.
 
     python scripts/compare_artifacts.py PARENT_TREE CHANGE_TREE
 
-Each tree runs seven experiments, each in a fresh interpreter with BLAS on
+Each tree runs eight experiments, each in a fresh interpreter with BLAS on
 one thread and the tree's own ``src/`` on the path:
 
 - ``oned``, ``deblur`` and ``em-fit`` on the benchmark's seed-2024 configs
   (``perfbench.workloads.write_config``, two workers);
 - ``deblur`` again with ``saturation: true``, which takes the saturated
   sampler and the Gauss-Newton Tikhonov solver;
+- ``deblur`` again with ``gmm_structure: "full"``, the one run whose
+  Gaussian proposal is a dense SpdMatrix (every other run stores
+  variances);
 - ``tikhonov`` on PARENT_TREE's shipped ``configs/tikhonov.json``, and
   again with ``boundary: "periodic"``, which takes the Gauss-Newton solver
   instead of the closed form;
@@ -68,10 +71,12 @@ def write_runs(work, parent):
         inputs = write_inputs(label, SEED, ROOT, work / "inputs" / label)
         config = write_config(workload, SEED, inputs, WORKERS, work / f"{label}.json")
         runs.append((label, workload.command, config))
-    saturated = work / "deblur_saturated.json"
-    doc = {**json.loads((work / "deblur.json").read_text(encoding="utf-8")), "saturation": True}
-    saturated.write_text(json.dumps(doc), encoding="utf-8")
-    runs.append(("deblur_saturated", "deblur", saturated))
+    deblur = json.loads((work / "deblur.json").read_text(encoding="utf-8"))
+    for label, change in (("deblur_saturated", {"saturation": True}),
+                          ("deblur_full", {"gmm_structure": "full"})):
+        path = work / f"{label}.json"
+        path.write_text(json.dumps({**deblur, **change}), encoding="utf-8")
+        runs.append((label, "deblur", path))
     tikhonov = Path(parent).resolve() / "configs" / "tikhonov.json"
     runs.append(("tikhonov", "tikhonov", tikhonov))
     periodic = work / "tikhonov_periodic.json"

@@ -19,9 +19,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-# deblur's np.median loads numpy.ma on its first call; loaded here it counts
-# in the import, not in the run.
-import numpy.ma  # noqa: F401
 
 from .errors import ConfigError, ZeroReference
 from .forward_models import (
@@ -344,6 +341,14 @@ def relative_error(x, x_true):
     if ref == 0.0:
         raise ZeroReference("reference vector has zero norm")
     return float(np.linalg.norm(x - x_true)) / ref
+
+
+def column_median(a):
+    """``np.median(a, axis=0)`` of a finite (n, d) array, bit for bit up to
+    the sign of a zero, without its NaN check, which imports ``numpy.ma``."""
+    s = np.sort(a, axis=0)
+    k = s.shape[0] // 2
+    return s[k] if s.shape[0] % 2 else (s[k - 1] + s[k]) / 2
 
 
 def benchmark_prior_mixture():
@@ -674,7 +679,7 @@ def run_deblur_experiment(config, out_dir):
 
     ensemble = results["parallel_hmc"].ensemble
     posterior_mean = ensemble.mean()
-    posterior_median = np.median(ensemble.members, axis=0)
+    posterior_median = column_median(ensemble.members)
     summary.write_image("posterior_mean.pgm", rows, cols, posterior_mean)
     summary.write_image("posterior_median.pgm", rows, cols, posterior_median)
 

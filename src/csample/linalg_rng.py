@@ -1,11 +1,12 @@
 """SPD linear algebra and reproducible per-chain random streams.
 
-``SpdMatrix`` is the one SPD type: it caches its own lower Cholesky factor
-and solves, whitens, samples and takes log determinants through it.
-``cholesky_stack`` factors a stack of matrices by one ``np.linalg.cholesky``
-call (the mixture's covariances) and is also what factors a single
-``SpdMatrix``; ``inverse_transposes`` inverts a stack of those factors by
-one ``np.linalg.inv`` call. Matrices built from a diagonal store only that
+``SpdMatrix`` is the one SPD type: it factors itself when built, so a
+matrix that is not SPD raises there, and it solves, whitens, samples and
+takes log determinants through that factor. ``cholesky_stack`` factors a
+stack of matrices by one ``np.linalg.cholesky`` call (the mixture's
+covariances) and is also what factors a single ``SpdMatrix``;
+``inverse_transposes`` inverts a stack of those factors by one
+``np.linalg.inv`` call. Matrices built from a diagonal store only that
 diagonal, and every operation on them is O(order), with no call into
 LAPACK.
 """
@@ -40,25 +41,30 @@ class SpdMatrix:
 
     Matrices built from a diagonal (and order-1 matrices) store only the
     diagonal, a vector; others store the dense matrix. The lower Cholesky
-    factor L (A = L L^T) is computed on first use and cached, so repeated
-    solves and samples reuse one factorization. It is stored as
+    factor L (A = L L^T) is computed when the matrix is built, so an order-0
+    array raises DimensionMismatch there, and a pivot at or below
+    RELATIVE_PIVOT_FLOOR times the largest diagonal entry raises
+    NotPositiveDefinite carrying the pivot index. L is stored as
     ``cholesky_stack`` returns it: the vector of square roots of a diagonal
-    matrix, else a matrix. Beside it a diagonal matrix caches the squares of
+    matrix, else a matrix. Beside it a diagonal matrix stores the squares of
     those roots, as computed, for its solves (they need not equal the stored
-    diagonal bit for bit), and a dense matrix caches L^{-T}, so a solve is
+    diagonal bit for bit), and a dense matrix stores L^{-T}, so a solve is
     two matrix-vector products and ``maha_sq`` one. ``solve``, ``maha_sq``
     and ``factor_apply`` sit on the samplers' per-step path and take a float
     vector of length ``order`` unchecked.
     """
 
-    __slots__ = ("order", "_array", "_lower", "_squares", "_inv_t")
+    __slots__ = ("order", "_array", "_lower", "_solver")
 
     def __init__(self, array):
         self.order = array.shape[0]
+        if self.order < 1:
+            raise DimensionMismatch("matrix order must be at least 1")
+        factors = cholesky_stack(array[None])
         self._array = array
-        self._lower = None
-        self._squares = None
-        self._inv_t = None
+        self._lower = factors[0]
+        self._solver = (self._lower * self._lower if array.ndim == 1
+                        else inverse_transposes(factors)[0])
 
     # -- constructors -------------------------------------------------
 
@@ -108,25 +114,8 @@ class SpdMatrix:
 
     # -- numerics -----------------------------------------------------
 
-    def _factor(self):
-        """The cached lower Cholesky factor. A pivot at or below
-        RELATIVE_PIVOT_FLOOR times the largest diagonal entry raises
-        NotPositiveDefinite carrying the pivot index."""
-        if self._lower is None:
-            if self.order < 1:
-                raise DimensionMismatch("matrix order must be at least 1")
-            factors = cholesky_stack(self._array[None])
-            lower = factors[0]
-            if lower.ndim == 1:
-                self._squares = lower * lower
-            else:
-                self._inv_t = inverse_transposes(factors)[0]
-            self._lower = lower
-        return self._lower
-
     def logdet(self):
-        lower = self._factor()
-        pivots = lower if lower.ndim == 1 else np.diag(lower)
+        pivots = self._lower if self.is_diagonal else np.diag(self._lower)
         return 2.0 * float(np.sum(np.log(pivots)))
 
     def matvec(self, v):
@@ -134,22 +123,19 @@ class SpdMatrix:
         return self._array * v if self.is_diagonal else self._array @ v
 
     def solve(self, v):
-        """A^{-1} v as L^{-T} (L^{-1} v), by the cached inverse factor."""
-        lower = self._factor()
-        if lower.ndim == 1:
-            return v / self._squares
-        return self._inv_t @ (v @ self._inv_t)
+        """A^{-1} v as L^{-T} (L^{-1} v), by the stored inverse factor."""
+        if self.is_diagonal:
+            return v / self._solver
+        return self._solver @ (v @ self._solver)
 
     def maha_sq(self, v):
         """v.T A^{-1} v, as |L^{-1} v|^2."""
-        lower = self._factor()
-        w = v / lower if lower.ndim == 1 else v @ self._inv_t
+        w = v / self._lower if self.is_diagonal else v @ self._solver
         return float(w.dot(w))
 
     def factor_apply(self, z):
         """L @ z, the scaling step of multivariate-normal sampling."""
-        lower = self._factor()
-        return lower * z if lower.ndim == 1 else lower @ z
+        return self._lower * z if self.is_diagonal else self._lower @ z
 
 
 def symmetrized(a):
@@ -291,7 +277,7 @@ def sample_mvn(rng, mean, cov):
     """One draw from N(mean, cov) as mean + L z with L the Cholesky factor.
 
     Diagonal covariances cost O(n) end to end; dense covariances cost O(n^2)
-    per draw after the one cached factorization.
+    per draw, by the factor stored when the matrix was built.
     """
     mean = _as_vector(mean, "mean")
     if mean.size != cov.order:

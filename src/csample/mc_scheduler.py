@@ -106,9 +106,12 @@ def allocate_budgets(log_scores, n_ens):
 
 
 def tune_gaussian_proposal(component_cov, scale):
-    """Random walk with covariance ``scale`` times the component's, given as
-    the mixture stores it: (dim,) variances or a (dim, dim) matrix."""
-    return GaussianProposal(SpdMatrix(component_cov).scaled(scale))
+    """Random walk with covariance ``scale`` (> 0) times the component's,
+    given as the mixture stores it: (dim,) variances or a (dim, dim) matrix."""
+    scale = float(scale)
+    if scale <= 0.0:
+        raise ValueError("scale factor must be positive")
+    return GaussianProposal(SpdMatrix(scale * component_cov))
 
 
 def tune_hmc(variances, n_steps, jitter=False):

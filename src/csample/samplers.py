@@ -2,11 +2,15 @@
 
 ``ChainPlan`` is the one description of a chain, from plan to worker.
 ``run_chain`` runs one on a stream built afresh from (seed, stream id), so
-a rerun replays it bit for bit. Both steps are pure functions of (model,
-state, mechanism, stream). A rejected step returns the previous state
-object untouched. HMC trajectories whose energy error exceeds
+a rerun replays it bit for bit. HMC trajectories whose energy error exceeds
 DIVERGENCE_THRESHOLD are counted as divergent and treated as rejections;
 they never abort the chain.
+
+The transition contract: ``mh_step`` and ``hmc_step`` are pure functions
+of (model, state, mechanism, stream, carried J and gradient) that return
+one record, a ``Transition``; MH carries no gradient. Both accept by one
+Metropolis test, which rejects a NaN log ratio, and a rejected transition
+returns the previous state object untouched.
 
 The per-step contract: ``run_chain`` checks the chain's start against the
 model's dimension once, before its first step, and raises
@@ -100,39 +104,38 @@ class ChainResult:
         return self.samples.shape[0]
 
 
-class MhStep(NamedTuple):
+class Transition(NamedTuple):
     state: np.ndarray
     accepted: bool
-    potential: float
-
-
-class HmcStep(NamedTuple):
-    state: np.ndarray
-    accepted: bool
-    potential: float
+    potential: float  # J at ``state``
     divergent: bool
-    grad: np.ndarray  # gradient of J at ``state``
+    grad: np.ndarray  # gradient of J at ``state``; None after an MH step
 
 
-def mh_step(model, x, proposal, rng, potential=None):
-    """One Metropolis step with a symmetric Gaussian proposal.
+def _metropolis(log_ratio, rng):
+    """Accept with probability min(1, exp(log_ratio)), against one uniform
+    draw. min(nan, 0.0) is nan, where min(0.0, nan) would be 0.0 and accept,
+    so a NaN log ratio rejects."""
+    return np.exp(min(log_ratio, 0.0)) > rng.uniform()
+
+
+def mh_step(model, x, mechanism, rng, potential=None, grad=None):
+    """One Metropolis step with a symmetric Gaussian proposal, ``mechanism``.
 
     The proposal kernel is symmetric, so the acceptance ratio reduces to the
-    target ratio: a = min(1, exp(J(x) - J(x'))). Accept when a > u; a
-    candidate whose J is NaN gives a NaN a and is rejected. ``potential``
-    carries the current state's J to avoid a second evaluation per step; it
-    is computed when omitted.
+    target ratio: a = min(1, exp(J(x) - J(x'))). A candidate whose J is NaN
+    is rejected. ``potential`` carries the current state's J to avoid a
+    second evaluation per step; it is computed when omitted. ``grad`` is
+    accepted for the shared signature and not read.
     """
     if potential is None:
         potential = model.neg_log_posterior(x)
-    step = sample_mvn(rng, np.zeros(x.shape[0]), proposal.cov)
+    step = sample_mvn(rng, np.zeros(x.shape[0]), mechanism.cov)
     candidate = x + step
     potential_new = model.neg_log_posterior(candidate)
-    # min(nan, 0.0) is nan, where min(0.0, nan) would be 0.0 and accept.
-    a = np.exp(min(potential - potential_new, 0.0))
-    if a > rng.uniform():
-        return MhStep(candidate, True, potential_new)
-    return MhStep(x, False, potential)
+    if _metropolis(potential - potential_new, rng):
+        return Transition(candidate, True, potential_new, False, None)
+    return Transition(x, False, potential, False, None)
 
 
 def leapfrog(model, x, p, mass, step_size, n_steps, grad):
@@ -155,8 +158,9 @@ def leapfrog(model, x, p, mass, step_size, n_steps, grad):
     return x, p, potential, grad
 
 
-def hmc_step(model, x, params, rng, potential=None, grad=None):
-    """One HMC transition: momentum refresh, leapfrog flight, accept test.
+def hmc_step(model, x, mechanism, rng, potential=None, grad=None):
+    """One HMC transition under ``mechanism`` (HmcParams): momentum refresh,
+    leapfrog flight, accept test.
 
     Accepts with probability min(1, exp(-dH)). A non-finite or huge |dH|
     marks the trajectory divergent: the step is rejected and flagged.
@@ -166,25 +170,24 @@ def hmc_step(model, x, params, rng, potential=None, grad=None):
     """
     if potential is None or grad is None:
         potential, grad = model.potential_and_grad(x)
-    n_steps = params.n_steps
-    if params.jitter_steps:
-        n_steps = 1 + int(rng.uniform() * params.n_steps)
-        n_steps = min(n_steps, params.n_steps)
-    p0 = sample_mvn(rng, np.zeros(x.shape[0]), params.mass)
-    h0 = potential + 0.5 * params.mass.maha_sq(p0)
+    n_steps = mechanism.n_steps
+    if mechanism.jitter_steps:
+        n_steps = 1 + int(rng.uniform() * mechanism.n_steps)
+        n_steps = min(n_steps, mechanism.n_steps)
+    p0 = sample_mvn(rng, np.zeros(x.shape[0]), mechanism.mass)
+    h0 = potential + 0.5 * mechanism.mass.maha_sq(p0)
     # Overflow in an exploding trajectory is handled by the divergence guard.
     with np.errstate(over="ignore", invalid="ignore"):
         x_new, p_new, potential_new, grad_new = leapfrog(
-            model, x, p0, params.mass, params.step_size, n_steps, grad
+            model, x, p0, mechanism.mass, mechanism.step_size, n_steps, grad
         )
-        h1 = potential_new + 0.5 * params.mass.maha_sq(p_new)
+        h1 = potential_new + 0.5 * mechanism.mass.maha_sq(p_new)
     delta = h1 - h0
     if not np.isfinite(delta) or abs(delta) > DIVERGENCE_THRESHOLD:
-        return HmcStep(x, False, potential, True, grad)
-    a = min(1.0, np.exp(min(0.0, -delta)))
-    if a > rng.uniform():
-        return HmcStep(x_new, True, potential_new, False, grad_new)
-    return HmcStep(x, False, potential, False, grad)
+        return Transition(x, False, potential, True, grad)
+    if _metropolis(-delta, rng):
+        return Transition(x_new, True, potential_new, False, grad_new)
+    return Transition(x, False, potential, False, grad)
 
 
 def run_chain(model, chain, *, burn_in, stride, seed):
@@ -192,7 +195,10 @@ def run_chain(model, chain, *, burn_in, stride, seed):
     stream ``RngStream(seed, chain.stream_id)``, recording every stride-th
     state after the burn-in.
 
-    Divergent HMC steps are counted, never raised. The result is a pure
+    The transition, ``mh_step`` or ``hmc_step``, is picked once, when the
+    chain starts; J and its gradient at the start come from one
+    ``potential_and_grad`` call. Divergent HMC steps are counted, never
+    raised. The result is a pure
     function of (model, chain, burn_in, stride, seed). A start whose length
     is not the model's dimension raises DimensionMismatch before the first
     step: this is the chain's one state check.
@@ -204,26 +210,18 @@ def run_chain(model, chain, *, burn_in, stride, seed):
                                 f"!= model dimension {model.dim}")
     rng = RngStream(seed, chain.stream_id)
     mechanism = chain.mechanism
+    transition = mh_step if isinstance(mechanism, GaussianProposal) else hmc_step
     x = chain.initial_state.copy()
-    gaussian = isinstance(mechanism, GaussianProposal)
-    if gaussian:
-        potential = model.neg_log_posterior(x)
-    else:
-        potential, grad = model.potential_and_grad(x)
+    potential, grad = model.potential_and_grad(x)
     total_steps = burn_in + stride * chain.budget
     samples = np.empty((chain.budget, x.size))
     accepted = 0
     divergences = 0
     recorded = 0
     for step in range(1, total_steps + 1):
-        if gaussian:
-            x, ok, potential = mh_step(model, x, mechanism, rng, potential)
-        else:
-            x, ok, potential, divergent, grad = hmc_step(
-                model, x, mechanism, rng, potential, grad
-            )
-            divergences += divergent
+        x, ok, potential, divergent, grad = transition(model, x, mechanism, rng, potential, grad)
         accepted += ok
+        divergences += divergent
         if step > burn_in and (step - burn_in) % stride == 0:
             samples[recorded] = x
             recorded += 1

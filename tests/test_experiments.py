@@ -130,6 +130,9 @@ class TestConfig:
         for kind, name in mapping.items():
             cfg = load_config(kind, repo / "configs" / name)
             assert cfg["kind"] == kind
+            # Each shipped file lists every key at its default.
+            shipped = json.loads((repo / "configs" / name).read_text(encoding="utf-8"))
+            assert shipped == default_config(kind)
 
 
 class TestRelativeError:
@@ -478,6 +481,24 @@ class TestCli:
         assert loaded == {"scipy": False, "numpy.random": True}
         assert code == 0
         assert not scipy_after
+
+    def test_deblur_run_loads_no_numpy_ma(self, tmp_path):
+        # The posterior median is taken without np.median, whose NaN check
+        # imports numpy.ma.
+        script = (
+            "import json, sys\n"
+            "import csample.cli\n"
+            "code = csample.cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, 'numpy.ma' in sys.modules]))\n"
+        )
+        src = Path(csample.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-c", script, "deblur", "--out", str(tmp_path / "out"),
+             "--procs", "1"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True)
+        code, ma_loaded = json.loads(out.stdout.strip().splitlines()[-1])
+        assert code == 0
+        assert not ma_loaded
 
     def test_em_fit_procs_leave_artifacts_unchanged(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -40,8 +40,9 @@ class TestCholesky:
             assert err <= 1e-12 * np.max(np.abs(a.dense()))
 
     def test_indefinite_reports_pivot(self):
+        # A matrix factors when built, so it raises there, not at first use.
         with pytest.raises(NotPositiveDefinite) as exc:
-            SpdMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]]).solve(np.ones(2))
+            SpdMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
         assert exc.value.pivot_index == 1
         # Pool workers return the error pickled; it must arrive whole.
         copy = pickle.loads(pickle.dumps(exc.value))
@@ -57,8 +58,12 @@ class TestCholesky:
 
     def test_diagonal_zero_reports_pivot(self):
         with pytest.raises(NotPositiveDefinite) as exc:
-            SpdMatrix.from_diagonal([1.0, 0.0, 2.0]).logdet()
+            SpdMatrix.from_diagonal([1.0, 0.0, 2.0])
         assert exc.value.pivot_index == 1
+
+    def test_order_zero_rejected_when_built(self):
+        with pytest.raises(DimensionMismatch):
+            SpdMatrix.from_diagonal([])
 
     def test_relative_pivot_floor(self):
         # A pivot below 1e-13 of the largest diagonal entry must fail loudly.
@@ -92,9 +97,8 @@ class TestCholesky:
         assert exc.value.pivot_index == pivot
 
     def test_non_finite_dense_matrix_never_factors(self):
-        a = SpdMatrix.from_dense([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(NotPositiveDefinite):
-            a.solve(np.ones(2))
+            SpdMatrix.from_dense([[1.0, np.nan], [np.nan, 1.0]])
 
     def test_logdet(self):
         a = SpdMatrix.from_dense([[4.0, 2.0], [2.0, 3.0]])

@@ -76,7 +76,7 @@ class TestMhStep:
         proposal = GaussianProposal(SpdMatrix.identity(2))
         x = np.zeros(2)
         for _ in range(50):
-            x, accepted, _ = mh_step(FlatTarget(), x, proposal, rng)
+            x, accepted, _, _, _ = mh_step(FlatTarget(), x, proposal, rng)
             assert accepted
 
     def test_half_density_accepts_half(self):
@@ -101,7 +101,7 @@ class TestMhStep:
             x = np.array([2.0])
             path = []
             for _ in range(30):
-                x, _, _ = mh_step(model, x, proposal, rng)
+                x, _, _, _, _ = mh_step(model, x, proposal, rng)
                 path.append(float(x[0]))
             return path
 
@@ -133,6 +133,19 @@ class TestMhStep:
             assert not out.accepted and out.state is origin and out.potential == 0.0
             mh_step(FlatTarget(), origin, proposal, reference)
         assert rng.uniform() == reference.uniform()
+
+
+class TestTransitionRecord:
+    def test_both_transitions_return_one_record(self):
+        # MH and HMC share one contract: one record, with no divergence and
+        # no gradient after an MH step.
+        model = gaussian_model_1d()
+        x = np.array([0.3])
+        mh = mh_step(model, x, GaussianProposal(SpdMatrix.identity(1)), RngStream(1, 0))
+        hmc = hmc_step(model, x, HmcParams(SpdMatrix.identity(1), 0.1, 5), RngStream(1, 0))
+        assert type(mh) is type(hmc)
+        assert mh._fields == ("state", "accepted", "potential", "divergent", "grad")
+        assert mh.divergent is False and mh.grad is None
 
 
 class TestLeapfrog:
