@@ -7,15 +7,29 @@ on one thread and the tree's own ``src/`` on the path; the order of the two
 trees alternates from round to round. Every interpreter builds the same
 inputs and times:
 
-- ``oned.*``: the fused ``potential_and_grad``, the gradient and the
-  potential J of the shipped ``oned`` model (seed 2024, its EM + AIC fit
-  made on a pool of two), per call, over 32 states;
-- ``deblur16.*``: the same three calls on the 16x16 ``deblur`` model
-  (perfbench's downsampled phantom, the shipped config), per call;
+- ``oned.*``: the fused ``potential_and_grad``, the gradient, the
+  potential J and the prior's ``log_kernel`` of the shipped ``oned`` model
+  (seed 2024, its EM + AIC fit made on a pool of two), per call, over 32
+  states;
+- ``deblur16.*``: the same four calls on the 16x16 ``deblur`` model
+  (perfbench's downsampled phantom, the shipped config), per call, over 32
+  states at a chain's scale: each a component mean plus the component's
+  standard deviations times standard normals, so its Mahalanobis terms are
+  of the order of the dimension, where a sum taken in another order rounds
+  differently;
+- ``oned.leapfrog_step``: one leapfrog step of the serial HMC chain's
+  mechanism, per step, over trajectories of its m steps from the 32
+  ``oned`` states;
 - ``oned.hmc_step`` and ``oned.mh_step``: one transition of the serial HMC
   and serial Gaussian baselines of ``oned``, per step over 2000 steps;
 - ``oned.serial_hmc_chain``: the whole serial HMC chain of ``oned`` at
-  1000 samples (15,100 transitions), per chain;
+  1000 samples (15,100 transitions), per chain. Its row also carries the
+  leapfrog steps the chain takes (``leapfrog_steps``, counted in a second,
+  untimed run of the chain) and, per tree, that count times the median
+  ``oned.leapfrog_step`` as a share of the median chain time
+  (``{tree}_leapfrog_share``): the part of the chain the step unit
+  accounts for. The unit is the fastest of its repetitions and the chain
+  one run, so on a busy machine the share reads low;
 - ``oned.em_iter``, ``emfit.em_iter`` and ``emfit.em_iter_k6``: one EM
   map (``_em_single`` from quantile seeds, at most 60 maps, divided by the
   maps made) on ``oned``'s 1000-point prior ensemble at 8 components, and on
@@ -162,8 +176,9 @@ def child(tree):
     n_pix = setup["truth"].rows * setup["truth"].cols
     deblur = PosteriorModel(mixture, setup["operator"], setup["observed"],
                             SpdMatrix.spherical(n_pix, setup["noise_std"] ** 2))
-    jitter = RngStream(SEED, 99).standard_normal(4 * n_pix).reshape(4, n_pix)
-    dstates = list(mixture.means[np.arange(4) % mixture.n_components] + 0.02 * jitter)
+    normals = RngStream(SEED, 99).standard_normal(32 * n_pix).reshape(32, n_pix)
+    picks = np.arange(32) % mixture.n_components
+    dstates = list(mixture.means[picks] + np.sqrt(mixture.variances[picks]) * normals)
 
     emfit = emfit_data(1)
     points = gmm._sorted_members(emfit)
@@ -184,12 +199,25 @@ def child(tree):
                                                           *[f[1] for f in fused])
         digests[f"{prefix}.grad"] = _digest(*[m.grad_neg_log_posterior(x) for x in xs])
         digests[f"{prefix}.potential"] = _digest([m.neg_log_posterior(x) for x in xs])
+        digests[f"{prefix}.log_kernel"] = _digest([m.prior.log_kernel(x) for x in xs])
         calls[f"{prefix}.potential_and_grad"] = _call_unit(m.potential_and_grad, xs)
         calls[f"{prefix}.grad"] = _call_unit(m.grad_neg_log_posterior, xs)
         calls[f"{prefix}.potential"] = _call_unit(m.neg_log_posterior, xs)
-    layers = _fastest_us(calls, repeat=40)
+        calls[f"{prefix}.log_kernel"] = _call_unit(m.prior.log_kernel, xs)
 
     plans = oned_plans(model, config)
+    serial = plans["serial_hmc"].chains[0].mechanism
+    flights = [(x, np.ones(1), model.grad_neg_log_posterior(x)) for x in states]
+
+    def flight(item):
+        x, p, grad = item
+        return samplers.leapfrog(model, x, p, serial.mass, serial.step_size, serial.n_steps, grad)
+
+    digests["oned.leapfrog_step"] = _digest(*[np.concatenate(flight(f)[:2]) for f in flights])
+    run, count = _call_unit(flight, flights)
+    calls["oned.leapfrog_step"] = (run, count * serial.n_steps)
+    layers = _fastest_us(calls, repeat=40)
+
     start = plans["serial_hmc"].chains[0].initial_state
     steps = {}
     for name, step, mechanism, carried in (
@@ -233,12 +261,29 @@ def child(tree):
     layers.update(_fastest_us(selections, repeat=3))
 
     plan = plans["serial_hmc"]
+
+    def chain():
+        return samplers.run_chain(model, plan.chains[0], burn_in=plan.burn_in,
+                                  stride=plan.stride, seed=plan.seed)
+
     t0 = time.perf_counter()
-    result = samplers.run_chain(model, plan.chains[0], burn_in=plan.burn_in,
-                                stride=plan.stride, seed=plan.seed)
+    result = chain()
     layers["oned.serial_hmc_chain"] = (time.perf_counter() - t0) * 1e6
     digests["oned.serial_hmc_chain"] = _digest(result.samples)
-    print(json.dumps({name: [layers[name], digests[name]] for name in layers}))
+    # The same chain again, untimed, counting its leapfrog steps.
+    leapfrog, steps_taken = samplers.leapfrog, []
+
+    def counted(*args):
+        steps_taken.append(args[5])
+        return leapfrog(*args)
+
+    samplers.leapfrog = counted
+    try:
+        assert _digest(chain().samples) == digests["oned.serial_hmc_chain"]
+    finally:
+        samplers.leapfrog = leapfrog
+    counts = {"oned.serial_hmc_chain": sum(steps_taken)}
+    print(json.dumps({name: [layers[name], digests[name], counts.get(name)] for name in layers}))
 
 
 # Run with ``python -c`` in a fresh interpreter: the import's microseconds
@@ -300,6 +345,12 @@ def main(argv=None):
         row["round_ratio_median"] = statistics.median(
             c / p for c, p in zip(row["change_us"], row["parent_us"]))
         row["same_digest"] = len({run[name][1] for side in runs for run in runs[side]}) == 1
+        if name == "oned.serial_hmc_chain":
+            row["leapfrog_steps"] = runs["parent"][0][name][2]
+            for side in ("parent", "change"):
+                row[f"{side}_leapfrog_share"] = (
+                    layers["oned.leapfrog_step"][f"{side}_median_us"] * row["leapfrog_steps"]
+                    / row[f"{side}_median_us"])
         layers[name] = row
     report = {
         "harness": "python scripts/layer_costs.py PARENT_TREE CHANGE_TREE",

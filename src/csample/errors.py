@@ -59,5 +59,10 @@ class SolverConvergenceWarning(UserWarning):
     """An iterative solve stopped before meeting its convergence test."""
 
 
+class StuckChainWarning(UserWarning):
+    """A chain accepted none of its transitions: every sample it recorded is
+    its start state."""
+
+
 class OversubscribedWarning(UserWarning):
     """Benchmark requested more workers than available logical processors."""

@@ -23,11 +23,20 @@ and cap count EM maps.
 The per-step contract: the kernel methods (``log_kernel``,
 ``kernel_pullback``, ``log_kernel_and_pullback``) take one float (dim,)
 state unchecked, as the posterior's per-step calls pass it; the density
-methods check the dimension of what they are given. An E-step reduces its
-(n, k) log densities over the short component axis only where the order of
-the sum matters: the max is taken column by column, the sum keeps numpy's
-row order, and the responsibility column sums are computed once and shared
-by the starvation check and the M-step.
+methods check the dimension of what they are given. For variance storage
+they are bit-equal to the batched formula, the einsum of
+``_mahalanobis_parts`` scaled by -1/2, in fewer numpy calls. The -1/2 is
+folded into cached precisions (a power-of-two scale is exact), so J costs
+one call less, and dev * prec is made for the pullback alone. At dim = 1
+the einsum's one-term sum is the plain product (dev * prec) * dev. At
+dim > 1 the einsum stays, since its sum over d is sequential where numpy's
+``sum`` is pairwise from 8 terms up, and the pullback stays the
+(k,) . (k, dim) product, which rounds differently from its transpose.
+
+An E-step reduces its (n, k) log densities over the short component axis
+only where the order of the sum matters: the max is taken column by
+column, the sum keeps numpy's row order, and the responsibility column
+sums are computed once and shared by the starvation check and the M-step.
 """
 
 from __future__ import annotations
@@ -158,8 +167,10 @@ class GaussianMixture:
         self.covariances, self._factors, self._logdets = map(per_component,
                                                              (covs, factors, logdets))
         self.structure = structure
-        # Variance storage: the precisions 1 / sigma^2, computed once.
+        # Variance storage: the precisions 1 / sigma^2, computed once, and
+        # -0.5 times them for the per-state kernel's log terms.
         self._precisions = 1.0 / self.covariances if covs.ndim == 2 else None
+        self._neg_half_precisions = -0.5 * self._precisions if covs.ndim == 2 else None
         # Dense storage: the whitening matrices L_k^{-T}, inverted once.
         self._inv_t = None if covs.ndim == 2 else per_component(inverse_transposes(factors))
         self._log_weights = np.log(weights)
@@ -245,13 +256,26 @@ class GaussianMixture:
 
     def _kernel_terms(self, x):
         """The kernel's terms at x over the largest, their sum, the largest
-        log term, and the deviations of the Mahalanobis step."""
-        maha, dev = self._mahalanobis_parts(x)
-        logs = self._kernel_consts - 0.5 * maha
+        log term, and the deviations x - mu_k (variance storage) or the
+        whitened deviations (dense storage)."""
+        if self._precisions is None:
+            maha, dev = self._mahalanobis_parts(x)
+            logs = self._kernel_consts - 0.5 * maha
+        else:
+            # -0.5 maha_k (see the per-step contract). At dim = 1 the state's
+            # one coordinate enters as a float, which numpy subtracts for
+            # less than it broadcasts a (1,) array.
+            if x.shape[0] == 1:
+                dev = x.item() - self.means
+                half_maha = (dev * self._neg_half_precisions * dev).ravel()
+            else:
+                dev = x - self.means
+                half_maha = np.einsum("kd,kd,kd->k", dev, self._neg_half_precisions, dev)
+            logs = self._kernel_consts + half_maha
         # Exact in any order; Python's max over k floats beats numpy's.
         peak = max(logs.tolist())
         terms = np.exp(logs - peak)
-        return terms, terms.sum(), peak, dev
+        return terms, np.add.reduce(terms), peak, dev
 
     def _pullback(self, resp, dev):
         if self._precisions is not None:

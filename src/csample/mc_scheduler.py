@@ -27,7 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost_model import step_cost, whole_chain_speedup
-from .errors import BudgetInfeasibleWarning, ChainFailed, OversubscribedWarning
+from .errors import (
+    BudgetInfeasibleWarning,
+    ChainFailed,
+    OversubscribedWarning,
+    StuckChainWarning,
+)
 from .gmm import Ensemble
 from .linalg_rng import SpdMatrix
 from .pool import WorkerPool
@@ -208,6 +213,13 @@ def _failure_text(chain, exc):
     return f"chain of {owner} failed: {exc!r}"
 
 
+def _stuck_text(chain, result):
+    mechanism = "hmc" if isinstance(chain.mechanism, HmcParams) else "gaussian"
+    return (f"chain on stream {chain.stream_id} (component {chain.component}, {mechanism}) "
+            f"accepted none of its {result.proposals_made} transitions, "
+            f"{result.divergences} of them divergent: its samples are its start state")
+
+
 def _pool_plan(chains, outcomes):
     """One plan's McmcResult: samples pooled in chain order, each carrying an
     importance weight proportional to its component's pooling weight divided
@@ -238,9 +250,11 @@ def run_plans(model, plans, pool):
     when a sibling raises; afterwards any failure raises ``ChainFailed``
     naming each failed chain from its ChainPlan, with the ``repr`` of its
     exception, because a pool missing a chain's samples is a biased
-    posterior. Each ensemble is bit-identical for any pool size and for any
-    other plans run alongside; each result's ``chain_seconds`` sums the
-    pool's seconds of its chains.
+    posterior. A chain that accepted none of its transitions pools its start
+    state alone; one StuckChainWarning names each such chain by stream,
+    component, mechanism and divergence count. Each ensemble is
+    bit-identical for any pool size and for any other plans run alongside;
+    each result's ``chain_seconds`` sums the pool's seconds of its chains.
     """
     owners, jobs = [], []  # plan index and (chain, burn_in, stride, seed) per chain
     for k, plan in enumerate(plans):
@@ -253,6 +267,10 @@ def run_plans(model, plans, pool):
                 if isinstance(outcome, Exception)]
     if failures:
         raise ChainFailed("; ".join(failures))
+    stuck = [_stuck_text(job[0], outcome) for job, (outcome, _) in zip(jobs, outcomes)
+             if outcome.proposals_accepted == 0]
+    if stuck:
+        warnings.warn("; ".join(stuck), StuckChainWarning)
     pooled = []
     for k in range(len(plans)):
         mine = [i for i, owner in enumerate(owners) if owner == k]

@@ -17,6 +17,12 @@ model's dimension once, before its first step, and raises
 DimensionMismatch there. From then on every state is a float (dim,)
 vector, and ``mh_step``, ``hmc_step`` and ``leapfrog`` pass it unchecked
 to the model's J and gradient calls and to the mechanism's SpdMatrix.
+``hmc_step`` draws its momentum as the mass's factor applied to standard
+normals, the draws ``sample_mvn`` would make. ``leapfrog`` makes each
+update of x and p a new array and multiplies by the step size as an array
+of the state's shape: on (1,) arrays numpy does both for less than an
+in-place update or a Python float, and every product and sum is the same,
+so each chain is bit-identical to one run by the plain formulas.
 
 The task contract: ``run_chain`` is a pool task. It returns only what the
 chain made, its samples and counts, and lets any error propagate to the
@@ -25,6 +31,7 @@ pool, which catches and times it; the caller keeps the ChainPlan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -146,15 +153,16 @@ def leapfrog(model, x, p, mass, step_size, n_steps, grad):
     one fused ``potential_and_grad``. Returns the end state and momentum,
     and J and its gradient there.
     """
-    x = np.array(x, dtype=float)
-    p = np.array(p, dtype=float)
-    p -= 0.5 * step_size * grad
-    for i in range(n_steps):
-        x += step_size * mass.solve(p)
-        if i < n_steps - 1:
-            p -= step_size * model.grad_neg_log_posterior(x)
+    # New arrays, never in-place updates: the caller's x and p stay as they
+    # were (see the module's per-step contract for the step-size array).
+    h = np.full(x.shape, step_size)
+    p = p - 0.5 * step_size * grad
+    x = x + h * mass.solve(p)
+    for _ in range(n_steps - 1):
+        p = p - h * model.grad_neg_log_posterior(x)
+        x = x + h * mass.solve(p)
     potential, grad = model.potential_and_grad(x)
-    p -= 0.5 * step_size * grad
+    p = p - 0.5 * step_size * grad
     return x, p, potential, grad
 
 
@@ -174,16 +182,19 @@ def hmc_step(model, x, mechanism, rng, potential=None, grad=None):
     if mechanism.jitter_steps:
         n_steps = 1 + int(rng.uniform() * mechanism.n_steps)
         n_steps = min(n_steps, mechanism.n_steps)
-    p0 = sample_mvn(rng, np.zeros(x.shape[0]), mechanism.mass)
-    h0 = potential + 0.5 * mechanism.mass.maha_sq(p0)
+    mass = mechanism.mass
+    # A draw from N(0, M): the factor applied to standard normals, the same
+    # draws sample_mvn would make, without its zero mean.
+    p0 = mass.factor_apply(rng.standard_normal(x.shape[0]))
+    h0 = potential + 0.5 * mass.maha_sq(p0)
     # Overflow in an exploding trajectory is handled by the divergence guard.
     with np.errstate(over="ignore", invalid="ignore"):
         x_new, p_new, potential_new, grad_new = leapfrog(
-            model, x, p0, mechanism.mass, mechanism.step_size, n_steps, grad
+            model, x, p0, mass, mechanism.step_size, n_steps, grad
         )
-        h1 = potential_new + 0.5 * mechanism.mass.maha_sq(p_new)
+        h1 = potential_new + 0.5 * mass.maha_sq(p_new)
     delta = h1 - h0
-    if not np.isfinite(delta) or abs(delta) > DIVERGENCE_THRESHOLD:
+    if not math.isfinite(delta) or abs(delta) > DIVERGENCE_THRESHOLD:
         return Transition(x, False, potential, True, grad)
     if _metropolis(-delta, rng):
         return Transition(x_new, True, potential_new, False, grad_new)

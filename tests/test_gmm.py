@@ -1,4 +1,5 @@
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from conftest import FIT_1D, selection_bytes
 
 from csample import gmm
 from csample.errors import DegenerateComponent, DimensionMismatch, NotPositiveDefinite
+from csample.experiments import fit_prior_mixture, load_config, prepare_deblur_problem
+from csample.forward_models import ImageGrid, read_pgm, write_pgm
 from csample.gmm import (
     Ensemble,
     GaussianMixture,
@@ -16,6 +19,7 @@ from csample.gmm import (
 )
 from csample.linalg_rng import RngStream, SpdMatrix, sample_mvn
 from csample.pool import WorkerPool
+from csample.posterior import PosteriorModel
 
 
 def naive_logpdf_1d(weights, means, variances, x):
@@ -543,6 +547,96 @@ class TestLogsumexp:
         assert got.tobytes() == want.tobytes()
         assert got[3] == -np.inf
         assert single.shape == () and single.tobytes() == want[9].tobytes()
+
+
+def _einsum_kernel(mix, x):
+    """The per-state kernel of a variance-storage mixture written out as its
+    batched formula: the three-operand einsum, -0.5 times it, a Python max,
+    the ndarray sum, and the (k,) . (k, dim) pullback. Returns
+    (log_kernel, pullback, terms)."""
+    precisions = 1.0 / mix.covariances
+    dev = x - mix.means
+    maha = np.einsum("...kd,kd,...kd->...k", dev, precisions, dev)
+    logs = (np.log(mix.weights) - 0.5 * mix._logdets) - 0.5 * maha
+    peak = max(logs.tolist())
+    terms = np.exp(logs - peak)
+    total = terms.sum()
+    return peak + np.log(total), (terms / total).dot(precisions * dev), terms
+
+
+def _variance_mixture(dim, n_c, seed):
+    rng = np.random.default_rng(seed)
+    variances = rng.uniform(0.05, 2.0, (n_c, dim))
+    weights = rng.dirichlet(np.ones(n_c))
+    means = 1.5 * rng.standard_normal((n_c, dim))
+    structure = "full" if dim == 1 else "diagonal"
+    return GaussianMixture(weights, means, variances, structure=structure)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestPerStateKernelBits:
+    """The per-state kernel (variance storage) bit for bit against the
+    written-out einsum formula. Rewrites of it that passed every tolerance
+    test changed bits in two ways: a sum over d taken pairwise (numpy's sum
+    is pairwise from 8 terms up, the einsum's is sequential), and a
+    (dim, k) . (k,) product in place of (k,) . (k, dim)."""
+
+    @pytest.mark.parametrize("n_c", [1, 3, 8])
+    @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 256])
+    def test_matches_einsum_formula(self, dim, n_c):
+        mix = _variance_mixture(dim, n_c, seed=100 * dim + n_c)
+        assert mix._precisions is not None
+        rng = np.random.default_rng(dim + n_c)
+        sd = np.sqrt(mix.covariances)
+        picks = rng.integers(n_c, size=60)
+        near = mix.means[picks] + rng.choice([0.1, 1.0, 3.0], (60, 1)) * sd[picks] * \
+            rng.standard_normal((60, dim))
+        # Out to where the smaller terms underflow: subnormal, then zero.
+        far = mix.means[0] + np.linspace(-60.0, 60.0, 81)[:, None] * rng.uniform(0.5, 1.0, dim)
+        underflowed = 0
+        for x in np.concatenate([near, far, mix.means]):
+            log_kernel, pullback, terms = _einsum_kernel(mix, x)
+            underflowed += np.any(terms < np.finfo(float).tiny)
+            fused = mix.log_kernel_and_pullback(x)
+            assert _bits(mix.log_kernel(x)) == _bits(log_kernel)
+            assert mix.kernel_pullback(x).shape == (dim,)
+            assert _bits(mix.kernel_pullback(x)) == _bits(pullback)
+            assert _bits(fused[0]) == _bits(log_kernel)
+            assert _bits(fused[1]) == _bits(pullback)
+        if n_c > 1:
+            assert underflowed > 0
+
+    def test_deblur16_potential_matches_einsum_formula(self, tmp_path):
+        # The bundled 32x32 phantom averaged over 2x2 blocks: a 16x16 deblur.
+        phantom = read_pgm(Path(gmm.__file__).parent / "data" / "phantom_disk_32.pgm")
+        blocks = phantom.intensities.reshape(16, 2, 16, 2).mean(axis=(1, 3))
+        write_pgm(ImageGrid(16, 16, blocks), tmp_path / "phantom_16.pgm")
+        config = load_config("deblur", Path(__file__).parent.parent / "configs" / "deblur.json",
+                             {"image": str(tmp_path / "phantom_16.pgm")})
+        setup = prepare_deblur_problem(config)
+        mix = fit_prior_mixture(setup["prior_members"], config).mixture
+        assert mix.dim == 256 and mix._precisions is not None
+        model = PosteriorModel(mix, setup["operator"], setup["observed"], setup["obs_cov"])
+        # States spread like a chain's: about each component mean, at a tenth
+        # of the prior's spread up to the whole of it.
+        rng = np.random.default_rng(16)
+        picks = rng.integers(mix.n_components, size=120)
+        scales = rng.choice([0.1, 0.3, 1.0], (120, 1))
+        states = mix.means[picks] + scales * np.sqrt(mix.covariances[picks]) * \
+            rng.standard_normal((120, 256))
+        for x in states:
+            residual = setup["operator"].apply(x) - model.y
+            rinv_residual = setup["obs_cov"].solve(residual)
+            log_kernel, pullback, _ = _einsum_kernel(mix, x)
+            potential = 0.5 * float(residual.dot(rinv_residual)) - log_kernel
+            grad = setup["operator"].adjoint_jacobian_apply(x, rinv_residual) + pullback
+            assert _bits(model.neg_log_posterior(x)) == _bits(potential)
+            assert _bits(model.grad_neg_log_posterior(x)) == _bits(grad)
+            fused = model.potential_and_grad(x)
+            assert _bits(fused[0]) == _bits(potential) and _bits(fused[1]) == _bits(grad)
 
 
 def _stacked_case(structure, dim, n_c=3):

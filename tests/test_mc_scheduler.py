@@ -1,6 +1,7 @@
 import math
 import os
 import time
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from csample.errors import (
     ChainFailed,
     NotPositiveDefinite,
     OversubscribedWarning,
+    StuckChainWarning,
 )
 from csample.forward_models import IdentityOperator
 from csample.gmm import GaussianMixture
@@ -252,6 +254,29 @@ class TestRunMcMcmc:
         assert "component 0" not in message
         # A failure does not stop its siblings: every chain ran.
         assert sorted(ran) == [c.stream_id for c in plan.chains]
+
+    def test_chain_that_never_moves_warns(self):
+        mix = mixture_1d([0.5, 0.5], [-2.0, 2.0], [0.5, 0.5])
+        model = model_from(mix, y=0.0, r=1.0)
+        plan = build_plan(model, 20, "hmc", seed=5, burn_in=5, stride=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StuckChainWarning)
+            moving = run_plans(model, [plan], WorkerPool(1))[0]
+        # Component 1's chain takes steps of 1e6: every trajectory diverges.
+        stuck = plan.chains[1]
+        object.__setattr__(stuck, "mechanism", replace(stuck.mechanism, step_size=1e6))
+        with pytest.warns(StuckChainWarning) as caught:
+            result = run_plans(model, [plan], WorkerPool(1))[0]
+        made = plan.burn_in + plan.stride * stuck.budget
+        assert [str(w.message) for w in caught] == [
+            f"chain on stream {stuck.stream_id} (component 1, hmc) accepted none of its "
+            f"{made} transitions, {made} of them divergent: its samples are its start state"]
+        # The warning changes nothing: the stuck chain pools its start state,
+        # and its sibling the samples it makes alone.
+        assert np.all(result.chain_results[1].samples == stuck.initial_state)
+        assert result.chain_results[1].divergences == made
+        assert (result.chain_results[0].samples.tobytes()
+                == moving.chain_results[0].samples.tobytes())
 
     def test_zero_budget_chain_skipped(self):
         mix = mixture_1d([0.5, 0.25, 0.25], [0.0, 5.0, -5.0], [0.2, 0.2, 0.2])
